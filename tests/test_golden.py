@@ -1,0 +1,89 @@
+"""Golden command-line outputs: sha256 digests of stdout, byte for byte.
+
+The digests were captured with numpy 2.4.6 (Python 3.11.7, x86-64,
+OpenBLAS).  Another numpy or BLAS build may legitimately move the last
+bits of a float and with them a digest; any change of the code that
+alters one of these outputs is a behaviour change and must say so.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from veronese.cli import main
+
+GOLDEN = {
+    "verify --n-max 4 --samples 500 --seed 0 --format table":
+        "ff98731d580bedcfa5e9b46f3f2756a6a86c16601f65125982c5e2806241d28a",
+    "verify --n-max 4 --samples 500 --seed 0 --format json":
+        "20a1f9299bf62ec504ac9792ef7bc703f55c3532a419a481845689f40bc19762",
+    "verify --n-max 4 --samples 500 --seed 0 --format csv":
+        "b91b65f062060e56df0a9fff8f3305302db92bb03fdd9440a34b4282b999d2dd",
+    "verify --n-max 4 --samples 500 --seed 11 --format table":
+        "53cc27b243fcd3e04c9af8e99d08c694830f4badc4b47b3707e664d98dac341a",
+    "verify --n-max 4 --samples 500 --seed 11 --format json":
+        "059aab8659a4793b8e3af93c4c1c1408dfb0d7fd9abc738eaa4e6c26df217d94",
+    "verify --n-max 4 --samples 500 --seed 11 --format csv":
+        "170110b6dd630ce55a10a3b4e405ea677e46ef2ac086945312ef2951e5fde910",
+    "report --field real --n 2 --samples 500 --metric image":
+        "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
+    "report --field real --n 2 --samples 500 --metric domain":
+        "346edff2368b3c48f29a824d66d2e10b2f9eeb5618a7cab1e4fdcde0e389e817",
+    "report --field complex --n 3 --samples 500":
+        "ebfad0cc1d10a6bd28974dd209e4acf5c9f27e5e4409710a0b3a27ce55e2fe65",
+    "emit --field real --n 1":
+        "eb8ef9f583f1ce6887ceb56344713960e311994b2e33d25c61e7072be18f67c5",
+    "emit --field real --n 2":
+        "62c83bde890e211719af162e38d46693422ea2dd8ec85f16f197fbea40e80349",
+    "emit --field real --n 3":
+        "ebd75846588b107fee71bdd09f289d65f6e7c02d478287b4b200bed7db933d0c",
+    "emit --field real --n 4":
+        "fbb484cb90df493c2fcc742fa25afa411935d00b40489215b3827c92dc8762a1",
+    "emit --field real --n 5":
+        "d3af27a45beff2c26a7b66b39452b54d233f00d71ea5e33c2ab9b08a5a45872d",
+    "emit --field real --n 6":
+        "9164ec8e1a11117633d77e1f3104df83acfd2b4845ab61e3ec67eb3acf4abc5d",
+    "emit --field real --n 7":
+        "2d9452d4b3fa53d97f922f672b5bc6b5866ccabd25dabe510a46609cedbb322b",
+    "emit --field real --n 8":
+        "92826eb276bf429cfd931d080a38942a05a34e3db27d1a0a0f409836378c7a01",
+    "emit --field real --n 9":
+        "fb651c1c1c6c16b9c64532f7a4aa8c4c2b2e6f27b70428f00bb849811eb9aa90",
+    "emit --field real --n 10":
+        "138e806d69f76ed58b42c1b5b2512860d5ea0ba0b532c4846b3b7decff80de14",
+    "emit --field real --n 11":
+        "a7f2a41ae23e6fe3456cbb41c7bf4b2242e9e63645f86bc12052aa11faba1636",
+    "emit --field real --n 12":
+        "f9c238d4337be4d73ac057207c4fca9738815ba2fb0d55014da2c9a01f3d5060",
+    "emit --field complex --n 1":
+        "2d5a7b749a916925909f0fc3d97bb47ea9048a9e3982f4eb05efb54e4f35dd7d",
+    "emit --field complex --n 2":
+        "895b1664bcf5a1b8c556e1f3c48e1a5cc474d6126bf98441bf3ab67713edbd4b",
+    "emit --field complex --n 3":
+        "95c53ef5dbee2ecf8c49564e73e041828a65b2a95c2696d85f609a1cd582ab71",
+    "emit --field complex --n 4":
+        "00b06b77a338bac972c8c2feff39b4e13f0c72b932b1ed4d92d9a83107f96fb5",
+    "emit --field complex --n 5":
+        "a36fa269ea56bad435bdcee2c4a67f17918189756f106dbe2d07dd344c1f5b57",
+    "emit --field complex --n 6":
+        "23b5925073214ab589a4460af6e5a2b1c47a6fcbd70c2a89e137ce8624e8b340",
+    "emit --field complex --n 7":
+        "35b41f5cb0f9dfc0bd408cc1bc93dd9391760271d03947ade8e08ad494d95247",
+    "emit --field complex --n 8":
+        "f5833e27d02ada7de935d3258b3caa1fc5371b792dde0f20c73c9d0a7a9991f7",
+    "cloud --field real --n 3 --samples 200 --seed 5":
+        "55fa961a9bc9a34b57bcb33344f677522f6138847b1ff35ada49fb33fc6e5215",
+    "cloud --field complex --n 2 --samples 200 --seed 5":
+        "f9b5a02ca95b9f5704e9922c1ac7328dce2e83a23059c2e453a87aea6f13957b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(command):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(command.split())
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[command]
