@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from veronese import constants, geometry, measure
+from veronese import constants, construct, geometry, measure
 
 
 def main():
@@ -25,9 +25,9 @@ def main():
               f"{'s':>12} {'|alpha|^2':>12} {'|H| max':>9} {'spread':>9}")
     print(header)
     print("-" * len(header))
-    for field, cap in (("real", 6), ("complex", 4)):
+    for field, cap in constants.LEVEL_CAPS["audit"].items():
         for n in range(1, cap + 1):
-            map_ = measure.build_map(n, field)
+            map_ = construct.build(n, field)
             pts = measure.quotient_samples(n, field, args.points, args.seed + n)
             geo = geometry.curvature_field(map_, pts)
             lam = float(np.mean(geo["lambda"]))

@@ -3,15 +3,15 @@ spaces, with exact constants and numerical verification of their geometry."""
 
 from .constants import (EmbeddingConstants, ambient_dims, radius, radius_pow4,
                         rational_str, step_constants)
-from .construct import build_complex, build_real, hopf
+from .construct import build, hopf
 from .geometry import (GeometryReport, TangentFrame, curvature_invariants,
                        frame, geometry_report, laplace_residual,
                        pullback_factor, second_fundamental_form)
 from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
-from .quadmap import (HermitianQuadMap, RealQuadMap, StructuralError, evaluate,
-                      harmonicity_traces, jacobian, norm_identity_residual,
-                      real_restriction, to_json, to_json_dict)
+from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
+                      jacobian, norm_identity_residual, real_restriction,
+                      to_json, to_json_dict)
 from .audit import (ClaimAuditEntry, diagram_check, fiber_checks,
                     run_claim_audit)
 
@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 __all__ = [
     "EmbeddingConstants", "ambient_dims", "radius", "radius_pow4",
     "rational_str", "step_constants",
-    "build_complex", "build_real", "hopf",
+    "build", "hopf",
     "GeometryReport", "TangentFrame", "curvature_invariants", "frame",
     "geometry_report", "laplace_residual", "pullback_factor",
     "second_fundamental_form",
     "IntegralEstimate", "global_invariants", "integrate_quotient",
     "sphere_volume",
-    "HermitianQuadMap", "RealQuadMap", "StructuralError", "evaluate",
+    "QuadMap", "StructuralError", "evaluate",
     "harmonicity_traces", "jacobian", "norm_identity_residual",
     "real_restriction", "to_json", "to_json_dict",
     "ClaimAuditEntry", "diagram_check", "fiber_checks", "run_claim_audit",

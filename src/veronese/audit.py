@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants, construct, geometry, measure
+from .constants import LEVEL_CAPS
 from .quadmap import (evaluate, harmonicity_traces, norm_identity_residual,
                       real_restriction)
 from .sampling import complex_sphere_points, sphere_points
@@ -105,19 +106,19 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         differential restricted to the tangent/horizontal space has full
         rank at sampled points.
     """
-    map_ = measure.build_map(n, field_name)
+    map_ = construct.build(n, field_name)
     r = constants.radius(n)
 
     inv_points = measure.quotient_samples(n, field_name, min(max(pair_count, 1), 200), seed)
     base_vals = evaluate(map_, inv_points)
     if field_name == "real":
-        invariance = float(np.max(np.abs(evaluate(map_, -inv_points) - base_vals)))
+        actions = [-1.0]
     else:
-        invariance = 0.0
-        for j in range(1, 17):
-            theta = 2.0 * math.pi * j / 17.0
-            rot_vals = evaluate(map_, np.exp(1j * theta) * inv_points)
-            invariance = max(invariance, float(np.max(np.abs(rot_vals - base_vals))))
+        actions = [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
+    invariance = 0.0
+    for g in actions:
+        moved = evaluate(map_, g * inv_points)
+        invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
 
     x = measure.quotient_samples(n, field_name, pair_count, seed + _SEED_STRIDE)
     y = measure.quotient_samples(n, field_name, pair_count, seed + 2 * _SEED_STRIDE)
@@ -128,14 +129,7 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
     collisions = int(np.sum(sep_dist <= SEPARATION_FLOOR))
 
     frame_points = measure.quotient_samples(n, field_name, 50, seed + 3 * _SEED_STRIDE)
-    bases = geometry._tangent_bases(frame_points, r, field_name)
-    comps = map_.components
-    if field_name == "real":
-        tangent = 2.0 * np.einsum("kij,pi,pbj->pbk", comps, frame_points, bases)
-    else:
-        tangent = 2.0 * np.einsum(
-            "kij,pi,pbj->pbk", comps, np.conj(frame_points), bases
-        ).real
+    tangent = geometry.tangent_images(map_, frame_points)
     smallest_singular = float(
         np.min(np.linalg.svd(np.swapaxes(tangent, 1, 2), compute_uv=False))
     )
@@ -160,10 +154,11 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
     (b) at level 1 the complex map coincides with the closed-form Hopf map;
     (c) on-sphere points land on the unit sphere in both fields.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("diagram check is maintained for levels 1..4")
-    cmap = construct.build_complex(n)
-    rmap = construct.build_real(n)
+    cap = LEVEL_CAPS["diagram"]["complex"]
+    if not 1 <= n <= cap:
+        raise ValueError(f"diagram check is maintained for levels 1..{cap}")
+    cmap = construct.build(n, "complex")
+    rmap = construct.build(n, "real")
     sigma, zero_set = real_restriction(cmap, rmap)
     r = constants.radius(n)
 
@@ -198,7 +193,7 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
 
 
 def _geometry_sweep(n: int, field_name: str, seed: int, points: int = 20) -> dict:
-    map_ = measure.build_map(n, field_name)
+    map_ = construct.build(n, field_name)
     samples = measure.quotient_samples(n, field_name, points, seed)
     geo = geometry.curvature_field(map_, samples)
     lam = geo["lambda"]
@@ -207,9 +202,6 @@ def _geometry_sweep(n: int, field_name: str, seed: int, points: int = 20) -> dic
         "lambda_spread": float(np.ptp(lam)),
         "anisotropy_max": float(np.max(geo["anisotropy"])),
         "h_norm_max": float(np.max(geo["mean_curvature_norm"])),
-        "alpha_sq_mean": float(np.mean(geo["alpha_norm_sq"])),
-        "alpha_sq_spread": float(np.ptp(geo["alpha_norm_sq"])),
-        "scalar_mean": float(np.mean(geo["scalar_curvature_gauss"])),
     }
 
 
@@ -219,10 +211,11 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
 
     Deterministic given (seed, samples); entries come back sorted by claim id.
     """
-    if not 1 <= n_max_real <= 6:
-        raise ValueError("n_max_real must be in 1..6")
-    if not 1 <= n_max_complex <= 4:
-        raise ValueError("n_max_complex must be in 1..4")
+    caps = LEVEL_CAPS["audit"]
+    if not 1 <= n_max_real <= caps["real"]:
+        raise ValueError(f"n_max_real must be in 1..{caps['real']}")
+    if not 1 <= n_max_complex <= caps["complex"]:
+        raise ValueError(f"n_max_complex must be in 1..{caps['complex']}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     entries = []
@@ -267,7 +260,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
     for field_name, levels in level_range.items():
         worst = max(
-            norm_identity_residual(measure.build_map(k, field_name),
+            norm_identity_residual(construct.build(k, field_name),
                                    constants.radius_pow4(k), samples,
                                    seed + 5 * _SEED_STRIDE + k)
             for k in levels
@@ -278,9 +271,8 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             0.0, worst, 1e-12))
 
     trace_worst = max(
-        float(np.max(np.abs(harmonicity_traces(builder(k)))))
-        for builder, cap in ((construct.build_real, construct.REAL_LEVEL_CAP),
-                             (construct.build_complex, construct.COMPLEX_LEVEL_CAP))
+        float(np.max(np.abs(harmonicity_traces(construct.build(k, field_name)))))
+        for field_name, cap in LEVEL_CAPS["build"].items()
         for k in range(1, cap + 1)
     )
     entries.append(_entry(
@@ -309,8 +301,9 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             0.0, mode="at_least"))
 
     # --- diagram compatibility ---------------------------------------------
+    diagram_levels = range(1, min(n_max_complex, LEVEL_CAPS["diagram"]["complex"]) + 1)
     diag_reports = [diagram_check(k, min(samples, 200), seed + 11 * _SEED_STRIDE + k)
-                    for k in range(1, min(n_max_complex, 4) + 1)]
+                    for k in diagram_levels]
     entries.append(_entry(
         "diagram_real_restriction",
         "the complex map restricted to real points reproduces the real map",
@@ -344,13 +337,15 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
         "the pullback metric is one constant multiple of the round metric",
         0.0, homothety_dev, homothety_tol))
 
-    minimality_levels = [("real", k) for k in range(2, min(n_max_real, 5) + 1)]
-    minimality_levels += [("complex", k) for k in range(2, min(n_max_complex, 3) + 1)]
-    h_worst = max(sweeps[key]["h_norm_max"] for key in minimality_levels)
-    entries.append(_entry(
-        "minimality",
-        "the mean curvature vector of every image vanishes",
-        0.0, h_worst, POINTWISE_TOL))
+    minimality_levels = [(field_name, k)
+                         for field_name, levels in level_range.items()
+                         for k in levels if 2 <= k <= LEVEL_CAPS["minimality"][field_name]]
+    if minimality_levels:
+        h_worst = max(sweeps[key]["h_norm_max"] for key in minimality_levels)
+        entries.append(_entry(
+            "minimality",
+            "the mean curvature vector of every image vanishes",
+            0.0, h_worst, POINTWISE_TOL))
 
     if n_max_real >= 2:
         lam2 = sweeps[("real", 2)]["lambda_mean"]
@@ -361,10 +356,9 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             1.0, lam2, POINTWISE_TOL, scale_dependent=True,
             details={"jacobian_oracle": 2.0}))
 
-        gi_img = measure.global_invariants(2, "real", samples, seed + 17 * _SEED_STRIDE,
-                                           metric="image")
-        gi_dom = measure.global_invariants(2, "real", samples, seed + 17 * _SEED_STRIDE,
-                                           metric="domain")
+        readings = measure.global_invariants_per_metric(
+            2, "real", samples, seed + 17 * _SEED_STRIDE, ("image", "domain"))
+        gi_img, gi_dom = readings["image"], readings["domain"]
         entries.append(_entry(
             "veronese_scalar_curvature",
             "scalar curvature of the level-2 real image (stated 4/3); measured "

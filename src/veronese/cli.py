@@ -13,27 +13,12 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import audit, constants, geometry, measure
+from . import audit, constants, construct, geometry, measure
+from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import evaluate, to_json_dict
-from .sampling import complex_sphere_points, sphere_points
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 2
-    n_max: int = 4
-    field: str = "real"
-    samples: int = 1000
-    seed: int = 0
-    tol: float = 1e-8
-    metric: str = "image"
-    format: str = "table"
-    out: str = "-"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,14 +30,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_emit = sub.add_parser("emit", help="write the coefficient matrices of one map as JSON")
-    p_emit.add_argument("--field", choices=["real", "complex"], required=True)
+    p_emit.add_argument("--field", choices=FIELDS, required=True)
     p_emit.add_argument("--n", type=int, required=True, help="level of the map")
     p_emit.add_argument("--format", choices=["json"], default="json")
     p_emit.add_argument("--out", default="-")
 
     p_verify = sub.add_parser("verify", help="run the construction checks and the claim audit")
+    caps = LEVEL_CAPS["audit"]
     p_verify.add_argument("--n-max", type=int, default=4,
-                          help="highest level to audit (real capped at 6, complex at 4)")
+                          help=f"highest level to audit (real capped at {caps['real']}, "
+                               f"complex at {caps['complex']})")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=1e-8,
@@ -61,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default="-")
 
     p_report = sub.add_parser("report", help="geometry report and global invariants for one level")
-    p_report.add_argument("--field", choices=["real", "complex"], required=True)
+    p_report.add_argument("--field", choices=FIELDS, required=True)
     p_report.add_argument("--n", type=int, required=True)
     p_report.add_argument("--samples", type=int, default=1000)
     p_report.add_argument("--seed", type=int, default=0)
@@ -70,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", default="-")
 
     p_cloud = sub.add_parser("cloud", help="sample the quotient and export image points as CSV")
-    p_cloud.add_argument("--field", choices=["real", "complex"], required=True)
+    p_cloud.add_argument("--field", choices=FIELDS, required=True)
     p_cloud.add_argument("--n", type=int, required=True)
     p_cloud.add_argument("--samples", type=int, default=1000)
     p_cloud.add_argument("--seed", type=int, default=0)
@@ -83,9 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _output(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    with handle:
+        yield handle
 
 
 def _fmt(x: float) -> str:
@@ -139,7 +130,7 @@ def _render_mapping(pairs, fmt: str, stream) -> None:
 
 
 def _cmd_emit(args) -> int:
-    map_ = measure.build_map(args.n, args.field)
+    map_ = construct.build(args.n, args.field)
     with _output(args.out) as stream:
         json.dump(to_json_dict(map_), stream, indent=2)
         stream.write("\n")
@@ -149,9 +140,10 @@ def _cmd_emit(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    caps = LEVEL_CAPS["audit"]
     entries = audit.run_claim_audit(
-        n_max_real=min(args.n_max, 6),
-        n_max_complex=min(args.n_max, 4),
+        n_max_real=min(args.n_max, caps["real"]),
+        n_max_complex=min(args.n_max, caps["complex"]),
         seed=args.seed,
         samples=args.samples,
         homothety_tol=args.tol,
@@ -166,10 +158,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    map_ = measure.build_map(args.n, args.field)
-    r = constants.radius(args.n)
-    base = np.zeros(args.n + 1, dtype=float if args.field == "real" else complex)
-    base[0] = r
+    map_ = construct.build(args.n, args.field)
+    base = np.zeros(args.n + 1, dtype=map_.components.dtype)
+    base[0] = constants.radius(args.n)
     rep = geometry.geometry_report(map_, geometry.frame(base, args.field))
     gi = measure.global_invariants(args.n, args.field, args.samples, args.seed,
                                    metric=args.metric)
@@ -184,12 +175,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_cloud(args) -> int:
-    map_ = measure.build_map(args.n, args.field)
-    r = constants.radius(args.n)
-    if args.field == "real":
-        pts = sphere_points(args.n + 1, args.samples, args.seed, radius=r)
-    else:
-        pts = complex_sphere_points(args.n + 1, args.samples, args.seed, radius=r)
+    map_ = construct.build(args.n, args.field)
+    pts = measure.quotient_samples(args.n, args.field, args.samples, args.seed)
     values = evaluate(map_, pts)
     with _output(args.out) as stream:
         for row in values:

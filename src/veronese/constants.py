@@ -14,14 +14,23 @@ from typing import Optional
 
 MAX_LEVEL = 12  # the radius sequence needs (n-1)!; kept at desk scale on purpose
 
+FIELDS = ("real", "complex")
 
-def _check_level(n, minimum=1):
+# Highest level, per field, that each part of the package handles.
+LEVEL_CAPS = {
+    "build": {"real": MAX_LEVEL, "complex": 8},   # N_12 = 89, M_8 = 79 coordinates
+    "audit": {"real": 6, "complex": 4},           # verify --n-max
+    "minimality": {"real": 5, "complex": 3},      # audited |H| = 0 levels
+    "diagram": {"complex": 4},                    # complex map against the real one
+}
+
+
+def check_level(n, maximum=MAX_LEVEL, minimum=1):
+    """Reject anything but an integer level in minimum..maximum."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"level must be an integer, got {n!r}")
-    if n < minimum:
-        raise ValueError(f"level must be at least {minimum}, got {n}")
-    if n > MAX_LEVEL:
-        raise ValueError(f"level {n} exceeds the supported cap of {MAX_LEVEL}")
+    if not minimum <= n <= maximum:
+        raise ValueError(f"level must be in {minimum}..{maximum}, got {n}")
 
 
 def radius_pow4(n: int, mode: str = "closed") -> Fraction:
@@ -31,7 +40,7 @@ def radius_pow4(n: int, mode: str = "closed") -> Fraction:
     r_n^4 = (n+1)(n^2-1)/n^2 * r_{n-1}^4 from the base value 1.  The two
     must agree exactly for every level.
     """
-    _check_level(n)
+    check_level(n)
     if mode == "closed":
         return Fraction(n + 1, 2) ** 2 * factorial(n - 1)
     if mode == "recursive":
@@ -48,7 +57,7 @@ def step_constants(n: int) -> tuple[Fraction, Fraction]:
     b^2 = 1 / ((n^2-1) r_{n-1}^4) and a^2 = 2n(n+1) b^2; the base map has
     no such coefficients, so n < 2 is a domain error.
     """
-    _check_level(n, minimum=2)
+    check_level(n, minimum=2)
     b_sq = Fraction(1, n * n - 1) / radius_pow4(n - 1)
     a_sq = 2 * n * (n + 1) * b_sq
     return a_sq, b_sq
@@ -56,7 +65,7 @@ def step_constants(n: int) -> tuple[Fraction, Fraction]:
 
 def ambient_dims(n: int) -> tuple[int, int]:
     """Image sphere dimensions (real N_n, complex M_n) at level n."""
-    _check_level(n)
+    check_level(n)
     return n * (n + 3) // 2 - 1, (n + 1) ** 2 - 2
 
 
@@ -84,7 +93,7 @@ class EmbeddingConstants:
 
     @classmethod
     def at_level(cls, n: int) -> "EmbeddingConstants":
-        _check_level(n)
+        check_level(n)
         a_sq, b_sq = step_constants(n) if n >= 2 else (None, None)
         dim_r, dim_c = ambient_dims(n)
         return cls(n=n, radius_pow4=radius_pow4(n), a_sq=a_sq, b_sq=b_sq,

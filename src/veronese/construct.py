@@ -11,90 +11,72 @@ image.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
-from .constants import ambient_dims, step_constants
-from .quadmap import HermitianQuadMap, RealQuadMap
+from .constants import FIELDS, LEVEL_CAPS, ambient_dims, check_level, step_constants
+from .quadmap import QuadMap
 
-REAL_LEVEL_CAP = 12     # N_12 = 89 ambient coordinates; stays cheap
-COMPLEX_LEVEL_CAP = 8   # M_8 = 79
-
-
-def _check_build_level(n, cap):
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"level must be an integer, got {n!r}")
-    if n < 1 or n > cap:
-        raise ValueError(f"level must be in 1..{cap}, got {n}")
-
-
-@cache
-def build_real(n: int) -> RealQuadMap:
-    """Level-n real map; base level sends (x0, x1) to (2 x0 x1, x0^2 - x1^2)."""
-    _check_build_level(n, REAL_LEVEL_CAP)
-    if n == 1:
-        comps = np.array([[[0.0, 1.0], [1.0, 0.0]],
-                          [[1.0, 0.0], [0.0, -1.0]]])
-    else:
-        prev = build_real(n - 1)
-        a_sq, b_sq = step_constants(n)
-        a, b = math.sqrt(float(a_sq)), math.sqrt(float(b_sq))
-        inv = 1.0 / math.sqrt(n + 1.0)
-        m = n + 1
-        kp = prev.component_count
-        comps = np.zeros((kp + n + 1, m, m))
-        comps[:kp, :n, :n] = prev.components * inv
-        half_cross = 0.5 * a * inv
-        for k in range(n):
-            comps[kp + k, n, k] = half_cross
-            comps[kp + k, k, n] = half_cross
-        diag = np.full(m, b * inv)
-        diag[n] = -n * (b * inv)
-        comps[kp + n] = np.diag(diag)
-    comps.setflags(write=False)
-    built = RealQuadMap(n=n, components=comps)
-    assert built.component_count == ambient_dims(n)[0] + 1
-    return built
+# How one cross term between the new variable x_n and an old one x_k is
+# split into components: the (n, k) and (k, n) entries of each component's
+# matrix.  A real cross term is one symmetric form; a complex one
+# conj(z_n) z_k is a (real part, imaginary part) pair of Hermitian forms.
+CROSS_SPLIT = {
+    "real": ((1.0, 1.0),),
+    "complex": ((1.0, 1.0), (-1j, 1j)),
+}
 
 
-@cache
-def build_complex(n: int) -> HermitianQuadMap:
-    """Level-n complex map; cross terms split into (real part, imaginary part) pairs.
+def _step(prev: np.ndarray, scale: float, cross, balance: float) -> np.ndarray:
+    """One level of the induction on a stack of n x n coefficient matrices.
 
-    The base level is (Re 2 z0 conj(z1), Im 2 z0 conj(z1), |z0|^2 - |z1|^2);
-    the inductive step conjugates the new variable in its cross terms, and
-    that convention is kept verbatim at every level.
+    Keeps the previous matrices times scale, appends the split components
+    of every cross term with the given entries, and ends with the balance
+    component diag(balance, ..., balance, -n balance).
     """
-    _check_build_level(n, COMPLEX_LEVEL_CAP)
+    kp, n = prev.shape[0], prev.shape[1]
+    m = n + 1
+    comps = np.zeros((kp + len(cross) * n + 1, m, m), dtype=prev.dtype)
+    comps[:kp, :n, :n] = prev * scale
+    for k in range(n):
+        for j, (lower, upper) in enumerate(cross):
+            comps[kp + len(cross) * k + j, n, k] = lower
+            comps[kp + len(cross) * k + j, k, n] = upper
+    diag = np.full(m, balance, dtype=prev.dtype)
+    diag[n] = -n * balance
+    comps[-1] = np.diag(diag)
+    return comps
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0
+def build(n: int, field: str) -> QuadMap:
+    """Level-n map over the real or complex field.
+
+    The base level is the step applied to an empty previous map with cross
+    and balance coefficients 1, which gives (2 x0 x1, x0^2 - x1^2) over the
+    reals and (Re 2 z0 conj(z1), Im 2 z0 conj(z1), |z0|^2 - |z1|^2) over the
+    complex numbers.  A unit coefficient leaves the split entries as they
+    are, so the base keeps the -0.0 real part of the literal -1j at
+    entry (1, 1, 0).  The inductive step conjugates the new variable in its
+    cross terms, and that convention is kept verbatim at every level.
+    """
+    if field not in FIELDS:
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    check_level(n, LEVEL_CAPS["build"][field])
+    split = CROSS_SPLIT[field]
     if n == 1:
-        comps = np.zeros((3, 2, 2), dtype=complex)
-        comps[0, 0, 1] = comps[0, 1, 0] = 1.0
-        comps[1, 0, 1] = 1j
-        comps[1, 1, 0] = -1j
-        comps[2, 0, 0] = 1.0
-        comps[2, 1, 1] = -1.0
+        comps = _step(np.zeros((0, 1, 1), dtype=np.array(split).dtype), 1.0, split, 1.0)
     else:
-        prev = build_complex(n - 1)
         a_sq, b_sq = step_constants(n)
         a, b = math.sqrt(float(a_sq)), math.sqrt(float(b_sq))
         inv = 1.0 / math.sqrt(n + 1.0)
-        m = n + 1
-        kp = prev.component_count
-        comps = np.zeros((kp + 2 * n + 1, m, m), dtype=complex)
-        comps[:kp, :n, :n] = prev.components * inv
         half_cross = 0.5 * a * inv
-        for k in range(n):
-            comps[kp + 2 * k, n, k] = half_cross
-            comps[kp + 2 * k, k, n] = half_cross
-            comps[kp + 2 * k + 1, n, k] = -1j * half_cross
-            comps[kp + 2 * k + 1, k, n] = 1j * half_cross
-        diag = np.full(m, b * inv, dtype=complex)
-        diag[n] = -n * (b * inv)
-        comps[kp + 2 * n] = np.diag(diag)
+        cross = [(lower * half_cross, upper * half_cross) for lower, upper in split]
+        comps = _step(build(n - 1, field).components, inv, cross, b * inv)
     comps.setflags(write=False)
-    built = HermitianQuadMap(n=n, components=comps)
-    assert built.component_count == ambient_dims(n)[1] + 1
+    built = QuadMap(n=n, components=comps)
+    assert built.component_count == ambient_dims(n)[FIELDS.index(field)] + 1
     return built
 
 

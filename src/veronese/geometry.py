@@ -18,7 +18,7 @@ factor, and nothing here silently picks one normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,14 +61,7 @@ class GeometryReport:
     effective_radius_sq: float
 
     def to_dict(self) -> dict:
-        return {
-            "homothety_factor": float(self.homothety_factor),
-            "anisotropy": float(self.anisotropy),
-            "alpha_norm_sq": float(self.alpha_norm_sq),
-            "mean_curvature_norm": float(self.mean_curvature_norm),
-            "scalar_curvature_gauss": float(self.scalar_curvature_gauss),
-            "effective_radius_sq": float(self.effective_radius_sq),
-        }
+        return {key: float(value) for key, value in asdict(self).items()}
 
 
 def real_inner(u, v) -> float:
@@ -133,12 +126,10 @@ def frame(base_point, field: str) -> TangentFrame:
     The level is inferred from the point dimension and the point must lie
     on the sphere of the canonical level radius.
     """
-    if field == "real":
-        pt = np.asarray(base_point, dtype=float)
-    elif field == "complex":
-        pt = np.asarray(base_point, dtype=complex)
-    else:
+    dtype = {"real": float, "complex": complex}.get(field)
+    if dtype is None:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    pt = np.asarray(base_point, dtype=dtype)
     if pt.ndim != 1 or pt.size < 2:
         raise ValueError("base point must be a vector of dimension at least 2")
     n = pt.size - 1
@@ -152,27 +143,39 @@ def frame(base_point, field: str) -> TangentFrame:
     return TangentFrame(field=field, n=n, radius=r, base_point=pt, basis=basis)
 
 
-def _tangent_map(map_: QuadMap, point: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Pushforward of the basis vectors, shape (d, K)."""
-    if map_.field == "real":
-        return 2.0 * np.einsum("kij,i,bj->bk", map_.components, point, basis)
-    return 2.0 * np.einsum("kij,i,bj->bk", map_.components, np.conj(point), basis).real
+def _pushforward(map_: QuadMap, points: np.ndarray, bases: np.ndarray):
+    """Images of the bases under the differential, shape (p, d, K), with the
+    pullback factor (mean diagonal of the pullback Gram matrix) and its
+    anisotropy (worst deviation from that multiple of I) at each point."""
+    tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
+    gram = np.einsum("pbk,pck->pbc", tangent, tangent)
+    d = bases.shape[1]
+    lam = np.trace(gram, axis1=1, axis2=2) / d
+    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    return tangent, lam, anis
+
+
+def tangent_images(map_: QuadMap, points) -> np.ndarray:
+    """Pushforward of the frame bases at on-sphere points, shape (p, d, K).
+
+    The bases are the tangent (real) or horizontal (complex) ones that
+    frame() and curvature_field() use.
+    """
+    pts = np.asarray(points)
+    bases = _tangent_bases(pts, constants.radius(map_.n), map_.field)
+    return _pushforward(map_, pts, bases)[0]
 
 
 def pullback_factor(map_: QuadMap, frm: TangentFrame) -> tuple[float, float]:
     """Mean diagonal of the pullback Gram matrix and its worst deviation from a multiple of I."""
     if frm.field != map_.field:
         raise ValueError("frame and map fields disagree")
-    t = _tangent_map(map_, frm.base_point, frm.basis)
-    gram = t @ t.T
-    d = gram.shape[0]
-    lam = float(np.trace(gram)) / d
-    anis = float(np.max(np.abs(gram - lam * np.eye(d))))
-    return lam, anis
+    _, lam, anis = _pushforward(map_, frm.base_point[None, :], frm.basis[None, :, :])
+    return float(lam[0]), float(anis[0])
 
 
 def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
-                     bases: np.ndarray | None = None) -> dict:
+                     bases: np.ndarray) -> dict:
     """Batched curvature pipeline at on-sphere points.
 
     Accelerations of the curves t -> map(great circle) are assembled from
@@ -183,21 +186,7 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
     into the Gram-Schmidt-orthonormalized image frame is the second
     fundamental form of the image inside the unit sphere.
     """
-    comps = map_.components
-    is_complex = map_.field == "complex"
-    if bases is None:
-        bases = _tangent_bases(points, radius, map_.field)
-    conj_pts = np.conj(points) if is_complex else points
-    conj_bases = np.conj(bases) if is_complex else bases
-
-    tangent = 2.0 * np.einsum("kij,pi,pbj->pbk", comps, conj_pts, bases)
-    if is_complex:
-        tangent = tangent.real
-    gram_img = np.einsum("pbk,pck->pbc", tangent, tangent)
-    d = bases.shape[1]
-    lam = np.trace(gram_img, axis1=1, axis2=2) / d
-    anis = np.max(np.abs(gram_img - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-
+    tangent, lam, anis = _pushforward(map_, points, bases)
     images = evaluate(map_, points)
 
     q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
@@ -205,12 +194,9 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
 
-    q_bil = np.einsum("kij,pai,pbj->pabk", comps, conj_bases, bases)
-    if is_complex:
-        q_bil = q_bil.real
-    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases)
-    if is_complex:
-        gram_dom = gram_dom.real
+    conj_bases = np.conj(bases)
+    q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
+    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
     acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
 
     radial = np.einsum("pabk,pk->pab", acc, images)
@@ -220,14 +206,7 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
 
     r_inv = np.linalg.inv(r_tri)
     alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
-    return {
-        "alpha": alpha,
-        "lambda": lam,
-        "anisotropy": anis,
-        "image": images,
-        "tangent": tangent,
-        "frame_orthonormal": np.swapaxes(q_hat, 1, 2),
-    }
+    return {"alpha": alpha, "lambda": lam, "anisotropy": anis}
 
 
 def second_fundamental_form(map_: QuadMap, frm: TangentFrame) -> np.ndarray:
@@ -280,29 +259,22 @@ def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
     'anisotropy'; used for constancy checks and quotient integration.
     """
     pts = np.asarray(points)
-    if pts.ndim != 2:
-        raise ValueError("points must be a (count, dim) array")
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a non-empty (count, dim) array")
     r = constants.radius(map_.n)
-    d = pts.shape[1] - 1 if map_.field == "real" else 2 * (pts.shape[1] - 1)
-    lam, anis, alpha_sq, h_norm, scalar = [], [], [], [], []
+    parts = []
     for start in range(0, pts.shape[0], chunk_size):
-        res = _curvature_chunk(map_, pts[start:start + chunk_size], r)
-        a = res["alpha"]
+        chunk = pts[start:start + chunk_size]
+        res = _curvature_chunk(map_, chunk, r, _tangent_bases(chunk, r, map_.field))
+        a = res.pop("alpha")
+        d = a.shape[1]
         a2 = np.einsum("pabk,pabk->p", a, a)
-        h = np.einsum("paak->pk", a)
-        hn = np.linalg.norm(h, axis=1)
-        lam.append(res["lambda"])
-        anis.append(res["anisotropy"])
-        alpha_sq.append(a2)
-        h_norm.append(hn)
-        scalar.append(d * (d - 1) + hn * hn - a2)
-    return {
-        "lambda": np.concatenate(lam),
-        "anisotropy": np.concatenate(anis),
-        "alpha_norm_sq": np.concatenate(alpha_sq),
-        "mean_curvature_norm": np.concatenate(h_norm),
-        "scalar_curvature_gauss": np.concatenate(scalar),
-    }
+        hn = np.linalg.norm(np.einsum("paak->pk", a), axis=1)
+        res["alpha_norm_sq"] = a2
+        res["mean_curvature_norm"] = hn
+        res["scalar_curvature_gauss"] = d * (d - 1) + hn * hn - a2
+        parts.append(res)
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def laplace_residual(map_: QuadMap, base_point, r: float) -> float:
@@ -315,22 +287,16 @@ def laplace_residual(map_: QuadMap, base_point, r: float) -> float:
     must satisfy lap f = -k(k + m - 1)/r^2 f with k = 2 on an m-sphere of
     radius r.  Returns the largest componentwise residual.
     """
-    if map_.field == "real":
-        pt = np.asarray(base_point, dtype=float)
-    else:
-        pt = np.asarray(base_point, dtype=complex)
+    pt = np.asarray(base_point, dtype=map_.components.dtype)
     if pt.ndim != 1 or pt.size != map_.domain_dim:
         raise ValueError("base point does not match the map domain")
     nrm = float(np.linalg.norm(pt))
     if nrm == 0.0 or abs(nrm - r) > 1e-9 * max(1.0, r):
         raise ValueError(f"base point norm {nrm!r} is not on the sphere of radius {r!r}")
 
-    if map_.field == "real":
-        dirs = _basis_real((pt / r)[None, :])[0]
-    else:
-        horiz = _basis_horizontal((pt / r)[None, :])[0]
-        fiber = (1j * pt / r)[None, :]
-        dirs = np.concatenate([horiz, fiber], axis=0)
+    dirs = _tangent_bases(pt[None, :], r, map_.field)[0]
+    if map_.field == "complex":
+        dirs = np.concatenate([dirs, (1j * pt / r)[None, :]], axis=0)
     m_sphere = dirs.shape[0]
 
     h = LAPLACE_STEP

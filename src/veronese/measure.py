@@ -53,14 +53,6 @@ def sphere_volume(dim: int, r: float) -> float:
     return 2.0 * math.pi ** ((dim + 1) / 2.0) * r**dim / math.gamma((dim + 1) / 2.0)
 
 
-def build_map(n: int, field: str):
-    if field == "real":
-        return construct.build_real(n)
-    if field == "complex":
-        return construct.build_complex(n)
-    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-
-
 def quotient_samples(n: int, field: str, count: int, seed: int) -> np.ndarray:
     """Uniform samples on the level-n domain sphere (representatives of the quotient)."""
     r = constants.radius(n)
@@ -73,10 +65,9 @@ def quotient_samples(n: int, field: str, count: int, seed: int) -> np.ndarray:
 
 def homothety_factor(n: int, field: str) -> float:
     """Pullback factor of the level-n map, measured at a canonical point."""
-    map_ = build_map(n, field)
-    r = constants.radius(n)
-    base = np.zeros(n + 1, dtype=float if field == "real" else complex)
-    base[0] = r
+    map_ = construct.build(n, field)
+    base = np.zeros(n + 1, dtype=map_.components.dtype)
+    base[0] = constants.radius(n)
     lam, _ = geometry.pullback_factor(map_, geometry.frame(base, field))
     return lam
 
@@ -90,6 +81,16 @@ def _metric_scale_total(lam: float, metric: str, metric_scale: float) -> float:
     raise ValueError(f"metric must be 'image' or 'domain', got {metric!r}")
 
 
+def _round_quotient(n: int, field: str) -> tuple[float, int]:
+    """Volume and dimension d of the level-n quotient of the round domain sphere."""
+    r = constants.radius(n)
+    if field == "real":
+        return sphere_volume(n, r) / 2.0, n
+    if field == "complex":
+        return sphere_volume(2 * n + 1, r) / (2.0 * math.pi * r), 2 * n
+    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+
+
 def quotient_volume_factor(n: int, field: str, lam: float, metric: str = "image",
                            metric_scale: float = 1.0) -> float:
     """Total quotient volume under the chosen normalization.
@@ -98,13 +99,7 @@ def quotient_volume_factor(n: int, field: str, lam: float, metric: str = "image"
     Vol(S^{2n+1}(r))/(2 pi r) for the phase quotient; scaling the metric by a
     constant multiplies it by that constant to the power d/2.
     """
-    r = constants.radius(n)
-    if field == "real":
-        base, d = sphere_volume(n, r) / 2.0, n
-    elif field == "complex":
-        base, d = sphere_volume(2 * n + 1, r) / (2.0 * math.pi * r), 2 * n
-    else:
-        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    base, d = _round_quotient(n, field)
     t = _metric_scale_total(lam, metric, metric_scale)
     return base * (lam * t) ** (d / 2.0)
 
@@ -113,13 +108,10 @@ def _check_fiber_invariance(f, samples: np.ndarray, field: str):
     spot = samples[: min(8, samples.shape[0])]
     ref = np.asarray(f(spot), dtype=float)
     scale = max(1.0, float(np.max(np.abs(ref))))
-    if field == "real":
-        dev = float(np.max(np.abs(np.asarray(f(-spot), dtype=float) - ref)))
-    else:
-        dev = 0.0
-        for theta in _PHASES:
-            rot = np.exp(1j * theta) * spot
-            dev = max(dev, float(np.max(np.abs(np.asarray(f(rot), dtype=float) - ref))))
+    actions = [-1.0] if field == "real" else [np.exp(1j * theta) for theta in _PHASES]
+    dev = 0.0
+    for g in actions:
+        dev = max(dev, float(np.max(np.abs(np.asarray(f(g * spot), dtype=float) - ref))))
     if dev > INVARIANCE_TOL * scale:
         raise ValueError(
             f"integrand is not invariant under the fiber action (deviation {dev:.3e})"
@@ -172,39 +164,53 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int,
     level-3 space.  metric_scale multiplies the reporting metric by a
     constant and exists so scale invariance can be demonstrated directly.
     """
+    return global_invariants_per_metric(n, field, sample_count, seed, (metric,),
+                                        metric_scale)[metric]
+
+
+def global_invariants_per_metric(n: int, field: str, sample_count: int, seed: int,
+                                 metrics, metric_scale: float = 1.0) -> dict:
+    """global_invariants under each of the given metrics, keyed by metric.
+
+    The readings differ only in the scale t of the reporting metric, so the
+    curvature field of the samples is computed once for all of them.
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    map_ = build_map(n, field)
+    map_ = construct.build(n, field)
     samples = quotient_samples(n, field, sample_count, seed)
     lam = homothety_factor(n, field)
-    t = _metric_scale_total(lam, metric, metric_scale)
-    factor = quotient_volume_factor(n, field, lam, metric, metric_scale)
-    d = n if field == "real" else 2 * n
+    scales = {metric: _metric_scale_total(lam, metric, metric_scale) for metric in metrics}
+    _, d = _round_quotient(n, field)
 
     geo = geometry.curvature_field(map_, samples)
-    scalar_vals = geo["scalar_curvature_gauss"] / t
     h_sq = geo["mean_curvature_norm"] ** 2
-    alpha_vals = d * (d - 1) + h_sq - scalar_vals
+    readings = {}
+    for metric, t in scales.items():
+        factor = quotient_volume_factor(n, field, lam, metric, metric_scale)
+        scalar_vals = geo["scalar_curvature_gauss"] / t
+        alpha_vals = d * (d - 1) + h_sq - scalar_vals
 
-    volume = _estimate(np.ones(sample_count), factor, sample_count, seed)
-    total_scalar = _estimate(scalar_vals, factor, sample_count, seed)
-    pi_functional = _estimate(alpha_vals, factor, sample_count, seed)
+        volume = _estimate(np.ones(sample_count), factor, sample_count, seed)
+        total_scalar = _estimate(scalar_vals, factor, sample_count, seed)
+        pi_functional = _estimate(alpha_vals, factor, sample_count, seed)
 
-    out = {
-        "n": n,
-        "field": field,
-        "metric": metric,
-        "lambda_bar": lam,
-        "volume": volume.value,
-        "total_scalar": total_scalar.value,
-        "total_scalar_std_error": total_scalar.std_error,
-        "pi_functional": pi_functional.value,
-        "pi_functional_std_error": pi_functional.std_error,
-        "scalar_curvature_mean": float(np.mean(scalar_vals)),
-        "alpha_norm_sq_mean": float(np.mean(alpha_vals)),
-    }
-    if field == "real" and n == 2:
-        out["gauss_bonnet_ratio"] = total_scalar.value / (4.0 * math.pi)
-    if field == "real" and n == 3:
-        out["sigma_quotient"] = total_scalar.value / volume.value ** (1.0 / 3.0)
-    return out
+        out = {
+            "n": n,
+            "field": field,
+            "metric": metric,
+            "lambda_bar": lam,
+            "volume": volume.value,
+            "total_scalar": total_scalar.value,
+            "total_scalar_std_error": total_scalar.std_error,
+            "pi_functional": pi_functional.value,
+            "pi_functional_std_error": pi_functional.std_error,
+            "scalar_curvature_mean": float(np.mean(scalar_vals)),
+            "alpha_norm_sq_mean": float(np.mean(alpha_vals)),
+        }
+        if field == "real" and n == 2:
+            out["gauss_bonnet_ratio"] = total_scalar.value / (4.0 * math.pi)
+        if field == "real" and n == 3:
+            out["sigma_quotient"] = total_scalar.value / volume.value ** (1.0 / 3.0)
+        readings[metric] = out
+    return readings

@@ -1,9 +1,10 @@
 """Quadratic polynomial maps stored as stacks of coefficient matrices.
 
-A real map sends x to the vector of quadratic forms x^T A_k x, one
-symmetric matrix A_k per ambient coordinate.  A complex map sends z to
-the vector of Hermitian forms z* A_k z, which are real-valued; pairs of
-such components encode the real and imaginary parts of the complex
+A map sends z to the vector of Hermitian forms z* A_k z, one matrix A_k
+per ambient coordinate; the values are real.  The field follows from the
+coefficient stack: real symmetric matrices give a map of R^{n+1} (where
+z* A z is x^T A x), complex Hermitian ones a map of C^{n+1}, in which
+pairs of components encode the real and imaginary parts of the complex
 cross terms of the construction.
 """
 
@@ -20,6 +21,7 @@ from .sampling import ball_points, complex_ball_points
 
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
+HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
 
 
 class StructuralError(RuntimeError):
@@ -27,21 +29,25 @@ class StructuralError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RealQuadMap:
-    """Map R^{n+1} -> R^K by K symmetric quadratic forms."""
+class QuadMap:
+    """Map F^{n+1} -> R^K by K Hermitian forms; F is R for a real stack, C for a complex one."""
 
     n: int
-    components: np.ndarray  # (K, n+1, n+1) float64, each exactly symmetric
-
-    field = "real"
+    components: np.ndarray  # (K, n+1, n+1) float64 or complex128
 
     def __post_init__(self):
-        comps = np.ascontiguousarray(np.asarray(self.components, dtype=float))
+        comps = np.asarray(self.components)
+        comps = np.ascontiguousarray(comps, dtype=complex if np.iscomplexobj(comps) else float)
         if comps.ndim != 3 or comps.shape[1] != comps.shape[2]:
             raise ValueError("components must be a stack of square matrices")
         if comps.shape[1] != self.n + 1:
             raise ValueError(f"matrices must be {self.n + 1}x{self.n + 1} at level {self.n}")
-        if not np.array_equal(comps, np.swapaxes(comps, 1, 2)):
+        adjoint = np.conj(np.swapaxes(comps, 1, 2))
+        if np.iscomplexobj(comps):
+            scale = max(1.0, float(np.max(np.abs(comps))))
+            if np.max(np.abs(comps - adjoint)) > HERMITIAN_TOL * scale:
+                raise ValueError("coefficient matrices must be Hermitian")
+        elif not np.array_equal(comps, adjoint):
             raise ValueError("coefficient matrices must be exactly symmetric")
         object.__setattr__(self, "components", comps)
 
@@ -49,36 +55,8 @@ class RealQuadMap:
         return evaluate(self, point)
 
     @property
-    def component_count(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def domain_dim(self) -> int:
-        return self.n + 1
-
-
-@dataclass(frozen=True)
-class HermitianQuadMap:
-    """Map C^{n+1} -> R^K by K Hermitian forms (each value is real)."""
-
-    n: int
-    components: np.ndarray  # (K, n+1, n+1) complex128, each Hermitian
-
-    field = "complex"
-
-    def __post_init__(self):
-        comps = np.ascontiguousarray(np.asarray(self.components, dtype=complex))
-        if comps.ndim != 3 or comps.shape[1] != comps.shape[2]:
-            raise ValueError("components must be a stack of square matrices")
-        if comps.shape[1] != self.n + 1:
-            raise ValueError(f"matrices must be {self.n + 1}x{self.n + 1} at level {self.n}")
-        herm_dev = np.max(np.abs(comps - np.conj(np.swapaxes(comps, 1, 2))))
-        if herm_dev > 1e-14 * max(1.0, float(np.max(np.abs(comps)))):
-            raise ValueError("coefficient matrices must be Hermitian")
-        object.__setattr__(self, "components", comps)
-
-    def __call__(self, point):
-        return evaluate(self, point)
+    def field(self) -> str:
+        return "complex" if np.iscomplexobj(self.components) else "real"
 
     @property
     def component_count(self) -> int:
@@ -87,18 +65,12 @@ class HermitianQuadMap:
     @property
     def domain_dim(self) -> int:
         return self.n + 1
-
-
-QuadMap = RealQuadMap | HermitianQuadMap
 
 
 def _as_domain_points(map_, point):
-    if map_.field == "real":
-        if np.iscomplexobj(point):
-            raise ValueError("real map expects real coordinates")
-        pts = np.asarray(point, dtype=float)
-    else:
-        pts = np.asarray(point, dtype=complex)
+    if np.iscomplexobj(point) and map_.field == "real":
+        raise ValueError("real map expects real coordinates")
+    pts = np.asarray(point, dtype=map_.components.dtype)
     if pts.ndim == 0 or pts.shape[-1] != map_.domain_dim:
         raise ValueError(
             f"point dimension {pts.shape[-1] if pts.ndim else 0} does not match "
@@ -110,8 +82,6 @@ def _as_domain_points(map_, point):
 def evaluate(map_: QuadMap, point) -> np.ndarray:
     """Evaluate the map; accepts a single point or a batch with points in the last axis."""
     pts = _as_domain_points(map_, point)
-    if map_.field == "real":
-        return np.einsum("...i,kij,...j->...k", pts, map_.components, pts)
     return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
 
 
@@ -126,16 +96,15 @@ def jacobian(map_: QuadMap, point) -> np.ndarray:
     pts = _as_domain_points(map_, point)
     if pts.ndim != 1:
         raise ValueError("jacobian expects a single point")
-    if map_.field == "real":
-        return 2.0 * np.einsum("kij,j->ki", map_.components, pts)
     u = np.einsum("kij,j->ki", map_.components, pts)
-    return 2.0 * np.concatenate([u.real, u.imag], axis=1)
+    if map_.field == "complex":
+        u = np.concatenate([u.real, u.imag], axis=1)
+    return 2.0 * u
 
 
 def harmonicity_traces(map_: QuadMap) -> np.ndarray:
     """Trace of every coefficient matrix; all zero iff all components are harmonic."""
-    tr = np.trace(map_.components, axis1=1, axis2=2)
-    return tr.real if map_.field == "complex" else tr
+    return np.trace(map_.components, axis1=1, axis2=2).real
 
 
 def norm_identity_residual(map_: QuadMap, radius_pow4_value, sample_count: int, seed: int) -> float:
@@ -149,18 +118,15 @@ def norm_identity_residual(map_: QuadMap, radius_pow4_value, sample_count: int, 
     """
     r4 = float(radius_pow4_value)
     m = map_.domain_dim
-    if map_.field == "real":
-        pts = ball_points(m, sample_count, seed, radius=2.0)
-        sq = np.einsum("pi,pi->p", pts, pts)
-    else:
-        pts = complex_ball_points(m, sample_count, seed, radius=2.0)
-        sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
+    sampler = complex_ball_points if map_.field == "complex" else ball_points
+    pts = sampler(m, sample_count, seed, radius=2.0)
+    sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
     vals = evaluate(map_, pts)
     lhs = np.einsum("pk,pk->p", vals, vals)
     return float(np.max(np.abs(lhs - sq * sq / r4)))
 
 
-def real_restriction(cmap: HermitianQuadMap, rmap: RealQuadMap | None = None):
+def real_restriction(cmap: QuadMap, rmap: QuadMap | None = None):
     """Match the complex map against its restriction to real vectors.
 
     On real input the imaginary-part components vanish identically (their
@@ -232,31 +198,21 @@ def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:
     r4 = radius_pow4(map_.n)
     worst = Fraction(0)
     for pt in points:
-        if map_.field == "real":
-            xs = [Fraction(v) for v in pt]
-            sq = sum(v * v for v in xs)
-            total = Fraction(0)
-            for mat in map_.components:
-                val = Fraction(0)
-                for i, xi in enumerate(xs):
-                    for j, xj in enumerate(xs):
-                        val += Fraction(float(mat[i, j])) * xi * xj
-                total += val * val
-        else:
-            zr = [Fraction(a) for a, _ in pt]
-            zi = [Fraction(b) for _, b in pt]
-            sq = sum(a * a + b * b for a, b in zip(zr, zi))
-            total = Fraction(0)
-            for mat in map_.components:
-                val = Fraction(0)
-                for i in range(len(zr)):
-                    for j in range(len(zr)):
-                        are = Fraction(float(mat[i, j].real))
-                        aim = Fraction(float(mat[i, j].imag))
-                        # real part of A_ij conj(z_i) z_j
-                        val += are * (zr[i] * zr[j] + zi[i] * zi[j])
-                        val += aim * (zi[i] * zr[j] - zr[i] * zi[j])
-                total += val * val
+        pairs = pt if map_.field == "complex" else [(x, 0) for x in pt]
+        zr = [Fraction(a) for a, _ in pairs]
+        zi = [Fraction(b) for _, b in pairs]
+        sq = sum(a * a + b * b for a, b in zip(zr, zi))
+        total = Fraction(0)
+        for mat in map_.components:
+            val = Fraction(0)
+            for i in range(len(zr)):
+                for j in range(len(zr)):
+                    are = Fraction(float(mat[i, j].real))
+                    aim = Fraction(float(mat[i, j].imag))
+                    # real part of A_ij conj(z_i) z_j
+                    val += are * (zr[i] * zr[j] + zi[i] * zi[j])
+                    val += aim * (zi[i] * zr[j] - zr[i] * zi[j])
+            total += val * val
         dev = abs(total - sq * sq / r4)
         worst = max(worst, dev)
     return worst

@@ -13,7 +13,7 @@ from veronese import audit, constants, geometry, measure
 from veronese.audit import SCALE_DEPENDENT, run_claim_audit
 from veronese.cli import main as cli_main
 from veronese.constants import ambient_dims, radius_pow4
-from veronese.construct import build_complex, build_real, hopf
+from veronese.construct import build, hopf
 from veronese.quadmap import (evaluate, harmonicity_traces,
                               norm_identity_residual, real_restriction)
 from veronese.sampling import complex_sphere_points, sphere_points
@@ -47,10 +47,6 @@ class Criterion:
         return False
 
 
-def build(field, n):
-    return build_real(n) if field == "real" else build_complex(n)
-
-
 def on_sphere_points(field, n, count, seed):
     r = constants.radius(n)
     if field == "real":
@@ -72,7 +68,7 @@ def test_criterion_02_norm_identity():
     with Criterion("02 norm-identity", budget_seconds=5.0) as c:
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
-                res = norm_identity_residual(build(field, n), radius_pow4(n),
+                res = norm_identity_residual(build(n, field), radius_pow4(n),
                                              1000, seed=1000 + n)
                 c.check(res < 1e-12, f"{field} level {n} residual {res:.2e}")
 
@@ -81,7 +77,7 @@ def test_criterion_03_harmonicity():
     with Criterion("03 harmonicity", budget_seconds=1.0) as c:
         for field, cap in (("real", 12), ("complex", 8)):
             for n in range(1, cap + 1):
-                worst = float(np.max(np.abs(harmonicity_traces(build(field, n)))))
+                worst = float(np.max(np.abs(harmonicity_traces(build(n, field)))))
                 c.check(worst < 1e-12, f"{field} level {n} trace {worst:.2e}")
 
 
@@ -105,7 +101,7 @@ def test_criterion_05_diagram():
             c.check(rep["restriction_residual"] < 1e-13,
                     f"level {n} restriction {rep['restriction_residual']:.2e}")
         zu = complex_sphere_points(2, 100, seed=3100)
-        hopf_res = float(np.max(np.abs(hopf(zu) - evaluate(build_complex(1), zu))))
+        hopf_res = float(np.max(np.abs(hopf(zu) - evaluate(build(1, "complex"), zu))))
         c.check(hopf_res < 1e-14, f"hopf residual {hopf_res:.2e}")
 
 
@@ -117,7 +113,7 @@ def test_criterion_06_homothety():
                 lams = []
                 for p in pts:
                     frm = geometry.frame(p, field)
-                    lam, anis = geometry.pullback_factor(build(field, n), frm)
+                    lam, anis = geometry.pullback_factor(build(n, field), frm)
                     lams.append(lam)
                     c.check(anis / lam < 1e-8,
                             f"{field} level {n} anisotropy ratio {anis / lam:.2e}")
@@ -126,8 +122,8 @@ def test_criterion_06_homothety():
                 # independent finite-difference oracle at one point
                 frm = geometry.frame(pts[0], field)
                 h = 1e-5
-                t = np.stack([(evaluate(build(field, n), frm.base_point + h * v)
-                               - evaluate(build(field, n), frm.base_point - h * v)) / (2 * h)
+                t = np.stack([(evaluate(build(n, field), frm.base_point + h * v)
+                               - evaluate(build(n, field), frm.base_point - h * v)) / (2 * h)
                               for v in frm.basis])
                 lam_fd = float(np.trace(t @ t.T)) / frm.dim
                 c.check(abs(lams[0] - lam_fd) < 1e-8,
@@ -145,7 +141,7 @@ def test_criterion_07_minimality():
             for n in range(1, cap + 1):
                 pts = on_sphere_points(field, n, 20, seed=5000 + n)
                 h_max = float(np.max(
-                    geometry.curvature_field(build(field, n), pts)["mean_curvature_norm"]))
+                    geometry.curvature_field(build(n, field), pts)["mean_curvature_norm"]))
                 c.check(h_max < 1e-6, f"{field} level {n} |H| {h_max:.2e}")
 
 
@@ -153,7 +149,7 @@ def test_criterion_08_gauss_consistency():
     with Criterion("08 gauss-consistency") as c:
         for n in range(2, 6):
             pts = on_sphere_points("real", n, 20, seed=6000 + n)
-            geo = geometry.curvature_field(build_real(n), pts)
+            geo = geometry.curvature_field(build(n, "real"), pts)
             rho_sq = geo["lambda"] * constants.radius(n) ** 2
             gap = float(np.max(np.abs(geo["scalar_curvature_gauss"]
                                       - n * (n - 1) / rho_sq)))
@@ -198,7 +194,7 @@ def test_criterion_11_laplace_eigenvalue():
             for n in range(1, 4):
                 r = constants.radius(n)
                 for p in on_sphere_points(field, n, 5, seed=8000 + n):
-                    res = geometry.laplace_residual(build(field, n), p, r)
+                    res = geometry.laplace_residual(build(n, field), p, r)
                     c.check(res < 1e-4, f"{field} level {n} residual {res:.2e}")
 
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from veronese import audit
+from veronese import audit, geometry
 from veronese.audit import (MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             fiber_checks, hard_failures, orbit_distance,
                             run_claim_audit)
-from veronese.construct import build_complex
+from veronese.construct import build
 from veronese.quadmap import evaluate
 from veronese.sampling import complex_sphere_points, sphere_points
 
@@ -53,7 +53,7 @@ def test_fiber_checks_complex_level2():
 
 
 def test_phase_invariance_spot_value():
-    cmap = build_complex(2)
+    cmap = build(2, "complex")
     z = complex_sphere_points(3, 50, seed=3)
     rotated = np.exp(1j * math.pi / 3.0) * z
     assert np.max(np.abs(evaluate(cmap, rotated) - evaluate(cmap, z))) < 1e-12
@@ -157,3 +157,18 @@ def test_entries_serialize_to_json():
     assert len(decoded) == len(entries)
     assert {"claim_id", "statement", "expected", "measured", "abs_deviation",
             "verdict", "tolerance"} <= set(decoded[0])
+
+
+def test_level2_curvature_field_computed_once(monkeypatch):
+    calls = []
+    original = geometry.curvature_field
+
+    def counting(map_, points, *args, **kwargs):
+        calls.append(len(points))
+        return original(map_, points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_field", counting)
+    run_claim_audit(6, 4, seed=0, samples=300)
+    # one 20-point sweep per audited level, then level 2 and level 3 once each
+    assert len(calls) == 12
+    assert sum(calls) == 10 * 20 + 2 * 300

@@ -108,3 +108,29 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["verify", "--n-max", "0"])
     assert code == 2
+
+
+def test_verify_level1_omits_minimality():
+    code, out = run_cli(["verify", "--n-max", "1", "--samples", "200", "--format", "json"])
+    assert code == 0
+    assert {e["claim_id"] for e in json.loads(out)} == {
+        "ambient_dimension_sequences", "coefficient_ratio", "diagram_real_restriction",
+        "diagram_zero_components", "fiber_invariance_complex", "fiber_invariance_real",
+        "fiber_separation_complex", "fiber_separation_real", "harmonicity", "homothety",
+        "hopf_factorization", "local_injectivity_complex", "local_injectivity_real",
+        "norm_identity_complex", "norm_identity_real", "radius_closed_vs_recursive",
+        "radius_level3", "unit_image"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "--field", "real", "--n", "1"],
+    ["verify", "--n-max", "1", "--samples", "50"],
+    ["report", "--field", "real", "--n", "1", "--samples", "50"],
+    ["cloud", "--field", "complex", "--n", "1", "--samples", "10"],
+], ids=["emit", "verify", "report", "cloud"])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(target) in err
+    assert not target.exists()

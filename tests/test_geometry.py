@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from veronese import constants, geometry
-from veronese.construct import build_complex, build_real
+from veronese.construct import build
 from veronese.geometry import (GeometryReport, curvature_field,
                                curvature_invariants, frame, geometry_report,
                                laplace_residual, pullback_factor, real_inner,
                                second_fundamental_form)
-from veronese.quadmap import RealQuadMap, evaluate, jacobian
+from veronese.quadmap import QuadMap, evaluate, jacobian
 from veronese.sampling import complex_sphere_points, sphere_points
 
 
@@ -74,7 +74,7 @@ def test_frame_rejects_off_sphere_points():
 
 
 def test_pullback_level1_speed():
-    m = build_real(1)
+    m = build(1, "real")
     for frm in sample_frames(1, "real", 10, seed=4):
         lam, anis = pullback_factor(m, frm)
         assert lam == pytest.approx(4.0, abs=1e-12)
@@ -83,13 +83,13 @@ def test_pullback_level1_speed():
 
 def test_pullback_level2_pole():
     r = constants.radius(2)
-    lam, anis = pullback_factor(build_real(2), frame(np.array([r, 0, 0.0]), "real"))
+    lam, anis = pullback_factor(build(2, "real"), frame(np.array([r, 0, 0.0]), "real"))
     assert lam == pytest.approx(2.0, abs=1e-12)
     assert anis < 1e-12
 
 
 def test_pullback_level3_value():
-    m = build_real(3)
+    m = build(3, "real")
     for frm in sample_frames(3, "real", 20, seed=6):
         lam, anis = pullback_factor(m, frm)
         assert lam == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-10)
@@ -99,7 +99,7 @@ def test_pullback_level3_value():
 @pytest.mark.parametrize("field,n_max", [("real", 6), ("complex", 4)])
 def test_pullback_closed_form_and_fd_oracle(field, n_max):
     for n in range(1, n_max + 1):
-        m = build_real(n) if field == "real" else build_complex(n)
+        m = build(n, field)
         frames = sample_frames(n, field, 5, seed=31 * n)
         lams = []
         for frm in frames:
@@ -114,15 +114,15 @@ def test_pullback_closed_form_and_fd_oracle(field, n_max):
 def test_alpha_vanishes_in_codimension_zero():
     # level-1 real and complex images fill their spheres
     frm = sample_frames(1, "real", 1, seed=8)[0]
-    alpha = second_fundamental_form(build_real(1), frm)
+    alpha = second_fundamental_form(build(1, "real"), frm)
     assert np.max(np.abs(alpha)) < 1e-13
     frmc = sample_frames(1, "complex", 1, seed=8)[0]
-    alphac = second_fundamental_form(build_complex(1), frmc)
+    alphac = second_fundamental_form(build(1, "complex"), frmc)
     assert np.max(np.abs(alphac)) < 1e-12
 
 
 def test_alpha_symmetry_and_tangency():
-    m = build_real(2)
+    m = build(2, "real")
     for frm in sample_frames(2, "real", 10, seed=12):
         alpha = second_fundamental_form(m, frm)
         assert np.max(np.abs(alpha - np.transpose(alpha, (1, 0, 2)))) < 1e-8
@@ -150,7 +150,7 @@ EXPECTED_CURVATURE = {
 
 @pytest.mark.parametrize("field,n", sorted(EXPECTED_CURVATURE))
 def test_curvature_invariants_values(field, n):
-    m = build_real(n) if field == "real" else build_complex(n)
+    m = build(n, field)
     a2_expected, s_expected = EXPECTED_CURVATURE[(field, n)]
     a2s, ss = [], []
     for frm in sample_frames(n, field, 20, seed=50 + n):
@@ -167,7 +167,7 @@ def test_curvature_invariants_values(field, n):
 def test_gauss_relation_consistency(n):
     # the Gauss-relation scalar curvature must equal the round value of the
     # measured induced metric, d(d-1) / (lambda r^2)
-    m = build_real(n)
+    m = build(n, "real")
     for frm in sample_frames(n, "real", 5, seed=70 + n):
         rep = geometry_report(m, frm)
         round_value = n * (n - 1) / rep.effective_radius_sq
@@ -175,7 +175,7 @@ def test_gauss_relation_consistency(n):
 
 
 def test_geometry_report_fields():
-    rep = geometry_report(build_real(2), sample_frames(2, "real", 1, seed=2)[0])
+    rep = geometry_report(build(2, "real"), sample_frames(2, "real", 1, seed=2)[0])
     assert isinstance(rep, GeometryReport)
     d = rep.to_dict()
     assert set(d) == {"homothety_factor", "anisotropy", "alpha_norm_sq",
@@ -186,7 +186,7 @@ def test_geometry_report_fields():
 
 
 def test_curvature_field_matches_pointwise():
-    m = build_real(3)
+    m = build(3, "real")
     r = constants.radius(3)
     pts = sphere_points(4, 6, seed=91, radius=r)
     batch = curvature_field(m, pts)
@@ -203,7 +203,7 @@ def test_curvature_field_matches_pointwise():
 @pytest.mark.parametrize("field,n", [("real", 1), ("real", 2), ("real", 3),
                                      ("complex", 1), ("complex", 2), ("complex", 3)])
 def test_laplace_eigenvalue_residual(field, n):
-    m = build_real(n) if field == "real" else build_complex(n)
+    m = build(n, field)
     r = constants.radius(n)
     if field == "real":
         pts = sphere_points(n + 1, 5, seed=15 + n, radius=r)
@@ -215,7 +215,7 @@ def test_laplace_eigenvalue_residual(field, n):
 
 def test_laplace_level2_eigenvalue_is_four():
     # explicit second difference against the eigenvalue 2(2+1)/r^2 = 4
-    m = build_real(2)
+    m = build(2, "real")
     r = constants.radius(2)
     assert abs(2.0 * 3.0 / r**2 - 4.0) < 1e-15
     x = sphere_points(3, 1, seed=3, radius=r)[0]
@@ -230,10 +230,34 @@ def test_laplace_level2_eigenvalue_is_four():
 
 
 def test_laplace_zero_component_is_exact():
-    flat = RealQuadMap(n=1, components=np.zeros((1, 2, 2)))
+    flat = QuadMap(n=1, components=np.zeros((1, 2, 2)))
     assert laplace_residual(flat, np.array([1.0, 0.0]), 1.0) == 0.0
 
 
 def test_laplace_rejects_off_sphere_point():
     with pytest.raises(ValueError):
-        laplace_residual(build_real(2), np.array([1.0, 0.0, 0.0]), constants.radius(2))
+        laplace_residual(build(2, "real"), np.array([1.0, 0.0, 0.0]), constants.radius(2))
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_pullback_factor_is_the_batched_pipeline_at_the_canonical_point(field, cap):
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        base = np.zeros(n + 1, dtype=m.components.dtype)
+        base[0] = constants.radius(n)
+        lam, anis = pullback_factor(m, frame(base, field))
+        batch = curvature_field(m, base[None, :])
+        assert (lam, anis) == (batch["lambda"][0], batch["anisotropy"][0])
+
+
+@pytest.mark.parametrize("field,n", [("real", 3), ("complex", 2)])
+def test_tangent_images_match_jacobian(field, n):
+    m = build(n, field)
+    pts = sample_frames(n, field, 4, seed=40 + n)
+    images = geometry.tangent_images(m, np.stack([frm.base_point for frm in pts]))
+    for frm, t in zip(pts, images):
+        jac = jacobian(m, frm.base_point)
+        coords = frm.basis if field == "real" else np.concatenate(
+            [frm.basis.real, frm.basis.imag], axis=1)
+        assert t.shape == (frm.dim, m.component_count)
+        assert_allclose(t, coords @ jac.T, atol=1e-12)

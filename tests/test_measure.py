@@ -127,3 +127,11 @@ def test_quotient_samples_deterministic():
     assert np.array_equal(a, b)
     r = np.linalg.norm(a, axis=1)
     assert np.max(np.abs(r - measure.constants.radius(2))) < 1e-12
+
+
+def test_per_metric_readings_equal_separate_calls():
+    both = measure.global_invariants_per_metric(2, "real", 500, 17, ("image", "domain"))
+    assert both["image"] == global_invariants(2, "real", 500, 17, metric="image")
+    assert both["domain"] == global_invariants(2, "real", 500, 17, metric="domain")
+    with pytest.raises(ValueError):
+        measure.global_invariants_per_metric(2, "real", 10, 0, ("image", "projective"))

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from veronese import quadmap
 from veronese.constants import radius_pow4
-from veronese.construct import build_complex, build_real
-from veronese.quadmap import (RealQuadMap, StructuralError, evaluate,
+from veronese.construct import build
+from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               exact_norm_identity_deviation,
                               harmonicity_traces, jacobian,
                               norm_identity_residual, real_restriction,
@@ -40,22 +39,22 @@ def fd_jacobian(map_, point, h=1e-5):
 
 
 def test_evaluate_real_base():
-    assert_allclose(evaluate(build_real(1), [1.0, 0.0]), [0.0, 1.0])
+    assert_allclose(evaluate(build(1, "real"), [1.0, 0.0]), [0.0, 1.0])
 
 
 def test_evaluate_complex_base_pole():
-    assert_allclose(evaluate(build_complex(1), np.array([1.0 + 0j, 0j])), [0.0, 0.0, 1.0])
+    assert_allclose(evaluate(build(1, "complex"), np.array([1.0 + 0j, 0j])), [0.0, 0.0, 1.0])
 
 
 def test_evaluate_real_level2_pole():
     x = np.array([math.sqrt(1.5), 0.0, 0.0])
-    val = evaluate(build_real(2), x)
+    val = evaluate(build(2, "real"), x)
     assert_allclose(val, [0.0, math.sqrt(3) / 2, 0.0, 0.0, 0.5], atol=1e-15)
     assert_allclose(np.linalg.norm(val), 1.0, atol=1e-14)
 
 
 def test_evaluate_batches():
-    m = build_real(2)
+    m = build(2, "real")
     pts = sphere_points(3, 7, seed=3, radius=1.2)
     batch = evaluate(m, pts)
     assert batch.shape == (7, 5)
@@ -64,27 +63,27 @@ def test_evaluate_batches():
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
-        evaluate(build_real(2), [1.0, 0.0])
+        evaluate(build(2, "real"), [1.0, 0.0])
     with pytest.raises(ValueError):
-        evaluate(build_real(1), np.array([1.0 + 1j, 0j]))
+        evaluate(build(1, "real"), np.array([1.0 + 1j, 0j]))
 
 
 def test_jacobian_real_base():
-    assert_allclose(jacobian(build_real(1), np.array([1.0, 0.0])), [[0.0, 2.0], [2.0, 0.0]])
+    assert_allclose(jacobian(build(1, "real"), np.array([1.0, 0.0])), [[0.0, 2.0], [2.0, 0.0]])
 
 
 @given(st.lists(coord, min_size=3, max_size=3), st.floats(min_value=0.25, max_value=3.0))
 @example(xs=[0.3, -1.2, 0.8], t=3.0)
 @settings(max_examples=30, deadline=None)
 def test_jacobian_degree_one_homogeneity(xs, t):
-    m = build_real(2)
+    m = build(2, "real")
     x = np.array(xs)
     assert_allclose(jacobian(m, t * x), t * jacobian(m, x), atol=1e-12)
 
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
 def test_jacobian_matches_finite_differences(field, n):
-    m = build_real(n) if field == "real" else build_complex(n)
+    m = build(n, field)
     if field == "real":
         pts = sphere_points(n + 1, 20, seed=11, radius=1.0)
     else:
@@ -96,7 +95,7 @@ def test_jacobian_matches_finite_differences(field, n):
 @given(st.lists(coord, min_size=8, max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_hermitian_values_are_real(xs):
-    m = build_complex(3)
+    m = build(3, "complex")
     z = np.array(xs[:4]) + 1j * np.array(xs[4:])
     raw = np.einsum("i,kij,j->k", np.conj(z), m.components, z)
     assert np.max(np.abs(raw.imag)) < 1e-15 * max(1.0, np.max(np.abs(raw.real)))
@@ -104,18 +103,21 @@ def test_hermitian_values_are_real(xs):
 
 def test_harmonicity_single_components():
     # last component of the level-2 real map is proportional to x0^2 + x1^2 - 2 x2^2
-    assert abs(np.trace(build_real(2).components[-1])) < 1e-16
-    assert abs(np.trace(build_complex(3).components[-1]).real) < 1e-16
+    assert abs(np.trace(build(2, "real").components[-1])) < 1e-16
+    assert abs(np.trace(build(3, "complex").components[-1]).real) < 1e-16
 
 
-@pytest.mark.parametrize("builder,n", [(build_real, n) for n in range(1, 7)]
-                                     + [(build_complex, n) for n in range(1, 7)])
-def test_harmonicity_all_components(builder, n):
-    assert np.max(np.abs(harmonicity_traces(builder(n)))) < 1e-12
+HARMONICITY_CASES = [(field, n) for field in ("real", "complex") for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("field,n", HARMONICITY_CASES,
+                         ids=[f"build_{field}-{n}" for field, n in HARMONICITY_CASES])
+def test_harmonicity_all_components(field, n):
+    assert np.max(np.abs(harmonicity_traces(build(n, field)))) < 1e-12
 
 
 def test_norm_identity_at_zero_and_scaling():
-    m = build_real(2)
+    m = build(2, "real")
     assert_allclose(evaluate(m, np.zeros(3)), np.zeros(5))
     x = np.array([0.3, -1.1, 0.7])
     v1 = np.sum(evaluate(m, x) ** 2)
@@ -126,7 +128,7 @@ def test_norm_identity_at_zero_and_scaling():
 @pytest.mark.parametrize("field,n", [("real", n) for n in range(1, 7)]
                                    + [("complex", n) for n in range(1, 5)])
 def test_norm_identity_sampled(field, n):
-    m = build_real(n) if field == "real" else build_complex(n)
+    m = build(n, field)
     assert norm_identity_residual(m, radius_pow4(n), 1000, seed=5 * n) < 1e-12
 
 
@@ -134,7 +136,7 @@ def test_norm_identity_sampled(field, n):
 def test_norm_identity_exact_rational_oracle(field, n):
     # independent of floating evaluation: exact arithmetic on the stored
     # coefficients at rational points; only coefficient rounding remains
-    m = build_real(n) if field == "real" else build_complex(n)
+    m = build(n, field)
     if field == "real":
         points = [[Fraction(1, 2), Fraction(-3, 4), Fraction(1, 8), Fraction(2)][: n + 1]
                   for _ in range(1)]
@@ -147,20 +149,20 @@ def test_norm_identity_exact_rational_oracle(field, n):
 
 
 def test_real_restriction_base():
-    sigma, zero_set = real_restriction(build_complex(1), build_real(1))
+    sigma, zero_set = real_restriction(build(1, "complex"), build(1, "real"))
     assert sigma == {0: 0, 1: 2}
     assert zero_set == [1]
 
 
 def test_real_restriction_level2():
-    sigma, zero_set = real_restriction(build_complex(2), build_real(2))
+    sigma, zero_set = real_restriction(build(2, "complex"), build(2, "real"))
     assert sigma == {0: 0, 1: 2, 2: 3, 3: 5, 4: 7}
     assert zero_set == [1, 4, 6]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_real_restriction_pointwise(n, rng=np.random.default_rng(17)):
-    cmap, rmap = build_complex(n), build_real(n)
+    cmap, rmap = build(n, "complex"), build(n, "real")
     sigma, zero_set = real_restriction(cmap, rmap)
     assert len(sigma) + len(zero_set) == cmap.component_count
     x = rng.standard_normal((50, n + 1))
@@ -173,28 +175,40 @@ def test_real_restriction_pointwise(n, rng=np.random.default_rng(17)):
 
 
 def test_real_restriction_detects_reordering():
-    cmap = build_complex(2)
-    shuffled = quadmap.HermitianQuadMap(
+    cmap = build(2, "complex")
+    shuffled = QuadMap(
         n=2, components=cmap.components[::-1].copy())
     with pytest.raises(StructuralError):
-        real_restriction(shuffled, build_real(2))
+        real_restriction(shuffled, build(2, "real"))
 
 
 @given(st.lists(coord, min_size=4, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_antipodal_values_identical(xs):
-    m = build_real(3)
+    m = build(3, "real")
     x = np.array(xs)
     assert np.array_equal(evaluate(m, x), evaluate(m, -x))
 
 
 def test_symmetry_enforced_on_construction():
     with pytest.raises(ValueError):
-        RealQuadMap(n=1, components=np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        QuadMap(n=1, components=np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+    # real entries must be exactly symmetric, however small the defect
+    with pytest.raises(ValueError):
+        QuadMap(n=1, components=np.array([[[0.0, 1.0], [1.0 + 2.0**-52, 0.0]]]))
+
+
+def test_hermitian_bound_on_construction():
+    ok = np.array([[[0.0, 1j], [-1j + 5e-15, 0.0]]])
+    assert QuadMap(n=1, components=ok).field == "complex"
+    with pytest.raises(ValueError):
+        QuadMap(n=1, components=np.array([[[0.0, 1j], [-1j + 2e-14, 0.0]]]))
+    with pytest.raises(ValueError):
+        QuadMap(n=2, components=np.zeros((1, 2, 2), dtype=complex))
 
 
 def test_json_export_real():
-    payload = to_json_dict(build_real(1))
+    payload = to_json_dict(build(1, "real"))
     assert payload["field"] == "real"
     assert payload["ambient_dim"] == 1
     assert payload["radius_pow4"] == "1/1"
@@ -202,7 +216,7 @@ def test_json_export_real():
 
 
 def test_json_export_complex():
-    payload = to_json_dict(build_complex(1))
+    payload = to_json_dict(build(1, "complex"))
     assert payload["field"] == "complex"
     assert payload["ambient_dim"] == 2
     # row-major [re, im] pairs; second component is the imaginary-part form
