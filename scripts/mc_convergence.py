@@ -24,8 +24,8 @@ def main():
     print(f"{'samples':>8} {'gauss_bonnet - 1':>18} {'sigma - 6 pi^(4/3)':>20}")
     target = 6 * math.pi ** (4.0 / 3.0)
     for count in (100, 1000, 10_000, 100_000):
-        gi2 = measure.global_invariants(2, "real", count, args.seed)
-        gi3 = measure.global_invariants(3, "real", count, args.seed)
+        gi2 = measure.global_invariants(2, "real", count, args.seed)["image"]
+        gi3 = measure.global_invariants(3, "real", count, args.seed)["image"]
         print(f"{count:>8} {gi2['gauss_bonnet_ratio'] - 1.0:>18.3e} "
               f"{gi3['sigma_quotient'] - target:>20.3e}")
 

@@ -4,9 +4,9 @@ spaces, with exact constants and numerical verification of their geometry."""
 from .constants import (EmbeddingConstants, ambient_dims, radius, radius_pow4,
                         rational_str, step_constants)
 from .construct import build, hopf
-from .geometry import (GeometryReport, TangentFrame, curvature_invariants,
-                       frame, geometry_report, laplace_residual,
-                       pullback_factor, second_fundamental_form)
+from .geometry import (GeometryReport, canonical_point, curvature_field,
+                       geometry_report, laplace_residual, pullback_factor,
+                       second_fundamental_form, tangent_bases, tangent_images)
 from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
@@ -21,9 +21,10 @@ __all__ = [
     "EmbeddingConstants", "ambient_dims", "radius", "radius_pow4",
     "rational_str", "step_constants",
     "build", "hopf",
-    "GeometryReport", "TangentFrame", "curvature_invariants", "frame",
-    "geometry_report", "laplace_residual", "pullback_factor",
-    "second_fundamental_form",
+    "GeometryReport", "canonical_point", "curvature_field", "geometry_report",
+    "laplace_residual",
+    "pullback_factor", "second_fundamental_form", "tangent_bases",
+    "tangent_images",
     "IntegralEstimate", "global_invariants", "integrate_quotient",
     "sphere_volume",
     "QuadMap", "StructuralError", "evaluate",

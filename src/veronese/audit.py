@@ -260,8 +260,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
     for field_name, levels in level_range.items():
         worst = max(
-            norm_identity_residual(construct.build(k, field_name),
-                                   constants.radius_pow4(k), samples,
+            norm_identity_residual(construct.build(k, field_name), samples,
                                    seed + 5 * _SEED_STRIDE + k)
             for k in levels
         )
@@ -356,8 +355,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             1.0, lam2, POINTWISE_TOL, scale_dependent=True,
             details={"jacobian_oracle": 2.0}))
 
-        readings = measure.global_invariants_per_metric(
-            2, "real", samples, seed + 17 * _SEED_STRIDE, ("image", "domain"))
+        readings = measure.global_invariants(2, "real", samples, seed + 17 * _SEED_STRIDE)
         gi_img, gi_dom = readings["image"], readings["domain"]
         entries.append(_entry(
             "veronese_scalar_curvature",
@@ -391,8 +389,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             details={"domain_metric_value": gi_dom["gauss_bonnet_ratio"]}))
 
     if n_max_real >= 3:
-        gi3 = measure.global_invariants(3, "real", samples, seed + 19 * _SEED_STRIDE,
-                                        metric="image")
+        gi3 = measure.global_invariants(3, "real", samples, seed + 19 * _SEED_STRIDE)["image"]
         expected_sigma = 6.0 * math.pi ** (4.0 / 3.0)
         entries.append(_entry(
             "sigma_quotient_level3",

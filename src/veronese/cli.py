@@ -14,8 +14,6 @@ import json
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import audit, constants, construct, geometry, measure
 from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import evaluate, to_json_dict
@@ -159,16 +157,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     map_ = construct.build(args.n, args.field)
-    base = np.zeros(args.n + 1, dtype=map_.components.dtype)
-    base[0] = constants.radius(args.n)
-    rep = geometry.geometry_report(map_, geometry.frame(base, args.field))
-    gi = measure.global_invariants(args.n, args.field, args.samples, args.seed,
-                                   metric=args.metric)
+    rep = geometry.geometry_report(map_, geometry.canonical_point(map_))
+    gi = measure.global_invariants(args.n, args.field, args.samples, args.seed)[args.metric]
     pairs = [("n", args.n), ("field", args.field), ("metric", args.metric),
              ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
     pairs += sorted(rep.to_dict().items())
-    pairs += [(k, v) for k, v in sorted(gi.items())
-              if k not in {"n", "field", "metric"}]
+    pairs += sorted(gi.items())
     with _output(args.out) as stream:
         _render_mapping(pairs, args.format, stream)
     return 0

@@ -1,6 +1,6 @@
 """Pointwise differential geometry of the embedded images.
 
-Frames, pullback metric, second fundamental form inside the unit sphere,
+Tangent bases, pullback metric, second fundamental form inside the unit sphere,
 mean curvature, and the scalar curvature implied by the Gauss relation
 s = d(d-1) + |H|^2 - |alpha|^2 for a d-manifold in the unit sphere.
 
@@ -25,30 +25,10 @@ import numpy as np
 from . import constants
 from .quadmap import QuadMap, StructuralError, evaluate
 
-FRAME_TOL = 1e-12        # on-sphere tolerance for frame base points
+FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 RANK_TOL = 1e-10         # smallest acceptable triangular pivot, relative
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 IMAGE_NORM_TOL = 1e-10   # image points must sit on the unit sphere
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """A base point on the level-n domain sphere plus an orthonormal basis.
-
-    Real field: n vectors spanning the tangent space of S^n(r_n).
-    Complex field: 2n vectors spanning the horizontal space at z, i.e.
-    orthogonal to both z and iz in the real inner product.
-    """
-
-    field: str
-    n: int
-    radius: float
-    base_point: np.ndarray
-    basis: np.ndarray  # (d, n+1), real or complex rows
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
 
 
 @dataclass(frozen=True)
@@ -62,11 +42,6 @@ class GeometryReport:
 
     def to_dict(self) -> dict:
         return {key: float(value) for key, value in asdict(self).items()}
-
-
-def real_inner(u, v) -> float:
-    """Euclidean inner product, reading complex vectors as real ones of twice the size."""
-    return float(np.real(np.vdot(u, v)))
 
 
 def _basis_real(unit_points: np.ndarray) -> np.ndarray:
@@ -114,69 +89,64 @@ def _basis_horizontal(unit_points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tangent_bases(points: np.ndarray, radius: float, field: str) -> np.ndarray:
-    if field == "real":
-        return _basis_real(points / radius)
-    return _basis_horizontal(points / radius)
+def canonical_point(map_: QuadMap) -> np.ndarray:
+    """The base point (r_n, 0, ..., 0) of the map's level sphere, in the map's dtype."""
+    point = np.zeros(map_.domain_dim, dtype=map_.components.dtype)
+    point[0] = constants.radius(map_.n)
+    return point
 
 
-def frame(base_point, field: str) -> TangentFrame:
-    """Deterministic orthonormal frame at a point of the level-n domain sphere.
+def tangent_bases(map_: QuadMap, points) -> np.ndarray:
+    """Orthonormal tangent (real) or horizontal (complex) bases, shape (p, d, n+1).
 
-    The level is inferred from the point dimension and the point must lie
-    on the sphere of the canonical level radius.
+    points must be a non-empty (p, n+1) batch on the sphere of the map's
+    level radius r_n; every geometry entry point checks that here.  The
+    complex bases are orthogonal to both z and iz in the real inner product.
     """
-    dtype = {"real": float, "complex": complex}.get(field)
-    if dtype is None:
-        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-    pt = np.asarray(base_point, dtype=dtype)
-    if pt.ndim != 1 or pt.size < 2:
-        raise ValueError("base point must be a vector of dimension at least 2")
-    n = pt.size - 1
-    r = constants.radius(n)
-    nrm = float(np.linalg.norm(pt))
-    if nrm == 0.0 or abs(nrm - r) > FRAME_TOL * max(1.0, r):
-        raise ValueError(
-            f"base point norm {nrm!r} is off the level-{n} sphere of radius {r!r}"
-        )
-    basis = _tangent_bases(pt[None, :], r, field)[0]
-    return TangentFrame(field=field, n=n, radius=r, base_point=pt, basis=basis)
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != map_.domain_dim:
+        raise ValueError(f"points must be a non-empty (count, {map_.domain_dim}) array "
+                         f"at level {map_.n}, got shape {pts.shape}")
+    if np.iscomplexobj(pts) and map_.field == "real":
+        raise ValueError("real map expects real coordinates")
+    r = constants.radius(map_.n)
+    worst = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - r)))
+    if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
+        raise ValueError(f"points are off the level-{map_.n} sphere of radius {r!r} "
+                         f"(worst norm deviation {worst:.3e})")
+    if map_.field == "real":
+        return _basis_real(pts / r)
+    return _basis_horizontal(pts / r)
 
 
-def _pushforward(map_: QuadMap, points: np.ndarray, bases: np.ndarray):
-    """Images of the bases under the differential, shape (p, d, K), with the
-    pullback factor (mean diagonal of the pullback Gram matrix) and its
-    anisotropy (worst deviation from that multiple of I) at each point."""
+def _pushforward(map_: QuadMap, points):
+    """The tangent_bases at the points, their images under the differential,
+    shape (p, d, K), and the pullback factor (mean diagonal of the pullback
+    Gram matrix) with its anisotropy (worst deviation from that multiple
+    of I) at each point."""
+    points = np.asarray(points)
+    bases = tangent_bases(map_, points)
     tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
     gram = np.einsum("pbk,pck->pbc", tangent, tangent)
     d = bases.shape[1]
     lam = np.trace(gram, axis1=1, axis2=2) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    return tangent, lam, anis
+    return bases, tangent, lam, anis
 
 
 def tangent_images(map_: QuadMap, points) -> np.ndarray:
-    """Pushforward of the frame bases at on-sphere points, shape (p, d, K).
-
-    The bases are the tangent (real) or horizontal (complex) ones that
-    frame() and curvature_field() use.
-    """
-    pts = np.asarray(points)
-    bases = _tangent_bases(pts, constants.radius(map_.n), map_.field)
-    return _pushforward(map_, pts, bases)[0]
+    """Pushforward of the tangent_bases at the points, shape (p, d, K)."""
+    return _pushforward(map_, points)[1]
 
 
-def pullback_factor(map_: QuadMap, frm: TangentFrame) -> tuple[float, float]:
-    """Mean diagonal of the pullback Gram matrix and its worst deviation from a multiple of I."""
-    if frm.field != map_.field:
-        raise ValueError("frame and map fields disagree")
-    _, lam, anis = _pushforward(map_, frm.base_point[None, :], frm.basis[None, :, :])
-    return float(lam[0]), float(anis[0])
+def pullback_factor(map_: QuadMap, points) -> tuple[np.ndarray, np.ndarray]:
+    """Mean diagonal of the pullback Gram matrix at each point, and its worst
+    deviation from that multiple of I, as two (p,) arrays."""
+    return _pushforward(map_, points)[2:]
 
 
-def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
-                     bases: np.ndarray) -> dict:
-    """Batched curvature pipeline at on-sphere points.
+def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
+    """Batched curvature pipeline at points of the level sphere.
 
     Accelerations of the curves t -> map(great circle) are assembled from
     the constant coefficient matrices: for a circle with initial velocity w
@@ -186,8 +156,11 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
     into the Gram-Schmidt-orthonormalized image frame is the second
     fundamental form of the image inside the unit sphere.
     """
-    tangent, lam, anis = _pushforward(map_, points, bases)
+    bases, tangent, lam, anis = _pushforward(map_, points)
     images = evaluate(map_, points)
+    worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
+    if not worst <= IMAGE_NORM_TOL:
+        raise ValueError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
 
     q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
     pivots = np.abs(np.diagonal(r_tri, axis1=1, axis2=2))
@@ -197,6 +170,7 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
     conj_bases = np.conj(bases)
     q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
     gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
+    radius = constants.radius(map_.n)
     acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
 
     radial = np.einsum("pabk,pk->pab", acc, images)
@@ -209,63 +183,28 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray, radius: float,
     return {"alpha": alpha, "lambda": lam, "anisotropy": anis}
 
 
-def second_fundamental_form(map_: QuadMap, frm: TangentFrame) -> np.ndarray:
-    """Second fundamental form at the frame point, shape (d, d, ambient).
+def second_fundamental_form(map_: QuadMap, points) -> np.ndarray:
+    """Second fundamental form at each point, shape (p, d, d, K).
 
     Entry (i, j) is the normal-space component of the embedding's second
     derivative along the orthonormalized image directions i and j.
     """
-    if frm.field != map_.field:
-        raise ValueError("frame and map fields disagree")
-    img = evaluate(map_, frm.base_point)
-    if abs(float(np.linalg.norm(img)) - 1.0) > IMAGE_NORM_TOL:
-        raise ValueError("image point is off the unit sphere; frame level and map level disagree?")
-    res = _curvature_chunk(map_, frm.base_point[None, :], frm.radius, frm.basis[None, :, :])
-    return res["alpha"][0]
-
-
-def curvature_invariants(alpha: np.ndarray, d: int) -> dict:
-    """Squared norm of alpha, mean curvature norm, and the Gauss-relation scalar curvature."""
-    alpha = np.asarray(alpha, dtype=float)
-    alpha_sq = float(np.sum(alpha * alpha))
-    mean_curv = np.einsum("aak->k", alpha)
-    h_norm = float(np.linalg.norm(mean_curv))
-    scalar = d * (d - 1) + h_norm * h_norm - alpha_sq
-    return {
-        "alpha_norm_sq": alpha_sq,
-        "mean_curvature_norm": h_norm,
-        "scalar_curvature_gauss": scalar,
-    }
-
-
-def geometry_report(map_: QuadMap, frm: TangentFrame) -> GeometryReport:
-    lam, anis = pullback_factor(map_, frm)
-    alpha = second_fundamental_form(map_, frm)
-    inv = curvature_invariants(alpha, frm.dim)
-    return GeometryReport(
-        homothety_factor=lam,
-        anisotropy=anis,
-        alpha_norm_sq=inv["alpha_norm_sq"],
-        mean_curvature_norm=inv["mean_curvature_norm"],
-        scalar_curvature_gauss=inv["scalar_curvature_gauss"],
-        effective_radius_sq=lam * frm.radius**2,
-    )
+    return _curvature_chunk(map_, np.asarray(points))["alpha"]
 
 
 def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
-    """Curvature invariants at many on-sphere points, chunked to bound memory.
+    """Curvature invariants at many points of the level sphere, chunked to bound memory.
 
-    Returns arrays keyed like curvature_invariants plus 'lambda' and
-    'anisotropy'; used for constancy checks and quotient integration.
+    Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
+    'mean_curvature_norm' and 'scalar_curvature_gauss'; used for constancy
+    checks, quotient integration and, at one point, geometry_report.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty (count, dim) array")
-    r = constants.radius(map_.n)
+        tangent_bases(map_, pts)  # raises its shape error
     parts = []
     for start in range(0, pts.shape[0], chunk_size):
-        chunk = pts[start:start + chunk_size]
-        res = _curvature_chunk(map_, chunk, r, _tangent_bases(chunk, r, map_.field))
+        res = _curvature_chunk(map_, pts[start:start + chunk_size])
         a = res.pop("alpha")
         d = a.shape[1]
         a2 = np.einsum("pabk,pabk->p", a, a)
@@ -277,7 +216,16 @@ def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def laplace_residual(map_: QuadMap, base_point, r: float) -> float:
+def geometry_report(map_: QuadMap, point) -> GeometryReport:
+    """curvature_field at one point of the level sphere, with its effective squared radius."""
+    vals = {key: float(value[0])
+            for key, value in curvature_field(map_, np.asarray(point)[None]).items()}
+    lam = vals.pop("lambda")
+    return GeometryReport(homothety_factor=lam,
+                          effective_radius_sq=lam * constants.radius(map_.n) ** 2, **vals)
+
+
+def laplace_residual(map_: QuadMap, base_point) -> float:
     """Deviation of every component from the degree-2 eigenvalue equation.
 
     A second-order central difference along unit-speed great circles through
@@ -285,16 +233,11 @@ def laplace_residual(map_: QuadMap, base_point, r: float) -> float:
     direction included in the complex case) approximates the intrinsic
     sphere Laplacian in exact geodesic normal coordinates; each component f
     must satisfy lap f = -k(k + m - 1)/r^2 f with k = 2 on an m-sphere of
-    radius r.  Returns the largest componentwise residual.
+    the level radius r.  Returns the largest componentwise residual.
     """
+    dirs = tangent_bases(map_, np.asarray(base_point)[None])[0]
     pt = np.asarray(base_point, dtype=map_.components.dtype)
-    if pt.ndim != 1 or pt.size != map_.domain_dim:
-        raise ValueError("base point does not match the map domain")
-    nrm = float(np.linalg.norm(pt))
-    if nrm == 0.0 or abs(nrm - r) > 1e-9 * max(1.0, r):
-        raise ValueError(f"base point norm {nrm!r} is not on the sphere of radius {r!r}")
-
-    dirs = _tangent_bases(pt[None, :], r, map_.field)[0]
+    r = constants.radius(map_.n)
     if map_.field == "complex":
         dirs = np.concatenate([dirs, (1j * pt / r)[None, :]], axis=0)
     m_sphere = dirs.shape[0]

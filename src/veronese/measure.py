@@ -4,14 +4,14 @@ the global invariants of the embedded images.
 The quotient of the level-n domain sphere is sampled by pushing uniform
 sphere samples through the quotient map (uniform upstairs is uniform
 downstairs for both the antipodal and the phase action).  Integrals are
-taken against a chosen metric normalization:
+taken against the image metric; global_invariants reports both readings:
 
   image metric   -- the measured induced metric of the embedded image;
                     the volume element carries the homothety factor.
   domain metric  -- the quotient of the round domain sphere as is.
 
 The two differ by the constant homothety factor of the embedding, and
-everything normalization-dependent is reported explicitly per convention.
+everything normalization-dependent is reported under both.
 """
 
 from __future__ import annotations
@@ -66,19 +66,8 @@ def quotient_samples(n: int, field: str, count: int, seed: int) -> np.ndarray:
 def homothety_factor(n: int, field: str) -> float:
     """Pullback factor of the level-n map, measured at a canonical point."""
     map_ = construct.build(n, field)
-    base = np.zeros(n + 1, dtype=map_.components.dtype)
-    base[0] = constants.radius(n)
-    lam, _ = geometry.pullback_factor(map_, geometry.frame(base, field))
-    return lam
-
-
-def _metric_scale_total(lam: float, metric: str, metric_scale: float) -> float:
-    """Multiple t such that the reporting metric is t times the measured image metric."""
-    if metric == "image":
-        return metric_scale
-    if metric == "domain":
-        return metric_scale / lam
-    raise ValueError(f"metric must be 'image' or 'domain', got {metric!r}")
+    lam, _ = geometry.pullback_factor(map_, geometry.canonical_point(map_)[None])
+    return float(lam[0])
 
 
 def _round_quotient(n: int, field: str) -> tuple[float, int]:
@@ -91,17 +80,16 @@ def _round_quotient(n: int, field: str) -> tuple[float, int]:
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
-def quotient_volume_factor(n: int, field: str, lam: float, metric: str = "image",
-                           metric_scale: float = 1.0) -> float:
-    """Total quotient volume under the chosen normalization.
+def quotient_volume_factor(n: int, field: str, scale: float) -> float:
+    """Total quotient volume when the round metric is multiplied by scale.
 
     The round quotient volume is Vol(S^n(r))/2 for the antipodal quotient and
     Vol(S^{2n+1}(r))/(2 pi r) for the phase quotient; scaling the metric by a
-    constant multiplies it by that constant to the power d/2.
+    constant multiplies it by that constant to the power d/2.  The image
+    metric is the homothety factor times the round one.
     """
     base, d = _round_quotient(n, field)
-    t = _metric_scale_total(lam, metric, metric_scale)
-    return base * (lam * t) ** (d / 2.0)
+    return base * scale ** (d / 2.0)
 
 
 def _check_fiber_invariance(f, samples: np.ndarray, field: str):
@@ -133,9 +121,9 @@ def _estimate(values: np.ndarray, factor: float, sample_count: int, seed: int) -
     return IntegralEstimate(factor * mean, factor * sd, sample_count, seed)
 
 
-def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int,
-                       metric: str = "image", metric_scale: float = 1.0) -> IntegralEstimate:
-    """Integral of a fiber-invariant scalar function over the level-n quotient.
+def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int) -> IntegralEstimate:
+    """Integral of a fiber-invariant scalar function over the level-n quotient
+    under the image metric.
 
     f must accept a (count, n+1) batch of domain sphere points and return a
     (count,) array; invariance under the fiber action is spot-checked and a
@@ -145,62 +133,44 @@ def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int,
         raise ValueError("sample_count must be at least 1")
     samples = quotient_samples(n, field, sample_count, seed)
     _check_fiber_invariance(f, samples, field)
-    lam = homothety_factor(n, field)
-    factor = quotient_volume_factor(n, field, lam, metric, metric_scale)
+    factor = quotient_volume_factor(n, field, homothety_factor(n, field))
     values = np.asarray(f(samples), dtype=float)
     if values.shape != (sample_count,):
         raise ValueError("integrand must return one scalar per sample")
     return _estimate(values, factor, sample_count, seed)
 
 
-def global_invariants(n: int, field: str, sample_count: int, seed: int,
-                      metric: str = "image", metric_scale: float = 1.0) -> dict:
-    """Global invariants of the level-n quotient under the chosen normalization.
+def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
+    """Global invariants of the level-n quotient under both metric readings.
 
-    Always reports the total scalar curvature, the integral of |alpha|^2
-    (the bending-energy functional), the quotient volume and the homothety
+    Returns {"image": {...}, "domain": {...}} from one curvature field of the
+    samples; the domain metric is the image metric times t = 1/lambda.  Each
+    reading has the total scalar curvature, the integral of |alpha|^2 (the
+    bending-energy functional), the quotient volume and the homothety
     factor; the Gauss-Bonnet ratio appears for the real level-2 surface and
     the normalized total scalar curvature (sigma quotient) for the real
-    level-3 space.  metric_scale multiplies the reporting metric by a
-    constant and exists so scale invariance can be demonstrated directly.
-    """
-    return global_invariants_per_metric(n, field, sample_count, seed, (metric,),
-                                        metric_scale)[metric]
-
-
-def global_invariants_per_metric(n: int, field: str, sample_count: int, seed: int,
-                                 metrics, metric_scale: float = 1.0) -> dict:
-    """global_invariants under each of the given metrics, keyed by metric.
-
-    The readings differ only in the scale t of the reporting metric, so the
-    curvature field of the samples is computed once for all of them.
+    level-3 space.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     map_ = construct.build(n, field)
     samples = quotient_samples(n, field, sample_count, seed)
     lam = homothety_factor(n, field)
-    scales = {metric: _metric_scale_total(lam, metric, metric_scale) for metric in metrics}
     _, d = _round_quotient(n, field)
 
     geo = geometry.curvature_field(map_, samples)
     h_sq = geo["mean_curvature_norm"] ** 2
     readings = {}
-    for metric, t in scales.items():
-        factor = quotient_volume_factor(n, field, lam, metric, metric_scale)
+    for metric, t in (("image", 1.0), ("domain", 1.0 / lam)):
+        factor = quotient_volume_factor(n, field, lam * t)
         scalar_vals = geo["scalar_curvature_gauss"] / t
         alpha_vals = d * (d - 1) + h_sq - scalar_vals
-
-        volume = _estimate(np.ones(sample_count), factor, sample_count, seed)
         total_scalar = _estimate(scalar_vals, factor, sample_count, seed)
         pi_functional = _estimate(alpha_vals, factor, sample_count, seed)
 
         out = {
-            "n": n,
-            "field": field,
-            "metric": metric,
             "lambda_bar": lam,
-            "volume": volume.value,
+            "volume": factor,
             "total_scalar": total_scalar.value,
             "total_scalar_std_error": total_scalar.std_error,
             "pi_functional": pi_functional.value,
@@ -211,6 +181,6 @@ def global_invariants_per_metric(n: int, field: str, sample_count: int, seed: in
         if field == "real" and n == 2:
             out["gauss_bonnet_ratio"] = total_scalar.value / (4.0 * math.pi)
         if field == "real" and n == 3:
-            out["sigma_quotient"] = total_scalar.value / volume.value ** (1.0 / 3.0)
+            out["sigma_quotient"] = total_scalar.value / factor ** (1.0 / 3.0)
         readings[metric] = out
     return readings

@@ -107,7 +107,7 @@ def harmonicity_traces(map_: QuadMap) -> np.ndarray:
     return np.trace(map_.components, axis1=1, axis2=2).real
 
 
-def norm_identity_residual(map_: QuadMap, radius_pow4_value, sample_count: int, seed: int) -> float:
+def norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float:
     """Largest deviation of |map(x)|^2 from |x|^4 / r^4 on random ball points.
 
     Points are drawn uniformly from the ball of radius 2 around the
@@ -116,7 +116,7 @@ def norm_identity_residual(map_: QuadMap, radius_pow4_value, sample_count: int, 
     small residual at random points is a probabilistic certificate that
     the degree-4 polynomial identity holds.
     """
-    r4 = float(radius_pow4_value)
+    r4 = float(radius_pow4(map_.n))
     m = map_.domain_dim
     sampler = complex_ball_points if map_.field == "complex" else ball_points
     pts = sampler(m, sample_count, seed, radius=2.0)

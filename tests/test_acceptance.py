@@ -68,8 +68,7 @@ def test_criterion_02_norm_identity():
     with Criterion("02 norm-identity", budget_seconds=5.0) as c:
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
-                res = norm_identity_residual(build(n, field), radius_pow4(n),
-                                             1000, seed=1000 + n)
+                res = norm_identity_residual(build(n, field), 1000, seed=1000 + n)
                 c.check(res < 1e-12, f"{field} level {n} residual {res:.2e}")
 
 
@@ -110,22 +109,19 @@ def test_criterion_06_homothety():
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
                 pts = on_sphere_points(field, n, 20, seed=4000 + n)
-                lams = []
-                for p in pts:
-                    frm = geometry.frame(p, field)
-                    lam, anis = geometry.pullback_factor(build(n, field), frm)
-                    lams.append(lam)
-                    c.check(anis / lam < 1e-8,
-                            f"{field} level {n} anisotropy ratio {anis / lam:.2e}")
+                lams, anis = geometry.pullback_factor(build(n, field), pts)
+                for lam, an in zip(lams, anis):
+                    c.check(an / lam < 1e-8,
+                            f"{field} level {n} anisotropy ratio {an / lam:.2e}")
                 c.check(np.ptp(lams) < 1e-8,
                         f"{field} level {n} lambda spread {np.ptp(lams):.2e}")
                 # independent finite-difference oracle at one point
-                frm = geometry.frame(pts[0], field)
+                basis = geometry.tangent_bases(build(n, field), pts[:1])[0]
                 h = 1e-5
-                t = np.stack([(evaluate(build(n, field), frm.base_point + h * v)
-                               - evaluate(build(n, field), frm.base_point - h * v)) / (2 * h)
-                              for v in frm.basis])
-                lam_fd = float(np.trace(t @ t.T)) / frm.dim
+                t = np.stack([(evaluate(build(n, field), pts[0] + h * v)
+                               - evaluate(build(n, field), pts[0] - h * v)) / (2 * h)
+                              for v in basis])
+                lam_fd = float(np.trace(t @ t.T)) / basis.shape[0]
                 c.check(abs(lams[0] - lam_fd) < 1e-8,
                         f"{field} level {n} oracle gap {abs(lams[0] - lam_fd):.2e}")
         entries = {e.claim_id: e for e in run_claim_audit(2, 1, seed=0, samples=200)}
@@ -160,10 +156,10 @@ def test_criterion_08_gauss_consistency():
 
 def test_criterion_09_scale_invariant_numbers():
     with Criterion("09 scale-invariant-numbers", budget_seconds=60.0) as c:
-        gi2 = measure.global_invariants(2, "real", 100_000, seed=7000)
+        gi2 = measure.global_invariants(2, "real", 100_000, seed=7000)["image"]
         c.check(abs(gi2["gauss_bonnet_ratio"] - 1.0) < 1e-3,
                 f"Gauss-Bonnet ratio {gi2['gauss_bonnet_ratio']}")
-        gi3 = measure.global_invariants(3, "real", 100_000, seed=7001)
+        gi3 = measure.global_invariants(3, "real", 100_000, seed=7001)["image"]
         target = 6 * math.pi ** (4.0 / 3.0)
         c.check(abs(gi3["sigma_quotient"] - target) < 0.005 * target,
                 f"sigma quotient {gi3['sigma_quotient']} vs {target}")
@@ -192,9 +188,8 @@ def test_criterion_11_laplace_eigenvalue():
     with Criterion("11 laplace-eigenvalue") as c:
         for field in ("real", "complex"):
             for n in range(1, 4):
-                r = constants.radius(n)
                 for p in on_sphere_points(field, n, 5, seed=8000 + n):
-                    res = geometry.laplace_residual(build(n, field), p, r)
+                    res = geometry.laplace_residual(build(n, field), p)
                     c.check(res < 1e-4, f"{field} level {n} residual {res:.2e}")
 
 

@@ -108,6 +108,7 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["verify", "--n-max", "0"])
     assert code == 2
+    assert main(["report", "--field", "real", "--n", "2", "--metric", "projective"]) == 2
 
 
 def test_verify_level1_omits_minimality():

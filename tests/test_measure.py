@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from veronese import measure
+from veronese.construct import build
+from veronese.geometry import curvature_field
 from veronese.measure import (IntegralEstimate, global_invariants,
                               integrate_quotient, sphere_volume)
 
@@ -69,43 +71,40 @@ def test_nonconstant_integrand_has_error_bar():
 
 
 def test_gauss_bonnet_ratio():
-    gi = global_invariants(2, "real", 10_000, seed=3)
-    assert gi["gauss_bonnet_ratio"] == pytest.approx(1.0, abs=1e-3)
-    gd = global_invariants(2, "real", 10_000, seed=3, metric="domain")
-    assert gd["gauss_bonnet_ratio"] == pytest.approx(1.0, abs=1e-3)
+    readings = global_invariants(2, "real", 10_000, seed=3)
+    assert readings["image"]["gauss_bonnet_ratio"] == pytest.approx(1.0, abs=1e-3)
+    assert readings["domain"]["gauss_bonnet_ratio"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pi_functional_both_conventions():
-    gi = global_invariants(2, "real", 5000, seed=5)
+    readings = global_invariants(2, "real", 5000, seed=5)
+    gi, gd = readings["image"], readings["domain"]
     assert gi["pi_functional"] == pytest.approx(8 * math.pi, rel=5e-3)
     assert gi["alpha_norm_sq_mean"] == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert gi["scalar_curvature_mean"] == pytest.approx(2.0 / 3.0, abs=1e-9)
-    gd = global_invariants(2, "real", 5000, seed=5, metric="domain")
     assert gd["pi_functional"] == pytest.approx(2 * math.pi, rel=5e-3)
     assert gd["alpha_norm_sq_mean"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert gd["scalar_curvature_mean"] == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
 def test_sigma_quotient():
-    gi = global_invariants(3, "real", 5000, seed=11)
+    gi = global_invariants(3, "real", 5000, seed=11)["image"]
     assert gi["sigma_quotient"] == pytest.approx(6 * math.pi ** (4 / 3), rel=5e-3)
 
 
 def test_sigma_quotient_scale_invariance():
-    base = global_invariants(3, "real", 1000, seed=2)
-    doubled = global_invariants(3, "real", 1000, seed=2, metric_scale=2.0)
-    assert abs(doubled["sigma_quotient"] - base["sigma_quotient"]) < 1e-10
-    dom = global_invariants(3, "real", 1000, seed=2, metric="domain")
-    assert abs(dom["sigma_quotient"] - base["sigma_quotient"]) < 1e-10
+    readings = global_invariants(3, "real", 1000, seed=2)
+    image, dom = readings["image"], readings["domain"]
+    assert abs(dom["sigma_quotient"] - image["sigma_quotient"]) < 1e-10
 
 
 def test_total_scalar_matches_ratio():
-    gi = global_invariants(2, "real", 1000, seed=9)
+    gi = global_invariants(2, "real", 1000, seed=9)["image"]
     assert gi["total_scalar"] == pytest.approx(4 * math.pi * gi["gauss_bonnet_ratio"])
 
 
 def test_complex_global_invariants():
-    gi = global_invariants(2, "complex", 1000, seed=13)
+    gi = global_invariants(2, "complex", 1000, seed=13)["image"]
     assert gi["scalar_curvature_mean"] == pytest.approx(8.0, abs=1e-9)
     assert gi["alpha_norm_sq_mean"] == pytest.approx(4.0, abs=1e-9)
     assert "gauss_bonnet_ratio" not in gi
@@ -118,7 +117,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         integrate_quotient(ones, 2, "real", 0, seed=0)
     with pytest.raises(ValueError):
-        global_invariants(2, "real", 100, seed=0, metric="projective")
+        global_invariants(2, "real", 0, seed=0)
 
 
 def test_quotient_samples_deterministic():
@@ -130,8 +129,17 @@ def test_quotient_samples_deterministic():
 
 
 def test_per_metric_readings_equal_separate_calls():
-    both = measure.global_invariants_per_metric(2, "real", 500, 17, ("image", "domain"))
-    assert both["image"] == global_invariants(2, "real", 500, 17, metric="image")
-    assert both["domain"] == global_invariants(2, "real", 500, 17, metric="domain")
-    with pytest.raises(ValueError):
-        measure.global_invariants_per_metric(2, "real", 10, 0, ("image", "projective"))
+    # the image reading of one call equals the integrals taken one by one;
+    # the domain reading is the same field with the metric scaled by 1/lambda
+    both = global_invariants(2, "real", 500, 17)
+    image, domain = both["image"], both["domain"]
+    m = build(2, "real")
+    scalar = integrate_quotient(
+        lambda p: curvature_field(m, p)["scalar_curvature_gauss"], 2, "real", 500, 17)
+    assert image["volume"] == integrate_quotient(ones, 2, "real", 500, 17).value
+    assert image["total_scalar"] == scalar.value
+    lam = image["lambda_bar"]
+    assert domain["lambda_bar"] == lam
+    assert domain["volume"] == pytest.approx(image["volume"] / lam, rel=1e-14)
+    assert domain["scalar_curvature_mean"] == pytest.approx(
+        lam * image["scalar_curvature_mean"], rel=1e-14)

@@ -48,7 +48,7 @@ def test_detector_finds_private_uses():
         "geometry._tangent_bases"]
     assert private_uses("import veronese.cli\nveronese.cli._fmt(1.0)") == ["veronese.cli._fmt"]
     assert private_uses("import numpy as np\nnp._private\nself._cache") == []
-    assert private_uses("from . import geometry\ngeometry.frame.__doc__") == []
+    assert private_uses("from . import geometry\ngeometry.tangent_bases.__doc__") == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from veronese.constants import radius_pow4
 from veronese.construct import build
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               exact_norm_identity_deviation,
@@ -129,7 +128,7 @@ def test_norm_identity_at_zero_and_scaling():
                                    + [("complex", n) for n in range(1, 5)])
 def test_norm_identity_sampled(field, n):
     m = build(n, field)
-    assert norm_identity_residual(m, radius_pow4(n), 1000, seed=5 * n) < 1e-12
+    assert norm_identity_residual(m, 1000, seed=5 * n) < 1e-12
 
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
