@@ -218,6 +218,8 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
         raise ValueError(f"n_max_complex must be in 1..{caps['complex']}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not 0.0 <= homothety_tol < math.inf:
+        raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
     entries = []
 
     # --- exact sequence claims -------------------------------------------

@@ -120,29 +120,43 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
 
 
 def _pushforward(map_: QuadMap, points):
-    """The tangent_bases at the points, their images under the differential,
-    shape (p, d, K), and the pullback factor (mean diagonal of the pullback
-    Gram matrix) with its anisotropy (worst deviation from that multiple
-    of I) at each point."""
-    points = np.asarray(points)
+    """The map's real stack, the tangent_bases as real rows (p, d, M), their
+    images under the differential (p, d, K), and at each point the pullback
+    factor (mean diagonal of the pullback Gram matrix) and its anisotropy
+    (worst deviation from that multiple of I).
+
+    The real stack is the (M, M*K) matrix of entries S_k[i, j] at (i, j*K + k),
+    S_k = A_k for a real map; for a complex one S_k = [[Re A_k, -Im A_k],
+    [Im A_k, Re A_k]] on rows [Re z, Im z], the form of Re(conj(z)^T A_k w).
+    Products are batched over points, so no point depends on its batch.
+    """
+    comps = map_.components
+    if map_.field == "complex":
+        comps = np.block([[comps.real, -comps.imag], [comps.imag, comps.real]])
+    stack = np.ascontiguousarray(comps.transpose(1, 2, 0)).reshape(comps.shape[1], -1)
     bases = tangent_bases(map_, points)
-    tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
-    gram = np.einsum("pbk,pck->pbc", tangent, tangent)
-    d = bases.shape[1]
+    rows = np.concatenate([np.asarray(points)[:, None], bases], axis=1)  # x, then the bases
+    if map_.field == "complex":
+        rows = np.concatenate([rows.real, rows.imag], axis=2)
+    dx = rows[:, :1] @ stack                     # x^T S_k for every k, (p, 1, M*K)
+    rows = rows[:, 1:]
+    p, d, m = rows.shape
+    tangent = 2.0 * (rows @ dx.reshape(p, m, -1))
+    gram = tangent @ tangent.transpose(0, 2, 1)
     lam = np.trace(gram, axis1=1, axis2=2) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    return bases, tangent, lam, anis
+    return stack, rows, tangent, lam, anis
 
 
 def tangent_images(map_: QuadMap, points) -> np.ndarray:
     """Pushforward of the tangent_bases at the points, shape (p, d, K)."""
-    return _pushforward(map_, points)[1]
+    return _pushforward(map_, points)[2]
 
 
 def pullback_factor(map_: QuadMap, points) -> tuple[np.ndarray, np.ndarray]:
     """Mean diagonal of the pullback Gram matrix at each point, and its worst
     deviation from that multiple of I, as two (p,) arrays."""
-    return _pushforward(map_, points)[2:]
+    return _pushforward(map_, points)[3:]
 
 
 def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
@@ -152,34 +166,36 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
     the constant coefficient matrices: for a circle with initial velocity w
     the component accelerations are 2 q(w, w) - (2 |w|^2 / r^2) map(x), and
     polarization in w is exact because q is bilinear.  The normal part
-    (orthogonal to the image point and the image tangent space) transformed
+    (orthogonal to the image point and the image tangent space, one
+    orthonormal frame since |map|^2 is constant on the sphere) transformed
     into the Gram-Schmidt-orthonormalized image frame is the second
     fundamental form of the image inside the unit sphere.
     """
-    bases, tangent, lam, anis = _pushforward(map_, points)
+    stack, rows, tangent, lam, anis = _pushforward(map_, points)
     images = evaluate(map_, points)
     worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
         raise ValueError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
 
-    q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
+    q_hat, r_tri = np.linalg.qr(tangent.transpose(0, 2, 1))
     pivots = np.abs(np.diagonal(r_tri, axis1=1, axis2=2))
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
 
-    conj_bases = np.conj(bases)
-    q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
-    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
-    radius = constants.radius(map_.n)
-    acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
+    p, d, m = rows.shape
+    # acc[a, b, k] = 2 B_a^T S_k B_b - (2 / r^2) (B_a . B_b) map(x)_k
+    acc = rows[:, None] @ (rows @ stack).reshape(p, d, m, -1)
+    acc *= 2.0
+    gram_dom = rows @ rows.transpose(0, 2, 1)
+    acc -= (2.0 / constants.radius(map_.n)**2) * gram_dom[..., None] * images[:, None, None, :]
+    frame = np.concatenate([images[:, :, None], q_hat], axis=2)
+    flat = acc.reshape(p, d * d, -1)
+    flat -= (flat @ frame) @ frame.transpose(0, 2, 1)
 
-    radial = np.einsum("pabk,pk->pab", acc, images)
-    acc = acc - radial[..., None] * images[:, None, None, :]
-    tang = np.einsum("pabk,pkc->pabc", acc, q_hat)
-    acc = acc - np.einsum("pabc,pkc->pabk", tang, q_hat)
-
-    r_inv = np.linalg.inv(r_tri)
-    alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
+    # alpha[:, :, k] = R^-T acc[:, :, k] R^-1, one product per side
+    r_inv_t = np.linalg.inv(r_tri).transpose(0, 2, 1)
+    acc = (r_inv_t @ acc.reshape(p, d, -1)).reshape(acc.shape)
+    alpha = r_inv_t[:, None] @ acc
     return {"alpha": alpha, "lambda": lam, "anisotropy": anis}
 
 
@@ -197,8 +213,11 @@ def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
 
     Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
     'mean_curvature_norm' and 'scalar_curvature_gauss'; used for constancy
-    checks, quotient integration and, at one point, geometry_report.
+    checks, quotient integration and, at one point, geometry_report.  Each
+    point's values are the same for every chunk_size.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         tangent_bases(map_, pts)  # raises its shape error
@@ -207,10 +226,9 @@ def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
         res = _curvature_chunk(map_, pts[start:start + chunk_size])
         a = res.pop("alpha")
         d = a.shape[1]
-        a2 = np.einsum("pabk,pabk->p", a, a)
-        hn = np.linalg.norm(np.einsum("paak->pk", a), axis=1)
-        res["alpha_norm_sq"] = a2
-        res["mean_curvature_norm"] = hn
+        flat = a.reshape(len(a), 1, -1)
+        a2 = res["alpha_norm_sq"] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]  # a dot per point
+        hn = res["mean_curvature_norm"] = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
         res["scalar_curvature_gauss"] = d * (d - 1) + hn * hn - a2
         parts.append(res)
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

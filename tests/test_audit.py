@@ -148,6 +148,10 @@ def test_audit_caps():
         run_claim_audit(6, 5, seed=0, samples=10)
     with pytest.raises(ValueError):
         run_claim_audit(2, 2, seed=0, samples=0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="homothety_tol"):
+            run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=tol)
+    assert run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=0.0)  # zero is a tolerance
 
 
 def test_entries_serialize_to_json():

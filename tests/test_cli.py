@@ -109,6 +109,8 @@ def test_usage_errors_exit_2():
     code, _ = run_cli(["verify", "--n-max", "0"])
     assert code == 2
     assert main(["report", "--field", "real", "--n", "2", "--metric", "projective"]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["verify", "--n-max", "2", "--samples", "50", "--tol", tol]) == 2
 
 
 def test_verify_level1_omits_minimality():

@@ -30,6 +30,31 @@ def real_gram(u, v):
     return np.real(np.conj(u) @ v.T)
 
 
+def dense_curvature(map_, points):
+    """The dense pipeline of unplanned three-operand einsums over the complex
+    stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy)."""
+    bases = tangent_bases(map_, points)
+    tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
+    gram = np.einsum("pbk,pck->pbc", tangent, tangent)
+    d = bases.shape[1]
+    lam = np.trace(gram, axis1=1, axis2=2) / d
+    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    images = evaluate(map_, points)
+    q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
+    conj_bases = np.conj(bases)
+    q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
+    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
+    radius = constants.radius(map_.n)
+    acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
+    radial = np.einsum("pabk,pk->pab", acc, images)
+    acc = acc - radial[..., None] * images[:, None, None, :]
+    tang = np.einsum("pabk,pkc->pabc", acc, q_hat)
+    acc = acc - np.einsum("pabc,pkc->pabk", tang, q_hat)
+    r_inv = np.linalg.inv(r_tri)
+    alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
+    return alpha, lam, anis
+
+
 def fd_pullback(map_, point, basis, h=1e-5):
     """Metric pullback through central-difference directional derivatives."""
     cols = [(evaluate(map_, point + h * v) - evaluate(map_, point - h * v)) / (2 * h)
@@ -271,3 +296,36 @@ def test_curvature_rejects_images_off_the_unit_sphere():
     half = QuadMap(n=1, components=0.5 * build(1, "real").components)
     with pytest.raises(ValueError, match="off the unit sphere"):
         curvature_field(half, sample_points(1, "real", 2, seed=3))
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_planned_kernel_matches_dense_oracle(field, cap):
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        pts = sample_points(n, field, 3, seed=120 + n)
+        alpha_ref, lam_ref, anis_ref = dense_curvature(m, pts)
+        assert_allclose(lam_ref, closed_form_lambda(n), rtol=1e-10, atol=0)
+        lam, anis = pullback_factor(m, pts)
+        assert_allclose(lam, lam_ref, rtol=1e-13, atol=0)
+        assert_allclose(anis, anis_ref, rtol=0, atol=1e-13 * np.max(lam_ref))
+        alpha = second_fundamental_form(m, pts)
+        assert alpha.shape == alpha_ref.shape
+        # level 1 has codimension 0, where alpha is rounding noise
+        scale = float(np.max(np.abs(alpha_ref))) if n > 1 else 1.0
+        assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_curvature_field_does_not_depend_on_chunk_size(field, cap):
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        pts = sample_points(n, field, 8, seed=140 + n)
+        whole = curvature_field(m, pts)
+        for size in (1, 7):
+            chunked = curvature_field(m, pts, chunk_size=size)
+            for key, value in whole.items():
+                assert np.array_equal(chunked[key], value), (n, size, key)
+    with pytest.raises(ValueError, match="chunk_size"):
+        curvature_field(m, pts, chunk_size=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        curvature_field(m, pts, chunk_size=-1)

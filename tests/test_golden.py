@@ -16,23 +16,23 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "ff98731d580bedcfa5e9b46f3f2756a6a86c16601f65125982c5e2806241d28a",
+        "2933db750edd2a418fd4ed9f629110938c41940efacd041e4f257f7f2fc6491d",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "20a1f9299bf62ec504ac9792ef7bc703f55c3532a419a481845689f40bc19762",
+        "fd6fa1b80f4363befe51f8b0b383128ab4d35e75b75cdb0361be2073909c6da5",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "b91b65f062060e56df0a9fff8f3305302db92bb03fdd9440a34b4282b999d2dd",
+        "c479867bcd1460bb4e4e236d32ddd347c8ec15253ae5bf68a3074695684e551a",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "53cc27b243fcd3e04c9af8e99d08c694830f4badc4b47b3707e664d98dac341a",
+        "c29c177d45ba5cbbbfa55c707003aac39810bc15ca62f6853af56d4d033e3746",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "059aab8659a4793b8e3af93c4c1c1408dfb0d7fd9abc738eaa4e6c26df217d94",
+        "2c89463aa92c0a34a7bb146109ac876ec9bc00d2f7e8ab07bab36e2c28f5cc14",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "170110b6dd630ce55a10a3b4e405ea677e46ef2ac086945312ef2951e5fde910",
+        "99a6edae831c442f92bc87eda96563f61c561cd87dba1e962c249a4ebe063182",
     "report --field real --n 2 --samples 500 --metric image":
         "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
     "report --field real --n 2 --samples 500 --metric domain":
         "346edff2368b3c48f29a824d66d2e10b2f9eeb5618a7cab1e4fdcde0e389e817",
     "report --field complex --n 3 --samples 500":
-        "ebfad0cc1d10a6bd28974dd209e4acf5c9f27e5e4409710a0b3a27ce55e2fe65",
+        "912cfe35aec839519dacaa056c8db5d56efdb130ebafc67d6b7ec00229812bf9",
     "emit --field real --n 1":
         "eb8ef9f583f1ce6887ceb56344713960e311994b2e33d25c61e7072be18f67c5",
     "emit --field real --n 2":
