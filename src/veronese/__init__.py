@@ -1,8 +1,8 @@
 """Inductive quadratic sphere embeddings of real and complex projective
 spaces, with exact constants and numerical verification of their geometry."""
 
-from .constants import (EmbeddingConstants, ambient_dims, radius, radius_pow4,
-                        rational_str, step_constants)
+from .constants import (ambient_dims, radius, radius_pow4, rational_str,
+                        step_constants)
 from .construct import build, hopf
 from .geometry import (GeometryReport, canonical_point, curvature_field,
                        geometry_report, laplace_residual, pullback_factor,
@@ -11,15 +11,14 @@ from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
                       jacobian, norm_identity_residual, real_restriction,
-                      to_json, to_json_dict)
+                      to_json_dict)
 from .audit import (ClaimAuditEntry, diagram_check, fiber_checks,
                     run_claim_audit)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmbeddingConstants", "ambient_dims", "radius", "radius_pow4",
-    "rational_str", "step_constants",
+    "ambient_dims", "radius", "radius_pow4", "rational_str", "step_constants",
     "build", "hopf",
     "GeometryReport", "canonical_point", "curvature_field", "geometry_report",
     "laplace_residual",
@@ -29,6 +28,6 @@ __all__ = [
     "sphere_volume",
     "QuadMap", "StructuralError", "evaluate",
     "harmonicity_traces", "jacobian", "norm_identity_residual",
-    "real_restriction", "to_json", "to_json_dict",
+    "real_restriction", "to_json_dict",
     "ClaimAuditEntry", "diagram_check", "fiber_checks", "run_claim_audit",
 ]

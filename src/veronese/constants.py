@@ -7,10 +7,8 @@ Square roots are taken in floating point at map-build time only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 MAX_LEVEL = 12  # the radius sequence needs (n-1)!; kept at desk scale on purpose
 
@@ -78,39 +76,3 @@ def rational_str(q) -> str:
     """Serialize an exact rational as "p/q"; the denominator is always written."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class EmbeddingConstants:
-    """All exact constants attached to one level of the induction."""
-
-    n: int
-    radius_pow4: Fraction
-    a_sq: Optional[Fraction]
-    b_sq: Optional[Fraction]
-    dim_real_ambient: int
-    dim_complex_ambient: int
-
-    @classmethod
-    def at_level(cls, n: int) -> "EmbeddingConstants":
-        check_level(n)
-        a_sq, b_sq = step_constants(n) if n >= 2 else (None, None)
-        dim_r, dim_c = ambient_dims(n)
-        return cls(n=n, radius_pow4=radius_pow4(n), a_sq=a_sq, b_sq=b_sq,
-                   dim_real_ambient=dim_r, dim_complex_ambient=dim_c)
-
-    @property
-    def radius(self) -> float:
-        return float(self.radius_pow4) ** 0.25
-
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "radius_pow4": rational_str(self.radius_pow4),
-            "dim_real_ambient": self.dim_real_ambient,
-            "dim_complex_ambient": self.dim_complex_ambient,
-        }
-        if self.a_sq is not None:
-            out["a_sq"] = rational_str(self.a_sq)
-            out["b_sq"] = rational_str(self.b_sq)
-        return out

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import constants
-from .quadmap import QuadMap, StructuralError, evaluate
+from .quadmap import QuadMap, StructuralError, chunks, evaluate
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 RANK_TOL = 1e-10         # smallest acceptable triangular pivot, relative
@@ -120,32 +120,23 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
 
 
 def _pushforward(map_: QuadMap, points):
-    """The map's real stack, the tangent_bases as real rows (p, d, M), their
-    images under the differential (p, d, K), and at each point the pullback
-    factor (mean diagonal of the pullback Gram matrix) and its anisotropy
-    (worst deviation from that multiple of I).
+    """The points and their tangent_bases as real rows of the map's stack
+    (p, 1 + d, M), the point rows times the stack, x^T S_k for every k
+    (p, 1, M*K), the images of the bases under the differential (p, d, K),
+    and at each point the pullback factor (mean diagonal of the pullback Gram
+    matrix) and its anisotropy (worst deviation from that multiple of I).
 
-    The real stack is the (M, M*K) matrix of entries S_k[i, j] at (i, j*K + k),
-    S_k = A_k for a real map; for a complex one S_k = [[Re A_k, -Im A_k],
-    [Im A_k, Re A_k]] on rows [Re z, Im z], the form of Re(conj(z)^T A_k w).
     Products are batched over points, so no point depends on its batch.
     """
-    comps = map_.components
-    if map_.field == "complex":
-        comps = np.block([[comps.real, -comps.imag], [comps.imag, comps.real]])
-    stack = np.ascontiguousarray(comps.transpose(1, 2, 0)).reshape(comps.shape[1], -1)
     bases = tangent_bases(map_, points)
-    rows = np.concatenate([np.asarray(points)[:, None], bases], axis=1)  # x, then the bases
-    if map_.field == "complex":
-        rows = np.concatenate([rows.real, rows.imag], axis=2)
-    dx = rows[:, :1] @ stack                     # x^T S_k for every k, (p, 1, M*K)
-    rows = rows[:, 1:]
-    p, d, m = rows.shape
-    tangent = 2.0 * (rows @ dx.reshape(p, m, -1))
+    rows = map_.real_rows(np.concatenate([np.asarray(points)[:, None], bases], axis=1))
+    dx = rows[:, :1] @ map_.stack
+    p, d, m = bases.shape[0], bases.shape[1], rows.shape[2]
+    tangent = 2.0 * (rows[:, 1:] @ dx.reshape(p, m, -1))
     gram = tangent @ tangent.transpose(0, 2, 1)
     lam = np.trace(gram, axis1=1, axis2=2) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    return stack, rows, tangent, lam, anis
+    return rows, dx, tangent, lam, anis
 
 
 def tangent_images(map_: QuadMap, points) -> np.ndarray:
@@ -171,8 +162,9 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
     into the Gram-Schmidt-orthonormalized image frame is the second
     fundamental form of the image inside the unit sphere.
     """
-    stack, rows, tangent, lam, anis = _pushforward(map_, points)
-    images = evaluate(map_, points)
+    rows, dx, tangent, lam, anis = _pushforward(map_, points)
+    p, m = dx.shape[0], rows.shape[2]
+    images = (rows[:, :1] @ dx.reshape(p, m, -1))[:, 0]   # x^T S_k x, as evaluate
     worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
         raise ValueError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
@@ -182,9 +174,10 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
 
-    p, d, m = rows.shape
+    rows = rows[:, 1:]
+    d = rows.shape[1]
     # acc[a, b, k] = 2 B_a^T S_k B_b - (2 / r^2) (B_a . B_b) map(x)_k
-    acc = rows[:, None] @ (rows @ stack).reshape(p, d, m, -1)
+    acc = rows[:, None] @ (rows @ map_.stack).reshape(p, d, m, -1)
     acc *= 2.0
     gram_dom = rows @ rows.transpose(0, 2, 1)
     acc -= (2.0 / constants.radius(map_.n)**2) * gram_dom[..., None] * images[:, None, None, :]
@@ -208,24 +201,25 @@ def second_fundamental_form(map_: QuadMap, points) -> np.ndarray:
     return _curvature_chunk(map_, np.asarray(points))["alpha"]
 
 
-def curvature_field(map_: QuadMap, points, chunk_size: int = 4096) -> dict:
+def curvature_field(map_: QuadMap, points) -> dict:
     """Curvature invariants at many points of the level sphere, chunked to bound memory.
 
     Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
     'mean_curvature_norm' and 'scalar_curvature_gauss'; used for constancy
     checks, quotient integration and, at one point, geometry_report.  Each
-    point's values are the same for every chunk_size.
+    point's values are the same for every chunk length.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         tangent_bases(map_, pts)  # raises its shape error
+    m, k = map_.stack.shape[0], map_.component_count
+    d = map_.n * (m // map_.domain_dim)  # real tangent dimension, fiber removed
     parts = []
-    for start in range(0, pts.shape[0], chunk_size):
-        res = _curvature_chunk(map_, pts[start:start + chunk_size])
+    # per point: the (d, M*K) products of the rows with the stack and two (d, d, K)
+    # accelerations
+    for part in chunks(len(pts), 8 * d * k * (m + 2 * d)):
+        res = _curvature_chunk(map_, pts[part])
         a = res.pop("alpha")
-        d = a.shape[1]
         flat = a.reshape(len(a), 1, -1)
         a2 = res["alpha_norm_sq"] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]  # a dot per point
         hn = res["mean_curvature_norm"] = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)

@@ -6,12 +6,16 @@ coefficient stack: real symmetric matrices give a map of R^{n+1} (where
 z* A z is x^T A x), complex Hermitian ones a map of C^{n+1}, in which
 pairs of components encode the real and imaginary parts of the complex
 cross terms of the construction.
+
+Every product with the map goes through one real kernel: a complex map
+acts on rows [Re z, Im z] through S_k = [[Re A_k, -Im A_k], [Im A_k, Re A_k]],
+the real symmetric form of Re(conj(z)^T A_k w), and a real map through
+S_k = A_k.  The map builds that realified stack once.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,18 +26,24 @@ from .sampling import ball_points, complex_ball_points
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
 HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
+# Working memory one batched kernel (evaluate, a curvature chunk) may hold at
+# once; each divides it by its own per-point footprint.  At 2 MiB a 5000-point
+# cloud at the top levels peaks no higher than one unchunked evaluate did.
+CHUNK_BYTES = 1 << 21
 
 
 class StructuralError(RuntimeError):
     """A built map violates structure the construction is supposed to guarantee."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class QuadMap:
     """Map F^{n+1} -> R^K by K Hermitian forms; F is R for a real stack, C for a complex one."""
 
     n: int
     components: np.ndarray  # (K, n+1, n+1) float64 or complex128
+    # (M, M*K) realified stack, S_k[i, j] at (i, j*K + k); M = n+1 real, 2(n+1) complex
+    stack: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = np.asarray(self.components)
@@ -50,9 +60,10 @@ class QuadMap:
         elif not np.array_equal(comps, adjoint):
             raise ValueError("coefficient matrices must be exactly symmetric")
         object.__setattr__(self, "components", comps)
-
-    def __call__(self, point):
-        return evaluate(self, point)
+        if np.iscomplexobj(comps):
+            comps = np.block([[comps.real, -comps.imag], [comps.imag, comps.real]])
+        stack = np.ascontiguousarray(comps.transpose(1, 2, 0)).reshape(comps.shape[1], -1)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def field(self) -> str:
@@ -65,6 +76,19 @@ class QuadMap:
     @property
     def domain_dim(self) -> int:
         return self.n + 1
+
+    def real_rows(self, points) -> np.ndarray:
+        """Points of the domain as rows of the real stack: [Re z, Im z] for a complex map."""
+        if self.field == "complex":
+            return np.concatenate([points.real, points.imag], axis=-1)
+        return points
+
+
+def chunks(count: int, point_bytes: int) -> list[slice]:
+    """Slices covering range(count), each holding at most CHUNK_BYTES of a
+    kernel whose working memory is point_bytes per point (one point at least)."""
+    step = max(1, CHUNK_BYTES // point_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _as_domain_points(map_, point):
@@ -80,9 +104,19 @@ def _as_domain_points(map_, point):
 
 
 def evaluate(map_: QuadMap, point) -> np.ndarray:
-    """Evaluate the map; accepts a single point or a batch with points in the last axis."""
+    """Evaluate the map; accepts a single point or a batch with points in the last axis.
+
+    Each image is x^T S_k x for the point's real row x, taken as x . (x^T S)
+    one point at a time, so no value depends on its batch.
+    """
     pts = _as_domain_points(map_, point)
-    return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
+    flat = pts.reshape(-1, map_.domain_dim)
+    m, k = map_.stack.shape[0], map_.component_count
+    out = np.empty((len(flat), k))
+    for part in chunks(len(flat), 8 * m * k):
+        x = map_.real_rows(flat[part])[:, None]
+        out[part] = (x @ (x @ map_.stack).reshape(-1, m, k))[:, 0]
+    return out.reshape(pts.shape[:-1] + (k,))
 
 
 def jacobian(map_: QuadMap, point) -> np.ndarray:
@@ -181,10 +215,6 @@ def to_json_dict(map_: QuadMap) -> dict:
         "radius_pow4": rational_str(radius_pow4(map_.n)),
         "components": comp_list,
     }
-
-
-def to_json(map_: QuadMap, indent=2) -> str:
-    return json.dumps(to_json_dict(map_), indent=indent)
 
 
 def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:

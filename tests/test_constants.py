@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from veronese import constants
-from veronese.constants import (EmbeddingConstants, ambient_dims, radius_pow4,
-                                rational_str, step_constants)
+from veronese.constants import (ambient_dims, radius_pow4, rational_str,
+                                step_constants)
 
 
 def test_radius_base_values():
@@ -79,17 +79,3 @@ def test_rational_serialization():
     assert rational_str(Fraction(9, 4)) == "9/4"
     assert rational_str(Fraction(1)) == "1/1"
     assert rational_str(Fraction(-3, 6)) == "-1/2"
-
-
-def test_embedding_constants_bundle():
-    c2 = EmbeddingConstants.at_level(2)
-    assert c2.radius_pow4 == Fraction(9, 4)
-    assert (c2.a_sq, c2.b_sq) == (4, Fraction(1, 3))
-    assert (c2.dim_real_ambient, c2.dim_complex_ambient) == (4, 7)
-    assert c2.radius == pytest.approx(1.5 ** 0.5)
-    c1 = EmbeddingConstants.at_level(1)
-    assert c1.a_sq is None and c1.b_sq is None
-    d = c2.to_dict()
-    assert d["radius_pow4"] == "9/4"
-    assert d["a_sq"] == "4/1" and d["b_sq"] == "1/3"
-    assert "a_sq" not in c1.to_dict()

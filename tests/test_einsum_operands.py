@@ -1,14 +1,18 @@
-"""No einsum in the geometry kernel contracts more than two arrays at once.
+"""No einsum in the package or its scripts contracts more than two arrays at once.
 
 numpy evaluates an einsum of three or more operands in one unplanned pass
-over every index, which made it the bulk of a curvature run; the kernel
-spells each contraction as a batched product of two arrays instead.
+over every index, which made it the bulk of a curvature run and of
+evaluate; the kernels spell each contraction as a batched product of two
+arrays instead.
 """
 
 import ast
 from pathlib import Path
 
-GEOMETRY = Path(__file__).resolve().parent.parent / "src" / "veronese" / "geometry.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "veronese").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def wide_einsums(source: str) -> list[str]:
@@ -40,5 +44,6 @@ def test_detector_finds_wide_einsums():
     assert wide_einsums("np.einsum('pi,pi->p', v, v)\nnp.einsum(a, [0, 1], b, [1])") == []
 
 
-def test_geometry_has_no_wide_einsum():
-    assert wide_einsums(GEOMETRY.read_text()) == []
+@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
+def test_no_wide_einsum(path):
+    assert wide_einsums(path.read_text()) == []

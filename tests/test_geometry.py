@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from veronese import constants, geometry
+from veronese import constants, geometry, quadmap
 from veronese.construct import build
 from veronese.geometry import (GeometryReport, curvature_field, geometry_report,
                                laplace_residual, pullback_factor,
                                second_fundamental_form, tangent_bases)
 from veronese.quadmap import QuadMap, evaluate, jacobian
 from veronese.sampling import complex_sphere_points, sphere_points
+
+from test_quadmap import dense_evaluate
 
 
 def closed_form_lambda(n):
@@ -39,7 +41,7 @@ def dense_curvature(map_, points):
     d = bases.shape[1]
     lam = np.trace(gram, axis1=1, axis2=2) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    images = evaluate(map_, points)
+    images = dense_evaluate(map_, points)
     q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
     conj_bases = np.conj(bases)
     q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
@@ -316,16 +318,13 @@ def test_planned_kernel_matches_dense_oracle(field, cap):
 
 
 @pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
-def test_curvature_field_does_not_depend_on_chunk_size(field, cap):
+def test_curvature_field_does_not_depend_on_chunk_size(field, cap, monkeypatch):
     for n in range(1, cap + 1):
         m = build(n, field)
         pts = sample_points(n, field, 8, seed=140 + n)
         whole = curvature_field(m, pts)
-        for size in (1, 7):
-            chunked = curvature_field(m, pts, chunk_size=size)
-            for key, value in whole.items():
-                assert np.array_equal(chunked[key], value), (n, size, key)
-    with pytest.raises(ValueError, match="chunk_size"):
-        curvature_field(m, pts, chunk_size=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        curvature_field(m, pts, chunk_size=-1)
+        with monkeypatch.context() as patch:
+            patch.setattr(quadmap, "CHUNK_BYTES", 1)  # one point per chunk
+            single = curvature_field(m, pts)
+        for key, value in whole.items():
+            assert np.array_equal(single[key], value), (n, key)

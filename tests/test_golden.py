@@ -16,17 +16,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "2933db750edd2a418fd4ed9f629110938c41940efacd041e4f257f7f2fc6491d",
+        "7f70192c5041cf6da334ddb460b9e1e3521e0b9141c0196ee39de89b2874dee5",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "fd6fa1b80f4363befe51f8b0b383128ab4d35e75b75cdb0361be2073909c6da5",
+        "402428079436d32e6ce86db2f7c2202a9a5f5b58735360e2719a31b809863ffe",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "c479867bcd1460bb4e4e236d32ddd347c8ec15253ae5bf68a3074695684e551a",
+        "d2f865f7bd37b938d22e3363366f0bd31b09c8bf455133e94372153555ce5295",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "c29c177d45ba5cbbbfa55c707003aac39810bc15ca62f6853af56d4d033e3746",
+        "b803800dc3d707c98db53fe5d04fbb39b805db77b8024c5b163661359c0d5684",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "2c89463aa92c0a34a7bb146109ac876ec9bc00d2f7e8ab07bab36e2c28f5cc14",
+        "7e337a6043f84e9d3263a8e53e479ce57b8697f52345495705027bdb94f5c68b",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "99a6edae831c442f92bc87eda96563f61c561cd87dba1e962c249a4ebe063182",
+        "c6ad6ff3e0b6aadfaf56f7fdc9b77c2460462eecea87ffe9b3d8c030c2251273",
     "report --field real --n 2 --samples 500 --metric image":
         "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
     "report --field real --n 2 --samples 500 --metric domain":
@@ -74,9 +74,9 @@ GOLDEN = {
     "emit --field complex --n 8":
         "f5833e27d02ada7de935d3258b3caa1fc5371b792dde0f20c73c9d0a7a9991f7",
     "cloud --field real --n 3 --samples 200 --seed 5":
-        "55fa961a9bc9a34b57bcb33344f677522f6138847b1ff35ada49fb33fc6e5215",
+        "4b71ba50deb9b3a79dcd805b13d664b2f061c82e6507f7bc8eef289ddefd0b93",
     "cloud --field complex --n 2 --samples 200 --seed 5":
-        "f9b5a02ca95b9f5704e9922c1ac7328dce2e83a23059c2e453a87aea6f13957b",
+        "0c260091000ac3ecfe7776c91941bc29ba4ac706e2e44fbef0a0f75353bf4c54",
 }
 
 

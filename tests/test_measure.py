@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from veronese import measure
+from veronese import constants, measure
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import (IntegralEstimate, global_invariants,
@@ -143,3 +143,16 @@ def test_per_metric_readings_equal_separate_calls():
     assert domain["volume"] == pytest.approx(image["volume"] / lam, rel=1e-14)
     assert domain["scalar_curvature_mean"] == pytest.approx(
         lam * image["scalar_curvature_mean"], rel=1e-14)
+
+
+LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
+          for n in range(1, cap + 1)]
+
+
+@pytest.mark.parametrize("field,n", LEVELS)
+def test_curvature_integrands_take_the_constant_branch(field, n):
+    # the integrands are constants of the embedding, so both integrals are the
+    # closed-form volume times that constant, never a Monte-Carlo mean
+    for metric, reading in global_invariants(n, field, 1000, seed=60 + n).items():
+        assert reading["total_scalar_std_error"] == 0.0, metric
+        assert reading["pi_functional_std_error"] == 0.0, metric
