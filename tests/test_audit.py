@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from veronese import audit, geometry
+from veronese import audit, geometry, measure, quadmap
 from veronese.audit import (MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             fiber_checks, hard_failures, orbit_distance,
                             run_claim_audit)
@@ -176,3 +176,30 @@ def test_level2_curvature_field_computed_once(monkeypatch):
     # one 20-point sweep per audited level, then level 2 and level 3 once each
     assert len(calls) == 12
     assert sum(calls) == 10 * 20 + 2 * 300
+
+
+SAMPLERS = [(audit, "sphere_points"), (audit, "complex_sphere_points"),
+            (measure, "sphere_points"), (measure, "complex_sphere_points"),
+            (quadmap, "ball_points"), (quadmap, "complex_ball_points")]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_point_families_draw_distinct_points(seed, monkeypatch):
+    # no two draws of one sampler share a key or a point set (the complex
+    # level-1 geometry sweep used to repeat the first Hopf points)
+    draws = []
+    for module, name in SAMPLERS:
+        def record(dim, count, key, radius=1.0, _name=name, _draw=getattr(module, name)):
+            points = _draw(dim, count, key, radius=radius)
+            draws.append((_name, key, points))
+            return points
+        monkeypatch.setattr(module, name, record)
+    run_claim_audit(n_max_real=2, n_max_complex=2, seed=seed, samples=30)
+    assert {name for name, _, _ in draws} == {name for _, name in SAMPLERS}
+    keys = [(name, key) for name, key, _ in draws]
+    assert len(set(keys)) == len(keys)
+    for i, (name, _, a) in enumerate(draws):
+        for other, _, b in draws[i + 1:]:
+            rows = min(len(a), len(b))
+            if other == name and a.shape[1] == b.shape[1]:
+                assert not np.array_equal(a[:rows], b[:rows])

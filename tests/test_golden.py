@@ -16,17 +16,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "7f70192c5041cf6da334ddb460b9e1e3521e0b9141c0196ee39de89b2874dee5",
+        "f07e0d23879b3aae6333d2b09cf15a54a16374951bed75138e1c772437da415a",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "402428079436d32e6ce86db2f7c2202a9a5f5b58735360e2719a31b809863ffe",
+        "35d81a66f1eec331d2f1832f664c391affd313b2da4f94b32910fd7be70e18be",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "d2f865f7bd37b938d22e3363366f0bd31b09c8bf455133e94372153555ce5295",
+        "4ac2dc2dca74759e77dc190e1d57103ce2f0ac86e5ff99727a0c6a53b6da6d27",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "b803800dc3d707c98db53fe5d04fbb39b805db77b8024c5b163661359c0d5684",
+        "4c8cb62dda4a3e0ad329de25f8748add5b250fd94529680871b85b573911e69c",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "7e337a6043f84e9d3263a8e53e479ce57b8697f52345495705027bdb94f5c68b",
+        "e2969c9bf1b90c9340066f1f155d50380f076f59207118888c715314a0830e16",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "c6ad6ff3e0b6aadfaf56f7fdc9b77c2460462eecea87ffe9b3d8c030c2251273",
+        "2b3c9138287904ff7bf40217122f63a522c6730768e7f73414e647709f6da7fb",
     "report --field real --n 2 --samples 500 --metric image":
         "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
     "report --field real --n 2 --samples 500 --metric domain":
