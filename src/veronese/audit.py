@@ -32,7 +32,7 @@ MIN_SINGULAR_VALUE = 1e-8
 
 # distinct deterministic sub-seeds per check family: seed + j * _SEED_STRIDE + level,
 # where a family that draws several point sets also takes the next multiples
-# (fiber_checks 7..10, diagram_check 11..13), so every j names one draw
+# (fiber_checks 7..10, diagram_check 11..13), so no two draws of one field share a key
 _SEED_STRIDE = 0x9E3779B9
 
 

@@ -27,8 +27,9 @@ ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is
 RESTRICTION_MATCH_TOL = 1e-14
 HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
 # Working memory one batched kernel (evaluate, a curvature chunk) may hold at
-# once; each divides it by its own per-point footprint.  At 2 MiB a 5000-point
-# cloud at the top levels peaks no higher than one unchunked evaluate did.
+# once; each divides it by its own per-point footprint.  2 MiB keeps a large
+# evaluate batch near the size of its output and still gives the top-level
+# curvature chunks four to six points (shorter ones spend their time in overhead).
 CHUNK_BYTES = 1 << 21
 
 
