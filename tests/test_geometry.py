@@ -10,21 +10,14 @@ from veronese.geometry import (GeometryReport, curvature_field, geometry_report,
                                laplace_residual, pullback_factor,
                                second_fundamental_form, tangent_bases)
 from veronese.quadmap import QuadMap, evaluate, jacobian
-from veronese.sampling import complex_sphere_points, sphere_points
+from veronese.sampling import sphere_points
 
-from test_quadmap import dense_evaluate
+from test_quadmap import dense_evaluate, sample_points
 
 
 def closed_form_lambda(n):
     # pullback factor 2(n+1) / (n r_n^2), equal to 4 / (n sqrt((n-1)!))
     return 2.0 * (n + 1) / (n * constants.radius(n) ** 2)
-
-
-def sample_points(n, field, count, seed):
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_points(n + 1, count, seed, radius=r)
-    return complex_sphere_points(n + 1, count, seed, radius=r)
 
 
 def real_gram(u, v):

@@ -28,10 +28,11 @@ def dense_evaluate(map_, points):
     return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
 
 
-def level_points(field, n, count, seed, radius):
+def sample_points(n, field, count, seed):
+    r = constants.radius(n)
     if field == "real":
-        return sphere_points(n + 1, count, seed, radius=radius)
-    return complex_sphere_points(n + 1, count, seed, radius=radius)
+        return sphere_points(n + 1, count, seed, radius=r)
+    return complex_sphere_points(n + 1, count, seed, radius=r)
 
 
 def fd_jacobian(map_, point, h=1e-5):
@@ -80,7 +81,7 @@ def test_evaluate_batches():
 @pytest.mark.parametrize("field,n", LEVELS)
 def test_evaluate_matches_dense_oracle(field, n):
     m = build(n, field)
-    on_sphere = level_points(field, n, 50, 200 + n, constants.radius(n))
+    on_sphere = sample_points(n, field, 50, 200 + n)
     sampler = ball_points if field == "real" else complex_ball_points
     in_ball = sampler(n + 1, 50, 300 + n, radius=2.0)
     for pts in (on_sphere, in_ball):
@@ -93,7 +94,7 @@ def test_evaluate_matches_dense_oracle(field, n):
 @pytest.mark.parametrize("field,n", LEVELS)
 def test_evaluate_does_not_depend_on_chunking(field, n, monkeypatch):
     m = build(n, field)
-    pts = level_points(field, n, 12, 400 + n, constants.radius(n))
+    pts = sample_points(n, field, 12, 400 + n)
     whole = evaluate(m, pts)
     assert whole.shape == (12, m.component_count)
     assert np.array_equal(np.stack([evaluate(m, p) for p in pts]), whole)
