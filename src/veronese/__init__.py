@@ -4,9 +4,9 @@ spaces, with exact constants and numerical verification of their geometry."""
 from .constants import (ambient_dims, radius, radius_pow4, rational_str,
                         step_constants)
 from .construct import build, hopf
-from .geometry import (GeometryReport, canonical_point, curvature_field,
-                       geometry_report, laplace_residual, pullback_factor,
-                       second_fundamental_form, tangent_bases, tangent_images)
+from .geometry import (canonical_point, curvature_field, laplace_residual,
+                       pullback_factor, second_fundamental_form, tangent_bases,
+                       tangent_images)
 from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ambient_dims", "radius", "radius_pow4", "rational_str", "step_constants",
     "build", "hopf",
-    "GeometryReport", "canonical_point", "curvature_field", "geometry_report",
-    "laplace_residual",
+    "canonical_point", "curvature_field", "laplace_residual",
     "pullback_factor", "second_fundamental_form", "tangent_bases",
     "tangent_images",
     "IntegralEstimate", "global_invariants", "integrate_quotient",

@@ -14,7 +14,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from . import audit, constants, construct, geometry, measure
+from . import audit, constants, construct, measure
 from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import evaluate, to_json_dict
 
@@ -156,13 +156,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    map_ = construct.build(args.n, args.field)
-    rep = geometry.geometry_report(map_, geometry.canonical_point(map_))
-    gi = measure.global_invariants(args.n, args.field, args.samples, args.seed)[args.metric]
+    both = measure.global_invariants(args.n, args.field, args.samples, args.seed)
     pairs = [("n", args.n), ("field", args.field), ("metric", args.metric),
              ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
-    pairs += sorted(rep.to_dict().items())
-    pairs += sorted(gi.items())
+    pairs += sorted(both["canonical"].items())
+    pairs += sorted(both[args.metric].items())
     with _output(args.out) as stream:
         _render_mapping(pairs, args.format, stream)
     return 0

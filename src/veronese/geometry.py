@@ -18,8 +18,6 @@ factor, and nothing here silently picks one normalization.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from . import constants
@@ -29,19 +27,6 @@ FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 RANK_TOL = 1e-10         # smallest acceptable triangular pivot, relative
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 IMAGE_NORM_TOL = 1e-10   # image points must sit on the unit sphere
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    homothety_factor: float
-    anisotropy: float
-    alpha_norm_sq: float
-    mean_curvature_norm: float
-    scalar_curvature_gauss: float
-    effective_radius_sq: float
-
-    def to_dict(self) -> dict:
-        return {key: float(value) for key, value in asdict(self).items()}
 
 
 def _basis_real(unit_points: np.ndarray) -> np.ndarray:
@@ -206,8 +191,8 @@ def curvature_field(map_: QuadMap, points) -> dict:
 
     Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
     'mean_curvature_norm' and 'scalar_curvature_gauss'; used for constancy
-    checks, quotient integration and, at one point, geometry_report.  Each
-    point's values are the same for every chunk length.
+    checks and quotient integration.  Each point's values are the same for
+    every chunk length and every batch the point sits in.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -226,15 +211,6 @@ def curvature_field(map_: QuadMap, points) -> dict:
         res["scalar_curvature_gauss"] = d * (d - 1) + hn * hn - a2
         parts.append(res)
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
-def geometry_report(map_: QuadMap, point) -> GeometryReport:
-    """curvature_field at one point of the level sphere, with its effective squared radius."""
-    vals = {key: float(value[0])
-            for key, value in curvature_field(map_, np.asarray(point)[None]).items()}
-    lam = vals.pop("lambda")
-    return GeometryReport(homothety_factor=lam,
-                          effective_radius_sq=lam * constants.radius(map_.n) ** 2, **vals)
 
 
 def laplace_residual(map_: QuadMap, base_point) -> float:

@@ -38,16 +38,6 @@ _PHASES = (math.pi / 3.0, 1.0, 2.5)
 class IntegralEstimate:
     value: float
     std_error: float
-    sample_count: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "std_error": float(self.std_error),
-            "sample_count": int(self.sample_count),
-            "seed": int(self.seed),
-        }
 
 
 def sphere_volume(dim: int, r: float) -> float:
@@ -67,13 +57,6 @@ def quotient_samples(n: int, field: str, count: int, seed: int) -> np.ndarray:
     if field == "complex":
         return complex_sphere_points(n + 1, count, seed, radius=r)
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-
-
-def homothety_factor(n: int, field: str) -> float:
-    """Pullback factor of the level-n map, measured at a canonical point."""
-    map_ = construct.build(n, field)
-    lam, _ = geometry.pullback_factor(map_, geometry.canonical_point(map_)[None])
-    return float(lam[0])
 
 
 def _round_quotient(n: int, field: str) -> tuple[float, int]:
@@ -112,7 +95,7 @@ def _check_fiber_invariance(f, samples: np.ndarray, field: str):
         )
 
 
-def _estimate(values: np.ndarray, factor: float, sample_count: int, seed: int) -> IntegralEstimate:
+def _estimate(values: np.ndarray, factor: float) -> IntegralEstimate:
     values = np.asarray(values, dtype=float)
     first = float(values[0])
     spread = float(np.ptp(values))
@@ -122,9 +105,9 @@ def _estimate(values: np.ndarray, factor: float, sample_count: int, seed: int) -
         # Monte-Carlo mean stays as a cross-check
         if abs(mean - first) > 1e-9 * max(1.0, abs(first)):
             raise RuntimeError("constant integrand failed its Monte-Carlo cross-check")
-        return IntegralEstimate(factor * first, 0.0, sample_count, seed)
-    sd = float(np.std(values, ddof=1)) / math.sqrt(sample_count) if sample_count > 1 else 0.0
-    return IntegralEstimate(factor * mean, factor * sd, sample_count, seed)
+        return IntegralEstimate(factor * first, 0.0)
+    sd = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return IntegralEstimate(factor * mean, factor * sd)
 
 
 def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int) -> IntegralEstimate:
@@ -139,40 +122,51 @@ def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int) -> I
         raise ValueError("sample_count must be at least 1")
     samples = quotient_samples(n, field, sample_count, seed)
     _check_fiber_invariance(f, samples, field)
-    factor = quotient_volume_factor(n, field, homothety_factor(n, field))
+    map_ = construct.build(n, field)
+    lam, _ = geometry.pullback_factor(map_, geometry.canonical_point(map_)[None])
+    factor = quotient_volume_factor(n, field, float(lam[0]))
     values = np.asarray(f(samples), dtype=float)
     if values.shape != (sample_count,):
         raise ValueError("integrand must return one scalar per sample")
-    return _estimate(values, factor, sample_count, seed)
+    return _estimate(values, factor)
 
 
 def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
-    """Global invariants of the level-n quotient under both metric readings.
+    """Global invariants of the level-n quotient under both metric readings,
+    and the pointwise geometry at the canonical point.
 
-    Returns {"image": {...}, "domain": {...}} from one curvature field of the
-    samples; the domain metric is the image metric times t = 1/lambda.  Each
-    reading has the total scalar curvature, the integral of |alpha|^2 (the
-    bending-energy functional), the quotient volume and the homothety
+    Returns {"image": {...}, "domain": {...}, "canonical": {...}} from one
+    curvature field whose first row is the canonical point (r_n, 0, ..., 0)
+    and whose other rows are the samples.  lambda is read at the canonical
+    point; the domain metric is the image metric times t = 1/lambda.  Each
+    metric reading has the total scalar curvature, the integral of |alpha|^2
+    (the bending-energy functional), the quotient volume and the homothety
     factor; the Gauss-Bonnet ratio appears for the real level-2 surface and
     the normalized total scalar curvature (sigma quotient) for the real
-    level-3 space.
+    level-3 space.  The canonical reading has the image-metric invariants at
+    that point and its effective squared radius lambda r_n^2.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     map_ = construct.build(n, field)
     samples = quotient_samples(n, field, sample_count, seed)
-    lam = homothety_factor(n, field)
     _, d = _round_quotient(n, field)
 
-    geo = geometry.curvature_field(map_, samples)
+    geo = geometry.curvature_field(
+        map_, np.concatenate([geometry.canonical_point(map_)[None], samples]))
+    canonical = {key: float(value[0]) for key, value in geo.items()}
+    lam = canonical.pop("lambda")
+    canonical["homothety_factor"] = lam
+    canonical["effective_radius_sq"] = lam * constants.radius(n) ** 2
+    geo = {key: value[1:] for key, value in geo.items()}
     h_sq = geo["mean_curvature_norm"] ** 2
-    readings = {}
+    readings = {"canonical": canonical}
     for metric, t in (("image", 1.0), ("domain", 1.0 / lam)):
         factor = quotient_volume_factor(n, field, lam * t)
         scalar_vals = geo["scalar_curvature_gauss"] / t
         alpha_vals = d * (d - 1) + h_sq - scalar_vals
-        total_scalar = _estimate(scalar_vals, factor, sample_count, seed)
-        pi_functional = _estimate(alpha_vals, factor, sample_count, seed)
+        total_scalar = _estimate(scalar_vals, factor)
+        pi_functional = _estimate(alpha_vals, factor)
 
         out = {
             "lambda_bar": lam,

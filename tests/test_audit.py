@@ -173,9 +173,10 @@ def test_level2_curvature_field_computed_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "curvature_field", counting)
     run_claim_audit(6, 4, seed=0, samples=300)
-    # one 20-point sweep per audited level, then level 2 and level 3 once each
+    # one 20-point sweep per audited level, then level 2 and level 3 once each,
+    # their samples behind the canonical point
     assert len(calls) == 12
-    assert sum(calls) == 10 * 20 + 2 * 300
+    assert sum(calls) == 10 * 20 + 2 * 301
 
 
 SAMPLERS = [(audit, "sphere_points"), (audit, "complex_sphere_points"),

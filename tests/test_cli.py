@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from veronese import geometry
 from veronese.cli import main
 
 
@@ -70,6 +71,20 @@ def test_report_json():
     assert payload["homothety_factor"] == pytest.approx(2.0)
     assert payload["gauss_bonnet_ratio"] == pytest.approx(1.0, abs=1e-3)
     assert payload["radius_pow4"] == "9/4"
+
+
+@pytest.mark.parametrize("field,n", [("real", 2), ("complex", 3)])
+def test_report_takes_one_curvature_pass(field, n, monkeypatch):
+    # the canonical-point reading is the first row of the one curvature field
+    calls = []
+    for name in ("curvature_field", "pullback_factor"):
+        def count(map_, points, _name=name, _call=getattr(geometry, name)):
+            calls.append((_name, len(points)))
+            return _call(map_, points)
+        monkeypatch.setattr(geometry, name, count)
+    code, _ = run_cli(["report", "--field", field, "--n", str(n), "--samples", "40"])
+    assert code == 0
+    assert calls == [("curvature_field", 41)]
 
 
 def test_report_domain_metric():

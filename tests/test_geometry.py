@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from veronese import constants, geometry, quadmap
 from veronese.construct import build
-from veronese.geometry import (GeometryReport, curvature_field, geometry_report,
-                               laplace_residual, pullback_factor,
+from veronese.geometry import (curvature_field, laplace_residual, pullback_factor,
                                second_fundamental_form, tangent_bases)
 from veronese.quadmap import QuadMap, evaluate, jacobian
 from veronese.sampling import sphere_points
@@ -178,22 +177,9 @@ def test_curvature_invariants_values(field, n):
 def test_gauss_relation_consistency(n):
     # the Gauss-relation scalar curvature must equal the round value of the
     # measured induced metric, d(d-1) / (lambda r^2)
-    m = build(n, "real")
-    for p in sample_points(n, "real", 5, seed=70 + n):
-        rep = geometry_report(m, p)
-        round_value = n * (n - 1) / rep.effective_radius_sq
-        assert rep.scalar_curvature_gauss == pytest.approx(round_value, abs=1e-6)
-
-
-def test_geometry_report_fields():
-    rep = geometry_report(build(2, "real"), sample_points(2, "real", 1, seed=2)[0])
-    assert isinstance(rep, GeometryReport)
-    d = rep.to_dict()
-    assert set(d) == {"homothety_factor", "anisotropy", "alpha_norm_sq",
-                      "mean_curvature_norm", "scalar_curvature_gauss",
-                      "effective_radius_sq"}
-    assert all(isinstance(v, float) for v in d.values())
-    assert rep.effective_radius_sq == pytest.approx(3.0, abs=1e-12)
+    geo = curvature_field(build(n, "real"), sample_points(n, "real", 5, seed=70 + n))
+    round_value = n * (n - 1) / (geo["lambda"] * constants.radius(n) ** 2)
+    assert_allclose(geo["scalar_curvature_gauss"], round_value, rtol=0, atol=1e-6)
 
 
 def test_curvature_field_matches_pointwise():
@@ -202,11 +188,10 @@ def test_curvature_field_matches_pointwise():
     pts = sample_points(3, "real", 6, seed=91)
     batch = curvature_field(m, pts)
     for i, p in enumerate(pts):
-        rep = geometry_report(m, p)
         alpha = second_fundamental_form(m, p[None])[0]
         alpha_sq = float(np.sum(alpha * alpha))
         h_norm = float(np.linalg.norm(np.einsum("aak->k", alpha)))
-        assert batch["lambda"][i] == pytest.approx(rep.homothety_factor, abs=1e-13)
+        assert batch["lambda"][i] == pytest.approx(pullback_factor(m, p[None])[0][0], abs=1e-13)
         assert batch["alpha_norm_sq"][i] == pytest.approx(alpha_sq, abs=1e-12)
         assert batch["scalar_curvature_gauss"][i] == pytest.approx(
             3 * 2 + h_norm * h_norm - alpha_sq, abs=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from veronese import constants, measure
+from veronese import constants, geometry, measure
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import (IntegralEstimate, global_invariants,
@@ -145,6 +145,26 @@ def test_per_metric_readings_equal_separate_calls():
         lam * image["scalar_curvature_mean"], rel=1e-14)
 
 
+@pytest.mark.parametrize("field,n", [("real", 2), ("real", 12), ("complex", 8)])
+def test_canonical_reading_is_the_canonical_point_alone(field, n):
+    # the canonical row of the one curvature field equals a one-point field at
+    # that point, and it carries lambda for both metric readings
+    both = global_invariants(n, field, 50, seed=3)
+    canonical = both["canonical"]
+    assert set(canonical) == {"homothety_factor", "anisotropy", "alpha_norm_sq",
+                              "mean_curvature_norm", "scalar_curvature_gauss",
+                              "effective_radius_sq"}
+    m = build(n, field)
+    alone = curvature_field(m, geometry.canonical_point(m)[None])
+    lam = float(alone.pop("lambda")[0])
+    assert canonical["homothety_factor"] == lam
+    assert both["image"]["lambda_bar"] == both["domain"]["lambda_bar"] == lam
+    for key, value in alone.items():
+        assert canonical[key] == float(value[0]), key
+    assert canonical["effective_radius_sq"] == lam * constants.radius(n) ** 2
+    assert canonical["effective_radius_sq"] == pytest.approx(2.0 * (n + 1) / n, rel=1e-13)
+
+
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
           for n in range(1, cap + 1)]
 
@@ -153,6 +173,8 @@ LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
 def test_curvature_integrands_take_the_constant_branch(field, n):
     # the integrands are constants of the embedding, so both integrals are the
     # closed-form volume times that constant, never a Monte-Carlo mean
-    for metric, reading in global_invariants(n, field, 1000, seed=60 + n).items():
+    readings = global_invariants(n, field, 1000, seed=60 + n)
+    for metric in ("image", "domain"):
+        reading = readings[metric]
         assert reading["total_scalar_std_error"] == 0.0, metric
         assert reading["pi_functional_std_error"] == 0.0, metric
