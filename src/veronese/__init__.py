@@ -10,8 +10,7 @@ from .geometry import (canonical_point, curvature_field, laplace_residual,
 from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
-                      jacobian, norm_identity_residual, real_restriction,
-                      to_json_dict)
+                      norm_identity_residual, real_restriction, to_json_dict)
 from .audit import (ClaimAuditEntry, diagram_check, fiber_checks,
                     run_claim_audit)
 
@@ -26,7 +25,7 @@ __all__ = [
     "IntegralEstimate", "global_invariants", "integrate_quotient",
     "sphere_volume",
     "QuadMap", "StructuralError", "evaluate",
-    "harmonicity_traces", "jacobian", "norm_identity_residual",
+    "harmonicity_traces", "norm_identity_residual",
     "real_restriction", "to_json_dict",
     "ClaimAuditEntry", "diagram_check", "fiber_checks", "run_claim_audit",
 ]

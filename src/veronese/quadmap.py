@@ -16,8 +16,6 @@ S_k = A_k.  The map builds that realified stack once.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
-
 import numpy as np
 
 from .constants import ambient_dims, radius_pow4, rational_str
@@ -120,23 +118,6 @@ def evaluate(map_: QuadMap, point) -> np.ndarray:
     return out.reshape(pts.shape[:-1] + (k,))
 
 
-def jacobian(map_: QuadMap, point) -> np.ndarray:
-    """Differential at a single point; rows are ambient components.
-
-    Real maps: row k is 2 A_k x, one column per domain coordinate.
-    Complex maps: the domain is read as real coordinates
-    (x_0..x_n, y_0..y_n) for z = x + iy, giving rows (2 Re A_k z, 2 Im A_k z).
-    Exact analytic formulas; nothing is differenced.
-    """
-    pts = _as_domain_points(map_, point)
-    if pts.ndim != 1:
-        raise ValueError("jacobian expects a single point")
-    u = np.einsum("kij,j->ki", map_.components, pts)
-    if map_.field == "complex":
-        u = np.concatenate([u.real, u.imag], axis=1)
-    return 2.0 * u
-
-
 def harmonicity_traces(map_: QuadMap) -> np.ndarray:
     """Trace of every coefficient matrix; all zero iff all components are harmonic."""
     return np.trace(map_.components, axis1=1, axis2=2).real
@@ -216,34 +197,3 @@ def to_json_dict(map_: QuadMap) -> dict:
         "radius_pow4": rational_str(radius_pow4(map_.n)),
         "components": comp_list,
     }
-
-
-def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:
-    """Evaluate |map(x)|^2 - |x|^4 / r^4 in exact rational arithmetic.
-
-    Coefficients are reinterpreted as the exact rationals the stored doubles
-    denote, so the only residue measured here is coefficient rounding; no
-    floating-point evaluation error can enter.  Points must be rational
-    (Fraction entries for real maps, (Fraction, Fraction) pairs for complex).
-    """
-    r4 = radius_pow4(map_.n)
-    worst = Fraction(0)
-    for pt in points:
-        pairs = pt if map_.field == "complex" else [(x, 0) for x in pt]
-        zr = [Fraction(a) for a, _ in pairs]
-        zi = [Fraction(b) for _, b in pairs]
-        sq = sum(a * a + b * b for a, b in zip(zr, zi))
-        total = Fraction(0)
-        for mat in map_.components:
-            val = Fraction(0)
-            for i in range(len(zr)):
-                for j in range(len(zr)):
-                    are = Fraction(float(mat[i, j].real))
-                    aim = Fraction(float(mat[i, j].imag))
-                    # real part of A_ij conj(z_i) z_j
-                    val += are * (zr[i] * zr[j] + zi[i] * zi[j])
-                    val += aim * (zi[i] * zr[j] - zr[i] * zi[j])
-            total += val * val
-        dev = abs(total - sq * sq / r4)
-        worst = max(worst, dev)
-    return worst

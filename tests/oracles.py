@@ -1,0 +1,132 @@
+"""Independent oracles of the package's kernels, used only by the tests.
+
+Each recomputes a quantity the package computes another way: dense
+three-operand einsums over the complex coefficient stack, the analytic
+differential, central differences, and exact rational arithmetic.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from veronese import constants
+from veronese.constants import radius_pow4
+from veronese.geometry import tangent_bases
+from veronese.quadmap import QuadMap, evaluate
+from veronese.sampling import complex_sphere_points, sphere_points
+
+
+def sample_points(n, field, count, seed):
+    r = constants.radius(n)
+    if field == "real":
+        return sphere_points(n + 1, count, seed, radius=r)
+    return complex_sphere_points(n + 1, count, seed, radius=r)
+
+
+def dense_evaluate(map_, points):
+    """conj(z)^T A_k z as one three-operand einsum over the complex stack, kept
+    as an oracle for the batched real kernel of evaluate."""
+    pts = np.asarray(points, dtype=map_.components.dtype)
+    return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
+
+
+def jacobian(map_: QuadMap, point) -> np.ndarray:
+    """Differential at a single point; rows are ambient components.
+
+    Real maps: row k is 2 A_k x, one column per domain coordinate.
+    Complex maps: the domain is read as real coordinates
+    (x_0..x_n, y_0..y_n) for z = x + iy, giving rows (2 Re A_k z, 2 Im A_k z).
+    Exact analytic formulas; nothing is differenced.
+    """
+    pts = np.asarray(point, dtype=map_.components.dtype)
+    if pts.ndim != 1:
+        raise ValueError("jacobian expects a single point")
+    u = np.einsum("kij,j->ki", map_.components, pts)
+    if map_.field == "complex":
+        u = np.concatenate([u.real, u.imag], axis=1)
+    return 2.0 * u
+
+
+def fd_jacobian(map_, point, h=1e-5):
+    """Central-difference differential, the independent oracle for jacobian()."""
+    if map_.field == "real":
+        x = np.asarray(point, dtype=float)
+        cols = []
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            cols.append((evaluate(map_, x + e) - evaluate(map_, x - e)) / (2 * h))
+        return np.stack(cols, axis=1)
+    z = np.asarray(point, dtype=complex)
+    cols = []
+    for unit in [1.0, 1j]:
+        for j in range(z.size):
+            e = np.zeros_like(z)
+            e[j] = unit * h
+            cols.append((evaluate(map_, z + e) - evaluate(map_, z - e)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def dense_curvature(map_, points):
+    """The dense pipeline of unplanned three-operand einsums over the complex
+    stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy)."""
+    bases = tangent_bases(map_, points)
+    tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
+    gram = np.einsum("pbk,pck->pbc", tangent, tangent)
+    d = bases.shape[1]
+    lam = np.trace(gram, axis1=1, axis2=2) / d
+    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    images = dense_evaluate(map_, points)
+    q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
+    conj_bases = np.conj(bases)
+    q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
+    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
+    radius = constants.radius(map_.n)
+    acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
+    radial = np.einsum("pabk,pk->pab", acc, images)
+    acc = acc - radial[..., None] * images[:, None, None, :]
+    tang = np.einsum("pabk,pkc->pabc", acc, q_hat)
+    acc = acc - np.einsum("pabc,pkc->pabk", tang, q_hat)
+    r_inv = np.linalg.inv(r_tri)
+    alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
+    return alpha, lam, anis
+
+
+def fd_pullback(map_, point, basis, h=1e-5):
+    """Metric pullback through central-difference directional derivatives."""
+    cols = [(evaluate(map_, point + h * v) - evaluate(map_, point - h * v)) / (2 * h)
+            for v in basis]
+    t = np.stack(cols)
+    gram = t @ t.T
+    return float(np.trace(gram)) / basis.shape[0]
+
+
+def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:
+    """Evaluate |map(x)|^2 - |x|^4 / r^4 in exact rational arithmetic.
+
+    Coefficients are reinterpreted as the exact rationals the stored doubles
+    denote, so the only residue measured here is coefficient rounding; no
+    floating-point evaluation error can enter.  Points must be rational
+    (Fraction entries for real maps, (Fraction, Fraction) pairs for complex).
+    """
+    r4 = radius_pow4(map_.n)
+    worst = Fraction(0)
+    for pt in points:
+        pairs = pt if map_.field == "complex" else [(x, 0) for x in pt]
+        zr = [Fraction(a) for a, _ in pairs]
+        zi = [Fraction(b) for _, b in pairs]
+        sq = sum(a * a + b * b for a, b in zip(zr, zi))
+        total = Fraction(0)
+        for mat in map_.components:
+            val = Fraction(0)
+            for i in range(len(zr)):
+                for j in range(len(zr)):
+                    are = Fraction(float(mat[i, j].real))
+                    aim = Fraction(float(mat[i, j].imag))
+                    # real part of A_ij conj(z_i) z_j
+                    val += are * (zr[i] * zr[j] + zi[i] * zi[j])
+                    val += aim * (zi[i] * zr[j] - zr[i] * zi[j])
+            total += val * val
+        dev = abs(total - sq * sq / r4)
+        worst = max(worst, dev)
+    return worst

@@ -8,10 +8,10 @@ from veronese import constants, geometry, quadmap
 from veronese.construct import build
 from veronese.geometry import (curvature_field, laplace_residual, pullback_factor,
                                second_fundamental_form, tangent_bases)
-from veronese.quadmap import QuadMap, evaluate, jacobian
+from veronese.quadmap import QuadMap, evaluate
 from veronese.sampling import sphere_points
 
-from test_quadmap import dense_evaluate, sample_points
+from oracles import dense_curvature, fd_pullback, jacobian, sample_points
 
 
 def closed_form_lambda(n):
@@ -22,40 +22,6 @@ def closed_form_lambda(n):
 def real_gram(u, v):
     """Euclidean inner products of the rows, reading complex rows as real ones."""
     return np.real(np.conj(u) @ v.T)
-
-
-def dense_curvature(map_, points):
-    """The dense pipeline of unplanned three-operand einsums over the complex
-    stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy)."""
-    bases = tangent_bases(map_, points)
-    tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
-    gram = np.einsum("pbk,pck->pbc", tangent, tangent)
-    d = bases.shape[1]
-    lam = np.trace(gram, axis1=1, axis2=2) / d
-    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    images = dense_evaluate(map_, points)
-    q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
-    conj_bases = np.conj(bases)
-    q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
-    gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real
-    radius = constants.radius(map_.n)
-    acc = 2.0 * q_bil - (2.0 / radius**2) * gram_dom[..., None] * images[:, None, None, :]
-    radial = np.einsum("pabk,pk->pab", acc, images)
-    acc = acc - radial[..., None] * images[:, None, None, :]
-    tang = np.einsum("pabk,pkc->pabc", acc, q_hat)
-    acc = acc - np.einsum("pabc,pkc->pabk", tang, q_hat)
-    r_inv = np.linalg.inv(r_tri)
-    alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
-    return alpha, lam, anis
-
-
-def fd_pullback(map_, point, basis, h=1e-5):
-    """Metric pullback through central-difference directional derivatives."""
-    cols = [(evaluate(map_, point + h * v) - evaluate(map_, point - h * v)) / (2 * h)
-            for v in basis]
-    t = np.stack(cols)
-    gram = t @ t.T
-    return float(np.trace(gram)) / basis.shape[0]
 
 
 def test_frame_at_real_pole():

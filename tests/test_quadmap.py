@@ -9,50 +9,17 @@ from numpy.testing import assert_allclose
 from veronese import constants, quadmap
 from veronese.construct import build
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
-                              exact_norm_identity_deviation,
-                              harmonicity_traces, jacobian,
-                              norm_identity_residual, real_restriction,
-                              to_json_dict)
+                              harmonicity_traces, norm_identity_residual,
+                              real_restriction, to_json_dict)
 from veronese.sampling import (ball_points, complex_ball_points, complex_sphere_points,
                                sphere_points)
+
+from oracles import (dense_evaluate, exact_norm_identity_deviation, fd_jacobian,
+                     jacobian, sample_points)
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
           for n in range(1, cap + 1)]
-
-
-def dense_evaluate(map_, points):
-    """conj(z)^T A_k z as one three-operand einsum over the complex stack, kept
-    as an oracle for the batched real kernel of evaluate."""
-    pts = np.asarray(points, dtype=map_.components.dtype)
-    return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
-
-
-def sample_points(n, field, count, seed):
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_points(n + 1, count, seed, radius=r)
-    return complex_sphere_points(n + 1, count, seed, radius=r)
-
-
-def fd_jacobian(map_, point, h=1e-5):
-    """Central-difference differential, the independent oracle for jacobian()."""
-    if map_.field == "real":
-        x = np.asarray(point, dtype=float)
-        cols = []
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            cols.append((evaluate(map_, x + e) - evaluate(map_, x - e)) / (2 * h))
-        return np.stack(cols, axis=1)
-    z = np.asarray(point, dtype=complex)
-    cols = []
-    for unit in [1.0, 1j]:
-        for j in range(z.size):
-            e = np.zeros_like(z)
-            e[j] = unit * h
-            cols.append((evaluate(map_, z + e) - evaluate(map_, z - e)) / (2 * h))
-    return np.stack(cols, axis=1)
 
 
 def test_evaluate_real_base():
