@@ -2,7 +2,8 @@
 geometry, and export image point clouds.
 
 Exit codes: 0 on success (SCALE_DEPENDENT audit entries are reported but
-non-fatal), 1 on a hard invariant failure, 2 on usage errors.  Identical
+non-fatal), 1 on a hard invariant failure or a map that breaks the
+structure the construction guarantees, 2 on usage errors.  Identical
 configurations (seed included) produce byte-identical output.
 """
 
@@ -14,9 +15,11 @@ import json
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import audit, constants, construct, measure
 from .constants import FIELDS, LEVEL_CAPS
-from .quadmap import evaluate, to_json_dict
+from .quadmap import StructuralError, evaluate, to_json_dict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,6 +195,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
+    except (StructuralError, np.linalg.LinAlgError) as exc:
+        # a broken map or measurement, not a usage error (LinAlgError is a ValueError)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,8 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
     images = (rows[:, :1] @ dx.reshape(p, m, -1))[:, 0]   # x^T S_k x, as evaluate
     worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
-        raise ValueError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
+        raise StructuralError(f"image points are off the unit sphere "
+                              f"(worst deviation {worst:.3e})")
 
     q_hat, r_tri = np.linalg.qr(tangent.transpose(0, 2, 1))
     pivots = np.abs(np.diagonal(r_tri, axis1=1, axis2=2))

@@ -1,13 +1,15 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from veronese import geometry
+from veronese import construct, geometry
 from veronese.cli import main
+from veronese.quadmap import QuadMap
 
 
 def run_cli(argv):
@@ -152,3 +154,75 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "2", "--samples", "50"],
+    ["report", "--field", "real", "--n", "2", "--samples", "50"],
+    ["report", "--field", "complex", "--n", "2", "--samples", "50"],
+], ids=["verify", "report-real", "report-complex"])
+def test_broken_map_is_a_failure_not_a_usage_error(argv, monkeypatch, capsys):
+    # the level-2 map scaled by 1.001 no longer lands on the unit sphere
+    original = construct.build
+
+    def scaled(n, field):
+        map_ = original(n, field)
+        return QuadMap(n=n, components=1.001 * map_.components) if n == 2 else map_
+
+    monkeypatch.setattr(construct, "build", scaled)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: image points are off the unit sphere")
+
+
+def test_linalg_error_is_a_failure_not_a_usage_error(monkeypatch, capsys):
+    def singular(map_, points):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(geometry, "curvature_field", singular)
+    assert main(["report", "--field", "real", "--n", "2", "--samples", "10"]) == 1
+    assert capsys.readouterr().err == "error: Singular matrix\n"
+
+
+def _option(name, values):
+    return values.map(lambda value: f"--{name}={value}")
+
+
+TOLERANCES = st.one_of(st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e-8"]),
+                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
+SEEDS = st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                  st.integers(2**64, 2**70))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["emit", "verify", "report", "cloud"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(_option("n-max", st.integers(-1, 8))))
+        argv.append(draw(_option("tol", TOLERANCES)))
+    else:
+        argv.append(draw(_option("field", st.sampled_from(["real", "complex"]))))
+        argv.append(draw(_option("n", st.integers(-1, 14))))
+    if command != "emit":
+        # small sample counts only: the property is about inputs, not scale
+        argv.append(draw(_option("samples", st.integers(-2, 40))))
+        argv.append(draw(_option("seed", SEEDS)))
+    if command != "cloud":
+        argv.append(draw(_option("format", st.sampled_from(["table", "json", "csv"]))))
+    return argv
+
+
+@given(command_lines())
+@example(["verify", "--n-max=6", "--tol=nan", "--samples=40", "--seed=-1", "--format=json"])
+@example(["report", "--field=complex", "--n=8", "--samples=1", "--seed=18446744073709551616",
+          "--format=csv"])
+@example(["emit", "--field=real", "--n=0", "--format=table"])
+@example(["cloud", "--field=complex", "--n=9", "--samples=0", "--seed=0"])
+@settings(max_examples=100, deadline=None)
+def test_every_command_line_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -8,7 +8,7 @@ from veronese import constants, geometry, quadmap
 from veronese.construct import build
 from veronese.geometry import (curvature_field, laplace_residual, pullback_factor,
                                second_fundamental_form, tangent_bases)
-from veronese.quadmap import QuadMap, evaluate
+from veronese.quadmap import QuadMap, StructuralError, evaluate
 from veronese.sampling import sphere_points
 
 from oracles import dense_curvature, fd_pullback, jacobian, sample_points
@@ -240,7 +240,7 @@ def test_entry_points_reject_off_sphere_and_wrong_width(entry):
 def test_curvature_rejects_images_off_the_unit_sphere():
     # on-sphere domain points, but a map that does not land on the unit sphere
     half = QuadMap(n=1, components=0.5 * build(1, "real").components)
-    with pytest.raises(ValueError, match="off the unit sphere"):
+    with pytest.raises(StructuralError, match="off the unit sphere"):
         curvature_field(half, sample_points(1, "real", 2, seed=3))
 
 
