@@ -30,10 +30,19 @@ MC_REL_TOL = 1e-3
 SEPARATION_FLOOR = 1e-9
 MIN_SINGULAR_VALUE = 1e-8
 
-# distinct deterministic sub-seeds per check family: seed + j * _SEED_STRIDE + level,
-# where a family that draws several point sets also takes the next multiples
-# (fiber_checks 7..10, diagram_check 11..13), so no two draws of one field share a key
+# distinct deterministic sub-seeds per check family, all from _sub_seed:
+# seed + j * _SEED_STRIDE + level, where a family that draws several point sets
+# also takes the next multiples (fiber_checks 7..10, diagram_check 11..13), and
+# a complex draw adds the field term 32 * _SEED_STRIDE (so multiples 37, 39..42
+# and 55).  The complex samplers draw from the same stream as the real ones, so
+# without that term a real draw would reuse the normals of the complex draw keyed
+# alike; with it no two draws of one audit share a key.
 _SEED_STRIDE = 0x9E3779B9
+_FIELD_TERM = {"real": 0, "complex": 32 * _SEED_STRIDE}
+
+
+def _sub_seed(seed: int, family: int, level: int, field_name: str = "real") -> int:
+    return seed + family * _SEED_STRIDE + level + _FIELD_TERM[field_name]
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     for field_name, levels in level_range.items():
         worst = max(
             norm_identity_residual(construct.build(k, field_name), samples,
-                                   seed + 5 * _SEED_STRIDE + k)
+                                   _sub_seed(seed, 5, k, field_name))
             for k in levels
         )
         entries.append(_entry(
@@ -285,7 +294,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
 
     # --- fiber structure ---------------------------------------------------
     for field_name, levels in level_range.items():
-        reports = [fiber_checks(k, field_name, samples, seed + 7 * _SEED_STRIDE + k)
+        reports = [fiber_checks(k, field_name, samples, _sub_seed(seed, 7, k, field_name))
                    for k in levels]
         entries.append(_entry(
             f"fiber_invariance_{field_name}",
@@ -305,7 +314,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
 
     # --- diagram compatibility ---------------------------------------------
     diagram_levels = range(1, min(n_max_complex, LEVEL_CAPS["diagram"]["complex"]) + 1)
-    diag_reports = [diagram_check(k, min(samples, 200), seed + 11 * _SEED_STRIDE + k)
+    diag_reports = [diagram_check(k, min(samples, 200), _sub_seed(seed, 11, k))
                     for k in diagram_levels]
     entries.append(_entry(
         "diagram_real_restriction",
@@ -329,7 +338,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     for field_name, levels in level_range.items():
         for k in levels:
             sweeps[(field_name, k)] = _geometry_sweep(
-                k, field_name, seed + 23 * _SEED_STRIDE + k)
+                k, field_name, _sub_seed(seed, 23, k, field_name))
 
     homothety_dev = max(
         max(sw["anisotropy_max"], sw["lambda_spread"]) / sw["lambda_mean"]
@@ -359,7 +368,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             1.0, lam2, POINTWISE_TOL, scale_dependent=True,
             details={"jacobian_oracle": 2.0}))
 
-        readings = measure.global_invariants(2, "real", samples, seed + 17 * _SEED_STRIDE)
+        readings = measure.global_invariants(2, "real", samples, _sub_seed(seed, 17, 0))
         gi_img, gi_dom = readings["image"], readings["domain"]
         entries.append(_entry(
             "veronese_scalar_curvature",
@@ -393,7 +402,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
             details={"domain_metric_value": gi_dom["gauss_bonnet_ratio"]}))
 
     if n_max_real >= 3:
-        gi3 = measure.global_invariants(3, "real", samples, seed + 19 * _SEED_STRIDE)["image"]
+        gi3 = measure.global_invariants(3, "real", samples, _sub_seed(seed, 19, 0))["image"]
         expected_sigma = 6.0 * math.pi ** (4.0 / 3.0)
         entries.append(_entry(
             "sigma_quotient_level3",

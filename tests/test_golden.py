@@ -16,17 +16,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "f07e0d23879b3aae6333d2b09cf15a54a16374951bed75138e1c772437da415a",
+        "a6779a4a7bd7f400d7a5ba620880779148206932be1d3a0890d5a61fbe49d94e",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "35d81a66f1eec331d2f1832f664c391affd313b2da4f94b32910fd7be70e18be",
+        "0d6b6a7eaaa120829d45d5bcb483d257a88413c80c74071fffb7b5162df32397",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "4ac2dc2dca74759e77dc190e1d57103ce2f0ac86e5ff99727a0c6a53b6da6d27",
+        "73e804cf75789f95fe54f40d5d53fe308b9572ddf8c2d7c97328a5dab99b4c40",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "4c8cb62dda4a3e0ad329de25f8748add5b250fd94529680871b85b573911e69c",
+        "3b0ff05ad9329e06140dc347d4da050dcb3b4a80f1022225d80884b31ae1a9ba",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "e2969c9bf1b90c9340066f1f155d50380f076f59207118888c715314a0830e16",
+        "e19cb315ed06a9e188b8d47b050538599002a1032091f19bef9504c4de664d9f",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "2b3c9138287904ff7bf40217122f63a522c6730768e7f73414e647709f6da7fb",
+        "0e9b01a587af6bcd75bef77f3b17af9632bd760d4c0ed909fd20e442e367c57b",
     "report --field real --n 2 --samples 500 --metric image":
         "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
     "report --field real --n 2 --samples 500 --metric domain":
