@@ -30,13 +30,11 @@ MC_REL_TOL = 1e-3
 SEPARATION_FLOOR = 1e-9
 MIN_SINGULAR_VALUE = 1e-8
 
-# distinct deterministic sub-seeds per check family, all from _sub_seed:
-# seed + j * _SEED_STRIDE + level, where a family that draws several point sets
-# also takes the next multiples (fiber_checks 7..10, diagram_check 11..13), and
-# a complex draw adds the field term 32 * _SEED_STRIDE (so multiples 37, 39..42
-# and 55).  The complex samplers draw from the same stream as the real ones, so
-# without that term a real draw would reuse the normals of the complex draw keyed
-# alike; with it no two draws of one audit share a key.
+# every sub-seed comes from _sub_seed: seed + j * _SEED_STRIDE + level, where a family
+# that draws several point sets also takes the next multiples (fiber_checks 7..10,
+# diagram_check 11..13), plus a field term for complex draws: the complex samplers
+# draw from the same stream as the real ones, so a real draw keyed like a complex
+# one would reuse its normals.  No two draws of one audit share a key.
 _SEED_STRIDE = 0x9E3779B9
 _FIELD_TERM = {"real": 0, "complex": 32 * _SEED_STRIDE}
 
