@@ -77,6 +77,10 @@ GOLDEN = {
         "4b71ba50deb9b3a79dcd805b13d664b2f061c82e6507f7bc8eef289ddefd0b93",
     "cloud --field complex --n 2 --samples 200 --seed 5":
         "0c260091000ac3ecfe7776c91941bc29ba4ac706e2e44fbef0a0f75353bf4c54",
+    "cloud --field real --n 12 --samples 1000 --seed 5":
+        "5822ff90106cc81612fa861de6e35ed1ba0f9eba7a99f76f4d479365ea1beab6",
+    "cloud --field complex --n 8 --samples 1000 --seed 5":
+        "bf63c8a90ef3380180646fb5955e0bba9e23b2bcb2224748a4a5d4398a940fc8",
 }
 
 
