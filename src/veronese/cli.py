@@ -19,7 +19,8 @@ import numpy as np
 
 from . import audit, constants, construct, measure
 from .constants import FIELDS, LEVEL_CAPS
-from .quadmap import StructuralError, evaluate, to_json_dict
+from .quadmap import StructuralError, chunks, evaluate, to_json_dict
+from .sampling import generator
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,12 +171,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_cloud(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
     map_ = construct.build(args.n, args.field)
-    pts = measure.quotient_samples(args.n, args.field, args.samples, args.seed)
-    values = evaluate(map_, pts)
+    k = map_.component_count
+    row, rng = ",".join(["%.17g"] * k) + "\n", generator(args.seed)
     with _output(args.out) as stream:
-        for row in values:
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for part in chunks(args.samples, 64 * k):  # about 61 bytes a value while formatting
+            pts = measure.quotient_samples(args.n, args.field, part.stop - part.start, rng)
+            block = evaluate(map_, pts)
+            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
     return 0
 
 

@@ -49,7 +49,8 @@ def sphere_volume(dim: int, r: float) -> float:
     return 2.0 * math.pi ** ((dim + 1) / 2.0) * r**dim / math.gamma((dim + 1) / 2.0)
 
 
-def quotient_samples(n: int, field: str, count: int, seed: int) -> np.ndarray:
+def quotient_samples(n: int, field: str, count: int,
+                     seed: int | np.random.Generator) -> np.ndarray:
     """Uniform samples on the level-n domain sphere (representatives of the quotient)."""
     r = constants.radius(n)
     if field == "real":

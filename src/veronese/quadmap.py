@@ -24,9 +24,9 @@ from .sampling import ball_points, complex_ball_points
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
 HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
-# Working memory one batched kernel (evaluate, a curvature chunk) may hold at
-# once; each divides it by its own per-point footprint.  2 MiB keeps a large
-# evaluate batch near the size of its output and still gives the top-level
+# Working memory one batched kernel (evaluate, a curvature chunk, a cloud block)
+# may hold at once; each divides it by its own per-point footprint.  2 MiB keeps
+# a large evaluate batch near the size of its output and still gives the top-level
 # curvature chunks four to six points (shorter ones spend their time in overhead).
 CHUNK_BYTES = 1 << 21
 
@@ -87,7 +87,7 @@ def chunks(count: int, point_bytes: int) -> list[slice]:
     """Slices covering range(count), each holding at most CHUNK_BYTES of a
     kernel whose working memory is point_bytes per point (one point at least)."""
     step = max(1, CHUNK_BYTES // point_bytes)
-    return [slice(start, start + step) for start in range(0, count, step)]
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _as_domain_points(map_, point):

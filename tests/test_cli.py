@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veronese import construct, geometry
+from veronese import construct, geometry, quadmap
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -115,6 +119,56 @@ def test_cloud_roundtrips_full_precision(tmp_path):
     run_cli(["cloud", "--field", "complex", "--n", "1", "--samples", "50",
              "--seed", "3", "--out", str(again)])
     assert target.read_text() == again.read_text()
+
+
+@pytest.mark.parametrize("field,n", [("real", 12), ("complex", 8)])
+def test_cloud_does_not_depend_on_block_length(field, n, monkeypatch):
+    argv = ["cloud", "--field", field, "--n", str(n), "--samples", "1000", "--seed", "5"]
+    code, whole = run_cli(argv)
+    assert code == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(quadmap, "CHUNK_BYTES", 1)  # one row per block
+        code, rows = run_cli(argv)
+    assert code == 0
+    assert rows == whole
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cloud_rejects_a_sample_count_below_one_before_writing(samples, tmp_path, capsys):
+    target = tmp_path / "f.csv"
+    argv = ["cloud", "--field", "real", "--n", "2", "--samples", samples, "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --samples must be positive\n"
+    assert not target.exists()
+
+
+PEAK_RSS = """
+import sys
+from veronese.cli import main
+code = main(sys.argv[1:])
+peak = [line for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+print(code, peak[0].split()[1])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_cloud_peak_memory_does_not_grow_with_samples(tmp_path):
+    # each run is a fresh child that reports its own high-water mark: ru_maxrss
+    # of a child starts at the peak of its parent, here the whole test session
+    env = dict(os.environ)
+    src = str(Path(quadmap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    peaks = []
+    for samples in (2_000, 20_000):
+        argv = ["cloud", "--field", "real", "--n", "6", "--samples", str(samples),
+                "--out", str(tmp_path / f"{samples}.csv")]
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = proc.stdout.split()
+        assert code == "0"
+        peaks.append(int(peak_kb))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_usage_errors_exit_2():

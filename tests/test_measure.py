@@ -8,6 +8,7 @@ from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import (IntegralEstimate, global_invariants,
                               integrate_quotient, sphere_volume)
+from veronese.sampling import complex_sphere_points, generator, sphere_points
 
 
 def ones(points):
@@ -118,6 +119,26 @@ def test_bad_arguments():
         integrate_quotient(ones, 2, "real", 0, seed=0)
     with pytest.raises(ValueError):
         global_invariants(2, "real", 0, seed=0)
+
+
+BLOCK_DRAWS = {
+    "sphere_points": lambda count, seed: sphere_points(7, count, seed, radius=1.3),
+    "complex_sphere_points": lambda count, seed: complex_sphere_points(5, count, seed),
+    "quotient_samples_real": lambda count, seed: measure.quotient_samples(12, "real", count, seed),
+    "quotient_samples_complex":
+        lambda count, seed: measure.quotient_samples(8, "complex", count, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_DRAWS))
+def test_block_draws_from_one_generator_equal_the_single_draw(name):
+    draw, seed, total = BLOCK_DRAWS[name], 31, 5_000
+    rng = generator(seed)
+    assert generator(rng) is rng
+    lengths = [1, 7, 4096, total - 4104]
+    blocks = [draw(length, rng) for length in lengths]
+    assert [len(b) for b in blocks] == lengths
+    assert np.array_equal(np.concatenate(blocks), draw(total, seed))
 
 
 def test_quotient_samples_deterministic():
