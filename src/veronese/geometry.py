@@ -206,8 +206,8 @@ def curvature_field(map_: QuadMap, points) -> dict:
     for part in chunks(len(pts), 8 * d * k * (m + 2 * d)):
         res = _curvature_chunk(map_, pts[part])
         a = res.pop("alpha")
-        flat = a.reshape(len(a), 1, -1)
-        a2 = res["alpha_norm_sq"] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]  # a dot per point
+        # a row reduction, not a BLAS dot, whose split depends on the thread count
+        a2 = res["alpha_norm_sq"] = np.square(a.reshape(len(a), -1)).sum(axis=1)
         hn = res["mean_curvature_norm"] = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
         res["scalar_curvature_gauss"] = d * (d - 1) + hn * hn - a2
         parts.append(res)
