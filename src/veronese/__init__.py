@@ -1,6 +1,11 @@
 """Inductive quadratic sphere embeddings of real and complex projective
 spaces, with exact constants and numerical verification of their geometry."""
 
+import os
+
+# before numpy loads: the kernels are too small to split, extra OpenBLAS threads only burn CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constants import (ambient_dims, radius, radius_pow4, rational_str,
                         step_constants)
 from .construct import build, hopf

@@ -1,9 +1,10 @@
-"""The BLAS thread count: output never depends on it.
+"""The BLAS thread count: one by default, and output never depends on it.
 
 Each test starts fresh `python` children, since a BLAS thread pool is
 fixed when numpy is first imported.  No child runs more than two threads.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,9 +18,14 @@ SRC = str(Path(veronese.__file__).resolve().parent.parent)
 
 
 def _child(args, **env_vars):
+    """stdout of `python args`; an env var given as None is removed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env.update(env_vars)
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -34,3 +40,34 @@ def test_report_does_not_depend_on_the_blas_thread_count(field, n):
             "--samples", "40", "--format", "json"]
     one, two = (_child(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
     assert one == two
+
+
+THREADS_AFTER_IMPORT = """
+import os
+import veronese
+task = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(task)) if os.path.isdir(task) else "-")
+"""
+
+
+def test_import_defaults_to_one_blas_thread():
+    value, threads = _child(["-c", THREADS_AFTER_IMPORT], OPENBLAS_NUM_THREADS=None).split()
+    assert value == "1"
+    if threads != "-":  # no /proc to count threads in
+        assert threads == "1"
+
+
+def test_a_callers_thread_count_wins():
+    value, _ = _child(["-c", THREADS_AFTER_IMPORT], OPENBLAS_NUM_THREADS="2").split()
+    assert value == "2"
+
+
+def test_thread_default_precedes_every_import():
+    # import sorting must not move the default behind the imports that load numpy
+    body = ast.parse((Path(SRC) / "veronese" / "__init__.py").read_text()).body
+    lines = [ast.unparse(node) for node in body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             or isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    default = "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+    assert lines[:2] == ["import os", default]
+    assert lines.count(default) == 1
