@@ -5,7 +5,9 @@ measured value, and a verdict.  Claims whose numeric value depends on the
 metric normalization (see the geometry module) are never adjudicated:
 they carry the SCALE_DEPENDENT verdict together with the measured value
 under both conventions, so nothing is silently dropped and nothing is
-silently picked.
+silently picked.  A claim family that cannot be measured (its map breaks
+the construction's structure, or a factorization fails) turns its claims
+into ERROR entries, which fail like MISMATCH, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import numpy as np
 
 from . import constants, construct, geometry, measure
 from .constants import LEVEL_CAPS
-from .quadmap import (evaluate, harmonicity_traces, norm_identity_residual,
-                      real_restriction)
+from .quadmap import (StructuralError, evaluate, harmonicity_traces,
+                      norm_identity_residual, real_restriction)
 from .sampling import complex_sphere_points, sphere_points
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
 SCALE_DEPENDENT = "SCALE_DEPENDENT"
+ERROR = "ERROR"
 
 POINTWISE_TOL = 1e-6
 MC_REL_TOL = 1e-3
@@ -214,11 +217,184 @@ def _geometry_sweep(n: int, field_name: str, seed: int, points: int = 20) -> dic
     }
 
 
+def _sequence_claims() -> list[ClaimAuditEntry]:
+    closed_vs_recursive = max(
+        abs(constants.radius_pow4(k, "closed") - constants.radius_pow4(k, "recursive"))
+        for k in range(1, constants.MAX_LEVEL + 1)
+    )
+    dims_dev = 0
+    n_prev, m_prev = 1, 2
+    for k in range(1, constants.MAX_LEVEL + 1):
+        n_dim, m_dim = constants.ambient_dims(k)
+        if k > 1:
+            n_prev, m_prev = n_prev + k + 1, m_prev + 2 * k + 1
+        dims_dev = max(dims_dev, abs(n_dim - n_prev), abs(m_dim - m_prev))
+    ratio_dev = max(
+        abs(constants.step_constants(k)[0] / constants.step_constants(k)[1]
+            - 2 * k * (k + 1))
+        for k in range(2, constants.MAX_LEVEL + 1)
+    )
+    return [
+        _entry("radius_closed_vs_recursive",
+               "closed-form and recursive radius sequences agree exactly, levels 1..12",
+               0.0, float(closed_vs_recursive), 0.0),
+        _entry("radius_level3",
+               "fourth power of the level-3 domain radius equals 8",
+               8.0, float(constants.radius_pow4(3)), 0.0),
+        _entry("ambient_dimension_sequences",
+               "real and complex ambient dimensions match their recursions, levels 1..12",
+               0.0, float(dims_dev), 0.0),
+        _entry("coefficient_ratio",
+               "squared coefficient ratio a^2/b^2 equals 2n(n+1) exactly, levels 2..12",
+               0.0, float(ratio_dev), 0.0),
+    ]
+
+
+def _norm_identity_claim(field_name, levels, samples, seed) -> list[ClaimAuditEntry]:
+    worst = max(
+        norm_identity_residual(construct.build(k, field_name), samples,
+                               _sub_seed(seed, 5, k, field_name))
+        for k in levels
+    )
+    return [_entry(f"norm_identity_{field_name}",
+                   "squared image norm equals squared domain norm squared over r^4",
+                   0.0, worst, 1e-12)]
+
+
+def _harmonicity_claim() -> list[ClaimAuditEntry]:
+    trace_worst = max(
+        float(np.max(np.abs(harmonicity_traces(construct.build(k, field_name)))))
+        for field_name, cap in LEVEL_CAPS["build"].items()
+        for k in range(1, cap + 1)
+    )
+    return [_entry("harmonicity",
+                   "every coefficient matrix is trace free (all components harmonic)",
+                   0.0, trace_worst, 1e-12)]
+
+
+def _fiber_claims(field_name, levels, samples, seed) -> list[ClaimAuditEntry]:
+    reports = [fiber_checks(k, field_name, samples, _sub_seed(seed, 7, k, field_name))
+               for k in levels]
+    return [
+        _entry(f"fiber_invariance_{field_name}",
+               "the image is constant along quotient fibers",
+               0.0, max(rep["invariance_residual"] for rep in reports), 1e-12),
+        _entry(f"fiber_separation_{field_name}",
+               "separated orbits have separated images (collision count)",
+               0.0, float(sum(rep["collisions"] for rep in reports)), 0.0,
+               details={"min_image_distance": min(rep["min_image_distance"]
+                                                  for rep in reports)}),
+        _entry(f"local_injectivity_{field_name}",
+               "differential has full rank on tangent/horizontal spaces",
+               MIN_SINGULAR_VALUE, min(rep["min_singular_value"] for rep in reports),
+               0.0, mode="at_least"),
+    ]
+
+
+def _diagram_claims(levels, samples, seed) -> list[ClaimAuditEntry]:
+    reports = [diagram_check(k, min(samples, 200), _sub_seed(seed, 11, k)) for k in levels]
+    return [
+        _entry("diagram_real_restriction",
+               "the complex map restricted to real points reproduces the real map",
+               0.0, max(rep["restriction_residual"] for rep in reports), 1e-13),
+        _entry("diagram_zero_components",
+               "imaginary-part components vanish on real points",
+               0.0, max(rep["zero_residual"] for rep in reports), 1e-15),
+        _entry("hopf_factorization",
+               "the level-1 complex map is the Hopf map of the unit 3-sphere",
+               0.0, reports[0]["hopf_residual"], 1e-14),
+        _entry("unit_image",
+               "on-sphere points map onto the unit sphere",
+               0.0, max(rep["unit_image_residual"] for rep in reports), 1e-12),
+    ]
+
+
+def _geometry_claims(level_range, minimality_levels, seed,
+                     homothety_tol) -> list[ClaimAuditEntry]:
+    sweeps = {(field_name, k): _geometry_sweep(k, field_name,
+                                               _sub_seed(seed, 23, k, field_name))
+              for field_name, levels in level_range.items() for k in levels}
+    homothety_dev = max(
+        max(sw["anisotropy_max"], sw["lambda_spread"]) / sw["lambda_mean"]
+        for sw in sweeps.values()
+    )
+    entries = [_entry(
+        "homothety",
+        "the pullback metric is one constant multiple of the round metric",
+        0.0, homothety_dev, homothety_tol)]
+    if minimality_levels:
+        entries.append(_entry(
+            "minimality",
+            "the mean curvature vector of every image vanishes",
+            0.0, max(sweeps[key]["h_norm_max"] for key in minimality_levels),
+            POINTWISE_TOL))
+    if ("real", 2) in sweeps:
+        entries.append(_entry(
+            "isometry_pullback_level2",
+            "stated isometric normalization reads pullback factor 1; the measured "
+            "factor depends on the metric convention",
+            1.0, sweeps[("real", 2)]["lambda_mean"], POINTWISE_TOL, scale_dependent=True,
+            details={"jacobian_oracle": 2.0}))
+    return entries
+
+
+def _level2_claims(samples, seed) -> list[ClaimAuditEntry]:
+    readings = measure.global_invariants(2, "real", samples, _sub_seed(seed, 17, 0))
+    gi_img, gi_dom = readings["image"], readings["domain"]
+    return [
+        _entry("veronese_scalar_curvature",
+               "scalar curvature of the level-2 real image (stated 4/3); measured "
+               "under both metric conventions",
+               4.0 / 3.0, gi_img["scalar_curvature_mean"], POINTWISE_TOL,
+               scale_dependent=True,
+               details={"measured_image": gi_img["scalar_curvature_mean"],
+                        "measured_domain": gi_dom["scalar_curvature_mean"]}),
+        _entry("veronese_alpha_norm_sq",
+               "squared norm of the second fundamental form of the level-2 real "
+               "image (stated 2/3); measured under both metric conventions",
+               2.0 / 3.0, gi_img["alpha_norm_sq_mean"], POINTWISE_TOL,
+               scale_dependent=True,
+               details={"measured_image": gi_img["alpha_norm_sq_mean"],
+                        "measured_domain": gi_dom["alpha_norm_sq_mean"]}),
+        _entry("pi_functional_level2",
+               "total squared second fundamental form over the level-2 real "
+               "quotient (stated 2 pi); measured under both metric conventions",
+               2.0 * math.pi, gi_img["pi_functional"], MC_REL_TOL * 2.0 * math.pi,
+               scale_dependent=True,
+               details={"measured_image": gi_img["pi_functional"],
+                        "measured_domain": gi_dom["pi_functional"]}),
+        _entry("gauss_bonnet_level2",
+               "total scalar curvature of the level-2 real quotient over 4 pi "
+               "equals its Euler characteristic 1",
+               1.0, gi_img["gauss_bonnet_ratio"], MC_REL_TOL,
+               details={"domain_metric_value": gi_dom["gauss_bonnet_ratio"]}),
+    ]
+
+
+def _level3_claims(samples, seed) -> list[ClaimAuditEntry]:
+    gi3 = measure.global_invariants(3, "real", samples, _sub_seed(seed, 19, 0))["image"]
+    expected_sigma = 6.0 * math.pi ** (4.0 / 3.0)
+    return [_entry("sigma_quotient_level3",
+                   "normalized total scalar curvature of the level-3 real quotient "
+                   "equals 6 pi^(4/3)",
+                   expected_sigma, gi3["sigma_quotient"], 0.005 * expected_sigma)]
+
+
+def _error_entry(claim_id: str, exc: Exception) -> ClaimAuditEntry:
+    return ClaimAuditEntry(
+        claim_id=claim_id, statement="not measured: its claim family raised an error",
+        expected=math.nan, measured=math.nan, abs_deviation=math.nan, verdict=ERROR,
+        tolerance=math.nan, details={"error": str(exc)})
+
+
 def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
                     samples: int = 1000, homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
     """Run every audited claim up to the requested levels; never aborts on MISMATCH.
 
-    Deterministic given (seed, samples); entries come back sorted by claim id.
+    A claim family whose measurement raises StructuralError or LinAlgError
+    yields an ERROR entry for each of its claims; the other families' entries
+    are kept.  Deterministic given (seed, samples); entries come back sorted
+    by claim id.
     """
     caps = LEVEL_CAPS["audit"]
     if not 1 <= n_max_real <= caps["real"]:
@@ -229,192 +405,48 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
         raise ValueError("samples must be at least 1")
     if not 0.0 <= homothety_tol < math.inf:
         raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
-    entries = []
 
-    # --- exact sequence claims -------------------------------------------
-    closed_vs_recursive = max(
-        abs(constants.radius_pow4(k, "closed") - constants.radius_pow4(k, "recursive"))
-        for k in range(1, constants.MAX_LEVEL + 1)
-    )
-    entries.append(_entry(
-        "radius_closed_vs_recursive",
-        "closed-form and recursive radius sequences agree exactly, levels 1..12",
-        0.0, float(closed_vs_recursive), 0.0))
-    entries.append(_entry(
-        "radius_level3",
-        "fourth power of the level-3 domain radius equals 8",
-        8.0, float(constants.radius_pow4(3)), 0.0))
-
-    dims_dev = 0
-    n_prev, m_prev = 1, 2
-    for k in range(1, constants.MAX_LEVEL + 1):
-        n_dim, m_dim = constants.ambient_dims(k)
-        if k > 1:
-            n_prev, m_prev = n_prev + k + 1, m_prev + 2 * k + 1
-        dims_dev = max(dims_dev, abs(n_dim - n_prev), abs(m_dim - m_prev))
-    entries.append(_entry(
-        "ambient_dimension_sequences",
-        "real and complex ambient dimensions match their recursions, levels 1..12",
-        0.0, float(dims_dev), 0.0))
-
-    ratio_dev = max(
-        abs(constants.step_constants(k)[0] / constants.step_constants(k)[1]
-            - 2 * k * (k + 1))
-        for k in range(2, constants.MAX_LEVEL + 1)
-    )
-    entries.append(_entry(
-        "coefficient_ratio",
-        "squared coefficient ratio a^2/b^2 equals 2n(n+1) exactly, levels 2..12",
-        0.0, float(ratio_dev), 0.0))
-
-    # --- pointwise identities per field ----------------------------------
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
-    for field_name, levels in level_range.items():
-        worst = max(
-            norm_identity_residual(construct.build(k, field_name), samples,
-                                   _sub_seed(seed, 5, k, field_name))
-            for k in levels
-        )
-        entries.append(_entry(
-            f"norm_identity_{field_name}",
-            "squared image norm equals squared domain norm squared over r^4",
-            0.0, worst, 1e-12))
-
-    trace_worst = max(
-        float(np.max(np.abs(harmonicity_traces(construct.build(k, field_name)))))
-        for field_name, cap in LEVEL_CAPS["build"].items()
-        for k in range(1, cap + 1)
-    )
-    entries.append(_entry(
-        "harmonicity",
-        "every coefficient matrix is trace free (all components harmonic)",
-        0.0, trace_worst, 1e-12))
-
-    # --- fiber structure ---------------------------------------------------
-    for field_name, levels in level_range.items():
-        reports = [fiber_checks(k, field_name, samples, _sub_seed(seed, 7, k, field_name))
-                   for k in levels]
-        entries.append(_entry(
-            f"fiber_invariance_{field_name}",
-            "the image is constant along quotient fibers",
-            0.0, max(rep["invariance_residual"] for rep in reports), 1e-12))
-        entries.append(_entry(
-            f"fiber_separation_{field_name}",
-            "separated orbits have separated images (collision count)",
-            0.0, float(sum(rep["collisions"] for rep in reports)), 0.0,
-            details={"min_image_distance": min(rep["min_image_distance"] for rep in reports)}))
-        entries.append(_entry(
-            f"local_injectivity_{field_name}",
-            "differential has full rank on tangent/horizontal spaces",
-            MIN_SINGULAR_VALUE,
-            min(rep["min_singular_value"] for rep in reports),
-            0.0, mode="at_least"))
-
-    # --- diagram compatibility ---------------------------------------------
-    diagram_levels = range(1, min(n_max_complex, LEVEL_CAPS["diagram"]["complex"]) + 1)
-    diag_reports = [diagram_check(k, min(samples, 200), _sub_seed(seed, 11, k))
-                    for k in diagram_levels]
-    entries.append(_entry(
-        "diagram_real_restriction",
-        "the complex map restricted to real points reproduces the real map",
-        0.0, max(rep["restriction_residual"] for rep in diag_reports), 1e-13))
-    entries.append(_entry(
-        "diagram_zero_components",
-        "imaginary-part components vanish on real points",
-        0.0, max(rep["zero_residual"] for rep in diag_reports), 1e-15))
-    entries.append(_entry(
-        "hopf_factorization",
-        "the level-1 complex map is the Hopf map of the unit 3-sphere",
-        0.0, diag_reports[0]["hopf_residual"], 1e-14))
-    entries.append(_entry(
-        "unit_image",
-        "on-sphere points map onto the unit sphere",
-        0.0, max(rep["unit_image_residual"] for rep in diag_reports), 1e-12))
-
-    # --- differential geometry ----------------------------------------------
-    sweeps = {}
-    for field_name, levels in level_range.items():
-        for k in levels:
-            sweeps[(field_name, k)] = _geometry_sweep(
-                k, field_name, _sub_seed(seed, 23, k, field_name))
-
-    homothety_dev = max(
-        max(sw["anisotropy_max"], sw["lambda_spread"]) / sw["lambda_mean"]
-        for sw in sweeps.values()
-    )
-    entries.append(_entry(
-        "homothety",
-        "the pullback metric is one constant multiple of the round metric",
-        0.0, homothety_dev, homothety_tol))
-
     minimality_levels = [(field_name, k)
                          for field_name, levels in level_range.items()
                          for k in levels if 2 <= k <= LEVEL_CAPS["minimality"][field_name]]
-    if minimality_levels:
-        h_worst = max(sweeps[key]["h_norm_max"] for key in minimality_levels)
-        entries.append(_entry(
-            "minimality",
-            "the mean curvature vector of every image vanishes",
-            0.0, h_worst, POINTWISE_TOL))
-
+    diagram_levels = range(1, min(n_max_complex, LEVEL_CAPS["diagram"]["complex"]) + 1)
+    # (claim ids, family, arguments): the ids are what a failing family reports
+    families = [
+        (["radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
+          "coefficient_ratio"], _sequence_claims, ()),
+        *(([f"norm_identity_{f}"], _norm_identity_claim, (f, levels, samples, seed))
+          for f, levels in level_range.items()),
+        (["harmonicity"], _harmonicity_claim, ()),
+        *(([f"fiber_invariance_{f}", f"fiber_separation_{f}", f"local_injectivity_{f}"],
+           _fiber_claims, (f, levels, samples, seed))
+          for f, levels in level_range.items()),
+        (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
+          "unit_image"], _diagram_claims, (diagram_levels, samples, seed)),
+        (["homothety"] + ["minimality"] * bool(minimality_levels)
+         + ["isometry_pullback_level2"] * (n_max_real >= 2),
+         _geometry_claims, (level_range, minimality_levels, seed, homothety_tol)),
+    ]
     if n_max_real >= 2:
-        lam2 = sweeps[("real", 2)]["lambda_mean"]
-        entries.append(_entry(
-            "isometry_pullback_level2",
-            "stated isometric normalization reads pullback factor 1; the measured "
-            "factor depends on the metric convention",
-            1.0, lam2, POINTWISE_TOL, scale_dependent=True,
-            details={"jacobian_oracle": 2.0}))
-
-        readings = measure.global_invariants(2, "real", samples, _sub_seed(seed, 17, 0))
-        gi_img, gi_dom = readings["image"], readings["domain"]
-        entries.append(_entry(
-            "veronese_scalar_curvature",
-            "scalar curvature of the level-2 real image (stated 4/3); measured "
-            "under both metric conventions",
-            4.0 / 3.0, gi_img["scalar_curvature_mean"], POINTWISE_TOL,
-            scale_dependent=True,
-            details={"measured_image": gi_img["scalar_curvature_mean"],
-                     "measured_domain": gi_dom["scalar_curvature_mean"]}))
-        entries.append(_entry(
-            "veronese_alpha_norm_sq",
-            "squared norm of the second fundamental form of the level-2 real "
-            "image (stated 2/3); measured under both metric conventions",
-            2.0 / 3.0, gi_img["alpha_norm_sq_mean"], POINTWISE_TOL,
-            scale_dependent=True,
-            details={"measured_image": gi_img["alpha_norm_sq_mean"],
-                     "measured_domain": gi_dom["alpha_norm_sq_mean"]}))
-        entries.append(_entry(
-            "pi_functional_level2",
-            "total squared second fundamental form over the level-2 real "
-            "quotient (stated 2 pi); measured under both metric conventions",
-            2.0 * math.pi, gi_img["pi_functional"], MC_REL_TOL * 2.0 * math.pi,
-            scale_dependent=True,
-            details={"measured_image": gi_img["pi_functional"],
-                     "measured_domain": gi_dom["pi_functional"]}))
-        entries.append(_entry(
-            "gauss_bonnet_level2",
-            "total scalar curvature of the level-2 real quotient over 4 pi "
-            "equals its Euler characteristic 1",
-            1.0, gi_img["gauss_bonnet_ratio"], MC_REL_TOL,
-            details={"domain_metric_value": gi_dom["gauss_bonnet_ratio"]}))
-
+        families.append((["veronese_scalar_curvature", "veronese_alpha_norm_sq",
+                          "pi_functional_level2", "gauss_bonnet_level2"],
+                         _level2_claims, (samples, seed)))
     if n_max_real >= 3:
-        gi3 = measure.global_invariants(3, "real", samples, _sub_seed(seed, 19, 0))["image"]
-        expected_sigma = 6.0 * math.pi ** (4.0 / 3.0)
-        entries.append(_entry(
-            "sigma_quotient_level3",
-            "normalized total scalar curvature of the level-3 real quotient "
-            "equals 6 pi^(4/3)",
-            expected_sigma, gi3["sigma_quotient"], 0.005 * expected_sigma))
+        families.append((["sigma_quotient_level3"], _level3_claims, (samples, seed)))
 
+    entries = []
+    for claim_ids, family, args in families:
+        try:
+            entries += family(*args)
+        except (StructuralError, np.linalg.LinAlgError) as exc:
+            entries += [_error_entry(claim_id, exc) for claim_id in claim_ids]
     entries.sort(key=lambda e: e.claim_id)
     return entries
 
 
 def hard_failures(entries) -> list[ClaimAuditEntry]:
-    """Entries that fail outright; SCALE_DEPENDENT claims never count."""
-    return [e for e in entries if e.verdict == MISMATCH]
+    """Entries that fail outright, MISMATCH or ERROR; SCALE_DEPENDENT claims never count."""
+    return [e for e in entries if e.verdict in (MISMATCH, ERROR)]
 
 
 def audit_to_dicts(entries) -> list[dict]:

@@ -156,6 +156,9 @@ def _cmd_verify(args) -> int:
         if args.format == "table":
             stream.write(f"\n{len(entries)} claims audited, "
                          f"{len(failures)} hard failure(s)\n")
+    for message in dict.fromkeys(e.details["error"] for e in entries
+                                 if e.verdict == audit.ERROR):
+        print(f"error: {message}", file=sys.stderr)
     return 1 if failures else 0
 
 

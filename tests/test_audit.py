@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from veronese import audit, geometry, measure, quadmap
-from veronese.audit import (MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
+from veronese import audit, construct, geometry, measure, quadmap
+from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             fiber_checks, hard_failures, orbit_distance,
                             run_claim_audit)
 from veronese.construct import build
@@ -177,6 +177,51 @@ def test_level2_curvature_field_computed_once(monkeypatch):
     # their samples behind the canonical point
     assert len(calls) == 12
     assert sum(calls) == 10 * 20 + 2 * 301
+
+
+@pytest.mark.parametrize("n_max_real, n_max_complex", [(1, 1), (2, 1), (3, 2), (6, 4)])
+def test_a_family_that_raises_errors_exactly_its_own_claims(n_max_real, n_max_complex,
+                                                            monkeypatch):
+    healthy = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+
+    def broken(n, field):
+        raise quadmap.StructuralError(f"no level-{n} {field} map")
+
+    # every family but the exact sequences builds a map
+    monkeypatch.setattr(construct, "build", broken)
+    entries = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+    assert [e.claim_id for e in entries] == [e.claim_id for e in healthy]
+    sequences = {"radius_closed_vs_recursive", "radius_level3",
+                 "ambient_dimension_sequences", "coefficient_ratio"}
+    for entry, before in zip(entries, healthy):
+        if entry.claim_id in sequences:
+            assert entry == before
+        else:
+            assert entry.verdict == ERROR
+            assert entry.details["error"].startswith("no level-")
+            assert math.isnan(entry.measured)
+    assert len(hard_failures(entries)) == len(entries) - len(sequences)
+
+
+def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
+    def singular(map_, points):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    healthy = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    monkeypatch.setattr(geometry, "curvature_field", singular)
+    entries = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    errors = {"homothety", "minimality", "isometry_pullback_level2",
+              "veronese_scalar_curvature", "veronese_alpha_norm_sq",
+              "pi_functional_level2", "gauss_bonnet_level2", "sigma_quotient_level3"}
+    assert entries.keys() == healthy.keys()
+    for claim_id, entry in entries.items():
+        if claim_id in errors:
+            assert entry.verdict == ERROR
+            assert entry.details == {"error": "Singular matrix"}
+        else:
+            assert entry == healthy[claim_id]
+    assert {e.claim_id for e in hard_failures(entries.values())} == errors
+    json.loads(json.dumps(audit.audit_to_dicts(entries.values())))  # NaN round-trips
 
 
 SAMPLERS = [(audit, "sphere_points"), (audit, "complex_sphere_points"),

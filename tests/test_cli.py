@@ -229,6 +229,33 @@ def test_broken_map_is_a_failure_not_a_usage_error(argv, monkeypatch, capsys):
     assert err.startswith("error: image points are off the unit sphere")
 
 
+def test_verify_keeps_the_claims_measured_before_a_family_fails(monkeypatch, capsys):
+    # the level-2 map scaled by 1.001: the geometry sweep and the level-2
+    # invariants raise, and the 17 entries measured before them are printed
+    original = construct.build
+
+    def scaled(n, field):
+        map_ = original(n, field)
+        return QuadMap(n=n, components=1.001 * map_.components) if n == 2 else map_
+
+    monkeypatch.setattr(construct, "build", scaled)
+    assert main(["verify", "--n-max", "2", "--samples", "50", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: image points are off the unit sphere (worst deviation 1.000e-03)\n"
+    entries = json.loads(out)
+    measured = [e for e in entries if e["verdict"] != "ERROR"]
+    errors = [e for e in entries if e["verdict"] == "ERROR"]
+    assert len(measured) == 17
+    assert {e["claim_id"] for e in errors} == {
+        "homothety", "minimality", "isometry_pullback_level2",
+        "veronese_scalar_curvature", "veronese_alpha_norm_sq",
+        "pi_functional_level2", "gauss_bonnet_level2"}
+    assert all(e["details"]["error"] == err[len("error: "):-1] for e in errors)
+    # the scale shows in the claims that were measured
+    assert {e["claim_id"] for e in measured if e["verdict"] == "MISMATCH"} >= {
+        "norm_identity_real", "norm_identity_complex", "unit_image"}
+
+
 def test_linalg_error_is_a_failure_not_a_usage_error(monkeypatch, capsys):
     def singular(map_, points):
         raise np.linalg.LinAlgError("Singular matrix")
