@@ -210,12 +210,8 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--n-max", "2", "--samples", "50"],
-    ["report", "--field", "real", "--n", "2", "--samples", "50"],
-    ["report", "--field", "complex", "--n", "2", "--samples", "50"],
-], ids=["verify", "report-real", "report-complex"])
-def test_broken_map_is_a_failure_not_a_usage_error(argv, monkeypatch, capsys):
+@pytest.fixture
+def scaled_level2_map(monkeypatch):
     # the level-2 map scaled by 1.001 no longer lands on the unit sphere
     original = construct.build
 
@@ -224,21 +220,22 @@ def test_broken_map_is_a_failure_not_a_usage_error(argv, monkeypatch, capsys):
         return QuadMap(n=n, components=1.001 * map_.components) if n == 2 else map_
 
     monkeypatch.setattr(construct, "build", scaled)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "2", "--samples", "50"],
+    ["report", "--field", "real", "--n", "2", "--samples", "50"],
+    ["report", "--field", "complex", "--n", "2", "--samples", "50"],
+], ids=["verify", "report-real", "report-complex"])
+def test_broken_map_is_a_failure_not_a_usage_error(argv, scaled_level2_map, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: image points are off the unit sphere")
 
 
-def test_verify_keeps_the_claims_measured_before_a_family_fails(monkeypatch, capsys):
-    # the level-2 map scaled by 1.001: the geometry sweep and the level-2
-    # invariants raise, and the 17 entries measured before them are printed
-    original = construct.build
-
-    def scaled(n, field):
-        map_ = original(n, field)
-        return QuadMap(n=n, components=1.001 * map_.components) if n == 2 else map_
-
-    monkeypatch.setattr(construct, "build", scaled)
+def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_map, capsys):
+    # the geometry sweep and the level-2 invariants raise; the 17 entries
+    # measured before them are printed
     assert main(["verify", "--n-max", "2", "--samples", "50", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == "error: image points are off the unit sphere (worst deviation 1.000e-03)\n"
