@@ -173,17 +173,122 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# Tables of the "%.17g" kernel below.  A value is laid out in a field of
+# _FIELD bytes, NUL where nothing is written: a right-aligned prefix
+# "[-]0.[000]d" in bytes 0-7, sixteen more digits in bytes 8-23 and the
+# separator in byte 24.  Dropping the NULs leaves the text.
+_FIELD = 28
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
+_SCALE = 10.0 ** np.arange(17, 21)  # exact doubles, so the split below is exact
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of the values, zero-padded to width, one row per value."""
+    places = 10 ** np.arange(width - 1, -1, -1)
+    return (values[:, None] // places % 10 + ord("0")).astype(np.uint8)
+
+
+def _group_table() -> np.ndarray:
+    """4 ASCII bytes of every group 0000-9999 as one uint32, then the same
+    with the group's trailing zeros blanked (0000 blank throughout)."""
+    full = _digits(np.arange(10_000), 4)
+    kept = np.logical_or.accumulate(full[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([full, np.where(kept, full, 0).astype(np.uint8)]).view(np.uint32).ravel()
+
+
+def _prefix_table() -> np.ndarray:
+    """The prefix bytes of every sign, count of zeros after the point and
+    leading digit, as two uint32 words each; row (neg * 4 + zeros) * 10 + digit."""
+    table = np.zeros((2, 4, 10, 8), np.uint8)
+    for neg in range(2):
+        for zeros in range(4):
+            text = ("-0." if neg else "0.") + "0" * zeros
+            table[neg, zeros, :, 7 - len(text):7] = np.frombuffer(text.encode(), np.uint8)
+    table[..., 7] = _digits(np.arange(10), 1)[:, 0]
+    return table.reshape(80, 8).view(np.uint32)
+
+
+_GROUPS = _group_table()
+_PREFIXES = _prefix_table()
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """Rows of float64 values as CSV text, each value exactly as "%.17g" writes it.
+
+    Values with 1e-4 <= |x| < 1 (nearly every image coordinate) are
+    formatted here: for |x| = 0.[zeros]d0 d1..d16 (zeros = 0..3) the 17
+    significant digits are N = round(|x| 10^(17 + zeros)), rounded half to
+    even like printf.  The product is held exactly as hi + lo (Dekker's
+    two-product), and hi >= 1e16 > 2^53 is an even integer, so
+    N = hi + rint(lo) is that rounding.  The doubles 0.1, 0.01 and 0.001
+    lie above their powers of ten, so comparing with them counts the zeros
+    exactly, and no double of the band rounds up to 10^17 (the tests check
+    both facts in exact arithmetic).  Every other value is written by
+    "%.17g" itself.
+    """
+    rows, k = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    band = (a >= 1e-4) & (a < 1.0)
+    a = np.where(band, a, 0.5)
+    zeros = (a < 0.1).astype(np.intp)
+    zeros += a < 0.01
+    zeros += a < 0.001
+    hi = a * _SCALE[zeros]
+    split = _SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _SCALE_HI[zeros], _SCALE_LO[zeros]
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+
+    top = n // 10**8
+    bottom = n - top * 10**8
+    lead = top // 10**8
+    top -= lead * 10**8
+    groups = np.empty((x.size, 4), np.intp)
+    groups[:, 0] = top // 10**4
+    groups[:, 1] = top - groups[:, 0] * 10**4
+    groups[:, 2] = bottom // 10**4
+    groups[:, 3] = bottom - groups[:, 2] * 10**4
+    # a group's trailing zeros are dropped when every later group is zero
+    blank = groups[:, 3] == 0
+    groups[:, 3] += 10_000
+    groups[:, 2] += 10_000 * blank
+    blank &= groups[:, 2] == 10_000
+    groups[:, 1] += 10_000 * blank
+    blank &= groups[:, 1] == 10_000
+    groups[:, 0] += 10_000 * blank
+
+    fields = np.zeros((rows, k, _FIELD), np.uint8)
+    words = fields.view(np.uint32).reshape(x.size, _FIELD // 4)
+    words[:, 0:2] = _PREFIXES.take((x < 0) * 40 + zeros * 10 + lead, axis=0, mode="clip")
+    words[:, 2:6] = _GROUPS.take(groups)
+    fields[:, :-1, 24] = ord(",")
+    fields[:, -1, 24] = ord("\n")
+    fields = fields.reshape(x.size, _FIELD)
+    slow = np.flatnonzero(~band)
+    if slow.size:
+        text = b"".join((b"%.17g" % v).ljust(24, b"\0") for v in x[slow].tolist())
+        fields[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    fields = fields.ravel()
+    return fields[fields != 0].tobytes().decode("ascii")
+
+
 def _cmd_cloud(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     map_ = construct.build(args.n, args.field)
     k = map_.component_count
-    row, rng = ",".join(["%.17g"] * k) + "\n", generator(args.seed)
+    rng = generator(args.seed)
     with _output(args.out) as stream:
-        for part in chunks(args.samples, 64 * k):  # about 61 bytes a value while formatting
+        # sampling, evaluate and _format_rows peak at about 225 bytes a value (tracemalloc)
+        for part in chunks(args.samples, 232 * k):
             pts = measure.quotient_samples(args.n, args.field, part.stop - part.start, rng)
-            block = evaluate(map_, pts)
-            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+            stream.write(_format_rows(evaluate(map_, pts)))
     return 0
 
 

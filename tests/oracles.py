@@ -2,7 +2,7 @@
 
 Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
-differential, central differences, and exact rational arithmetic.
+differential, central differences, exact rational arithmetic, and printf.
 """
 
 from fractions import Fraction
@@ -130,3 +130,10 @@ def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:
         dev = abs(total - sq * sq / r4)
         worst = max(worst, dev)
     return worst
+
+
+def printf_rows(block):
+    """Rows of values as CSV text through one "%.17g" template per row, applied
+    once to the block's values: the oracle of the cloud export's formatter."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())

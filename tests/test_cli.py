@@ -158,17 +158,18 @@ def test_cloud_peak_memory_does_not_grow_with_samples(tmp_path):
     env = dict(os.environ)
     src = str(Path(quadmap.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    peaks = []
-    for samples in (2_000, 20_000):
-        argv = ["cloud", "--field", "real", "--n", "6", "--samples", str(samples),
-                "--out", str(tmp_path / f"{samples}.csv")]
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        code, peak_kb = proc.stdout.split()
-        assert code == "0"
-        peaks.append(int(peak_kb))
-    assert peaks[1] <= 1.1 * peaks[0], peaks
+    for field, n in (("real", 6), ("complex", 8)):
+        peaks = []
+        for samples in (2_000, 20_000):
+            argv = ["cloud", "--field", field, "--n", str(n), "--samples", str(samples),
+                    "--out", str(tmp_path / f"{field}-{samples}.csv")]
+            proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            code, peak_kb = proc.stdout.split()
+            assert code == "0"
+            peaks.append(int(peak_kb))
+        assert peaks[1] <= 1.1 * peaks[0], (field, n, peaks)
 
 
 def test_usage_errors_exit_2():
