@@ -58,19 +58,25 @@ class ClaimAuditEntry:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The entry as strict-JSON values: a non-finite number becomes None."""
         out = {
             "claim_id": self.claim_id,
             "statement": self.statement,
-            "expected": float(self.expected),
-            "measured": float(self.measured),
-            "abs_deviation": float(self.abs_deviation),
+            "expected": _json_number(self.expected),
+            "measured": _json_number(self.measured),
+            "abs_deviation": _json_number(self.abs_deviation),
             "verdict": self.verdict,
-            "tolerance": float(self.tolerance),
+            "tolerance": _json_number(self.tolerance),
         }
         if self.details:
-            out["details"] = {k: (float(v) if isinstance(v, (int, float)) else v)
+            out["details"] = {k: (_json_number(v) if isinstance(v, (int, float)) else v)
                               for k, v in self.details.items()}
         return out
+
+
+def _json_number(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _entry(claim_id, statement, expected, measured, tolerance,

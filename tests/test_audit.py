@@ -163,6 +163,17 @@ def test_entries_serialize_to_json():
             "verdict", "tolerance"} <= set(decoded[0])
 
 
+
+def test_non_finite_numbers_serialize_as_null():
+    entry = audit.ClaimAuditEntry(
+        claim_id="c", statement="s", expected=math.nan, measured=math.inf,
+        abs_deviation=-math.inf, verdict=ERROR, tolerance=1e-8,
+        details={"spread": math.nan, "count": 3, "error": "boom"})
+    assert entry.to_dict() == {
+        "claim_id": "c", "statement": "s", "expected": None, "measured": None,
+        "abs_deviation": None, "verdict": ERROR, "tolerance": 1e-8,
+        "details": {"spread": None, "count": 3.0, "error": "boom"}}
+
 def test_level2_curvature_field_computed_once(monkeypatch):
     calls = []
     original = geometry.curvature_field

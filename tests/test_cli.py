@@ -254,6 +254,20 @@ def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_ma
         "norm_identity_real", "norm_identity_complex", "unit_image"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_verify_json_of_error_entries_is_strict(scaled_level2_map, capsys):
+    assert main(["verify", "--n-max", "2", "--format", "json"]) == 1
+    entries = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    errors = [e for e in entries if e["verdict"] == "ERROR"]
+    assert len(errors) == 7
+    for e in errors:
+        assert [e[key] for key in ("expected", "measured", "abs_deviation", "tolerance")] == [
+            None] * 4
+
+
 def test_linalg_error_is_a_failure_not_a_usage_error(monkeypatch, capsys):
     def singular(map_, points):
         raise np.linalg.LinAlgError("Singular matrix")
