@@ -87,8 +87,7 @@ def _fmt(x: float) -> str:
 
 def _render_entries(entries, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(audit.audit_to_dicts(entries), stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(audit.audit_to_dicts(entries), indent=2) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -116,8 +115,7 @@ def _render_entries(entries, fmt: str, stream) -> None:
 
 def _render_mapping(pairs, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(dict(pairs), stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(dict(pairs), indent=2) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -134,8 +132,8 @@ def _render_mapping(pairs, fmt: str, stream) -> None:
 def _cmd_emit(args) -> int:
     map_ = construct.build(args.n, args.field)
     with _output(args.out) as stream:
-        json.dump(to_json_dict(map_), stream, indent=2)
-        stream.write("\n")
+        # one write: json.dump writes once per encoder chunk
+        stream.write(json.dumps(to_json_dict(map_), indent=2) + "\n")
     return 0
 
 

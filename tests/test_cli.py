@@ -268,6 +268,31 @@ def test_verify_json_of_error_entries_is_strict(scaled_level2_map, capsys):
             None] * 4
 
 
+class CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "--field", "real", "--n", "12"],
+    ["emit", "--field", "complex", "--n", "8"],
+    ["verify", "--n-max", "1", "--samples", "50", "--format", "json"],
+    ["report", "--field", "real", "--n", "2", "--samples", "50", "--format", "json"],
+], ids=["emit-real", "emit-complex", "verify", "report"])
+def test_a_json_document_is_written_at_once(argv):
+    # json.dump would write once per encoder chunk: thousands of writes for emit
+    stream = CountingStream()
+    with redirect_stdout(stream):
+        assert main(argv) == 0
+    assert stream.writes <= 2
+    json.loads(stream.getvalue(), parse_constant=_reject_constant)
+
+
 def test_linalg_error_is_a_failure_not_a_usage_error(monkeypatch, capsys):
     def singular(map_, points):
         raise np.linalg.LinAlgError("Singular matrix")
