@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -176,26 +177,25 @@ def _cmd_report(args) -> int:
 # "[-]0.[000]d" in bytes 0-7, sixteen more digits in bytes 8-23 and the
 # separator in byte 24.  Dropping the NULs leaves the text.
 _FIELD = 28
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
-_SCALE = 10.0 ** np.arange(17, 21)  # exact doubles, so the split below is exact
-_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+_SCALE = (1e17, 1e18, 1e19, 1e20)  # exact doubles; split in Python floats, so
+_SCALE_HI = tuple(_SPLIT * s - (_SPLIT * s - s) for s in _SCALE)  # the import
+_SCALE_LO = tuple(s - h for s, h in zip(_SCALE, _SCALE_HI))  # runs no numpy kernel
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of the values, zero-padded to width, one row per value."""
-    places = 10 ** np.arange(width - 1, -1, -1)
-    return (values[:, None] // places % 10 + ord("0")).astype(np.uint8)
-
-
+# The two byte tables are built on first use, so that the commands that
+# format no cloud do not pay for them (about 1.2 MB of peak memory at import).
+@functools.cache
 def _group_table() -> np.ndarray:
     """4 ASCII bytes of every group 0000-9999 as one uint32, then the same
     with the group's trailing zeros blanked (0000 blank throughout)."""
-    full = _digits(np.arange(10_000), 4)
+    places = 10 ** np.arange(3, -1, -1)
+    full = (np.arange(10_000)[:, None] // places % 10 + ord("0")).astype(np.uint8)
     kept = np.logical_or.accumulate(full[:, ::-1] != ord("0"), axis=1)[:, ::-1]
     return np.concatenate([full, np.where(kept, full, 0).astype(np.uint8)]).view(np.uint32).ravel()
 
 
+@functools.cache
 def _prefix_table() -> np.ndarray:
     """The prefix bytes of every sign, count of zeros after the point and
     leading digit, as two uint32 words each; row (neg * 4 + zeros) * 10 + digit."""
@@ -204,12 +204,8 @@ def _prefix_table() -> np.ndarray:
         for zeros in range(4):
             text = ("-0." if neg else "0.") + "0" * zeros
             table[neg, zeros, :, 7 - len(text):7] = np.frombuffer(text.encode(), np.uint8)
-    table[..., 7] = _digits(np.arange(10), 1)[:, 0]
+    table[..., 7] = np.arange(10) + ord("0")
     return table.reshape(80, 8).view(np.uint32)
-
-
-_GROUPS = _group_table()
-_PREFIXES = _prefix_table()
 
 
 def _format_rows(block: np.ndarray) -> str:
@@ -234,11 +230,11 @@ def _format_rows(block: np.ndarray) -> str:
     zeros = (a < 0.1).astype(np.intp)
     zeros += a < 0.01
     zeros += a < 0.001
-    hi = a * _SCALE[zeros]
+    scale, s_hi, s_lo = np.array([_SCALE, _SCALE_HI, _SCALE_LO])[:, zeros]
+    hi = a * scale
     split = _SPLIT * a
     a_hi = split - (split - a)
     a_lo = a - a_hi
-    s_hi, s_lo = _SCALE_HI[zeros], _SCALE_LO[zeros]
     lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
@@ -263,8 +259,8 @@ def _format_rows(block: np.ndarray) -> str:
 
     fields = np.zeros((rows, k, _FIELD), np.uint8)
     words = fields.view(np.uint32).reshape(x.size, _FIELD // 4)
-    words[:, 0:2] = _PREFIXES.take((x < 0) * 40 + zeros * 10 + lead, axis=0, mode="clip")
-    words[:, 2:6] = _GROUPS.take(groups)
+    words[:, 0:2] = _prefix_table().take((x < 0) * 40 + zeros * 10 + lead, axis=0)
+    words[:, 2:6] = _group_table().take(groups)
     fields[:, :-1, 24] = ord(",")
     fields[:, -1, 24] = ord("\n")
     fields = fields.reshape(x.size, _FIELD)
