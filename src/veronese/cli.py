@@ -177,10 +177,12 @@ def _cmd_report(args) -> int:
 # "[-]0.[000]d" in bytes 0-7, sixteen more digits in bytes 8-23 and the
 # separator in byte 24.  Dropping the NULs leaves the text.
 _FIELD = 28
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
-_SCALE = (1e17, 1e18, 1e19, 1e20)  # exact doubles; split in Python floats, so
-_SCALE_HI = tuple(_SPLIT * s - (_SPLIT * s - s) for s in _SCALE)  # the import
-_SCALE_LO = tuple(s - h for s, h in zip(_SCALE, _SCALE_HI))  # runs no numpy kernel
+# 10^17..10^20 are exact doubles.  Veltkamp's split of each into two 26-bit
+# halves is taken in Python floats, so importing this module runs no numpy kernel.
+_SPLIT = 134217729.0  # 2**27 + 1
+_SCALE = (1e17, 1e18, 1e19, 1e20)
+_SCALE_HI = tuple(_SPLIT * s - (_SPLIT * s - s) for s in _SCALE)
+_SCALE_LO = tuple(s - h for s, h in zip(_SCALE, _SCALE_HI))
 
 
 # The two byte tables are built on first use, so that the commands that
@@ -216,9 +218,9 @@ def _format_rows(block: np.ndarray) -> str:
     significant digits are N = round(|x| 10^(17 + zeros)), rounded half to
     even like printf.  The product is held exactly as hi + lo (Dekker's
     two-product), and hi >= 1e16 > 2^53 is an even integer, so
-    N = hi + rint(lo) is that rounding.  The doubles 0.1, 0.01 and 0.001
-    lie above their powers of ten, so comparing with them counts the zeros
-    exactly, and no double of the band rounds up to 10^17 (the tests check
+    N = hi + rint(lo) is that rounding.  The doubles 0.1, 0.01, 0.001 and
+    1e-4 lie above their powers of ten, so comparing with them counts the
+    zeros exactly, and no double of the band rounds up to 10^17 (the tests check
     both facts in exact arithmetic).  Every other value is written by
     "%.17g" itself.
     """
