@@ -163,7 +163,6 @@ def test_entries_serialize_to_json():
             "verdict", "tolerance"} <= set(decoded[0])
 
 
-
 def test_non_finite_numbers_serialize_as_null():
     entry = audit.ClaimAuditEntry(
         claim_id="c", statement="s", expected=math.nan, measured=math.inf,
@@ -173,6 +172,7 @@ def test_non_finite_numbers_serialize_as_null():
         "claim_id": "c", "statement": "s", "expected": None, "measured": None,
         "abs_deviation": None, "verdict": ERROR, "tolerance": 1e-8,
         "details": {"spread": None, "count": 3.0, "error": "boom"}}
+
 
 def test_level2_curvature_field_computed_once(monkeypatch):
     calls = []

@@ -234,13 +234,17 @@ def test_broken_map_is_a_failure_not_a_usage_error(argv, scaled_level2_map, caps
     assert err.startswith("error: image points are off the unit sphere")
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_map, capsys):
     # the geometry sweep and the level-2 invariants raise; the 17 entries
     # measured before them are printed
     assert main(["verify", "--n-max", "2", "--samples", "50", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == "error: image points are off the unit sphere (worst deviation 1.000e-03)\n"
-    entries = json.loads(out)
+    entries = json.loads(out, parse_constant=_reject_constant)  # strict JSON: no NaN
     measured = [e for e in entries if e["verdict"] != "ERROR"]
     errors = [e for e in entries if e["verdict"] == "ERROR"]
     assert len(measured) == 17
@@ -249,23 +253,11 @@ def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_ma
         "veronese_scalar_curvature", "veronese_alpha_norm_sq",
         "pi_functional_level2", "gauss_bonnet_level2"}
     assert all(e["details"]["error"] == err[len("error: "):-1] for e in errors)
+    assert all(e[key] is None for e in errors
+               for key in ("expected", "measured", "abs_deviation", "tolerance"))
     # the scale shows in the claims that were measured
     assert {e["claim_id"] for e in measured if e["verdict"] == "MISMATCH"} >= {
         "norm_identity_real", "norm_identity_complex", "unit_image"}
-
-
-def _reject_constant(name):
-    raise ValueError(f"not strict JSON: {name}")
-
-
-def test_verify_json_of_error_entries_is_strict(scaled_level2_map, capsys):
-    assert main(["verify", "--n-max", "2", "--format", "json"]) == 1
-    entries = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    errors = [e for e in entries if e["verdict"] == "ERROR"]
-    assert len(errors) == 7
-    for e in errors:
-        assert [e[key] for key in ("expected", "measured", "abs_deviation", "tolerance")] == [
-            None] * 4
 
 
 class CountingStream(io.StringIO):
