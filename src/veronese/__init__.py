@@ -9,9 +9,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .constants import (ambient_dims, radius, radius_pow4, rational_str,
                         step_constants)
 from .construct import build, hopf
-from .geometry import (canonical_point, curvature_field, laplace_residual,
-                       pullback_factor, second_fundamental_form, tangent_bases,
-                       tangent_images)
+from .geometry import (canonical_point, curvature_field, pullback_factor,
+                       second_fundamental_form, tangent_bases, tangent_images)
 from .measure import (IntegralEstimate, global_invariants, integrate_quotient,
                       sphere_volume)
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
@@ -24,9 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ambient_dims", "radius", "radius_pow4", "rational_str", "step_constants",
     "build", "hopf",
-    "canonical_point", "curvature_field", "laplace_residual",
-    "pullback_factor", "second_fundamental_form", "tangent_bases",
-    "tangent_images",
+    "canonical_point", "curvature_field", "pullback_factor",
+    "second_fundamental_form", "tangent_bases", "tangent_images",
     "IntegralEstimate", "global_invariants", "integrate_quotient",
     "sphere_volume",
     "QuadMap", "StructuralError", "evaluate",

@@ -5,9 +5,8 @@ mean curvature, and the scalar curvature implied by the Gauss relation
 s = d(d-1) + |H|^2 - |alpha|^2 for a d-manifold in the unit sphere.
 
 Everything analytic about the maps (differentials, accelerations along
-great circles) uses the constant coefficient matrices directly; the only
-finite differencing in this module is the intrinsic-Laplacian residual,
-which is deliberately an independent check.
+great circles) uses the constant coefficient matrices directly; nothing
+here is differenced.
 
 The second fundamental form is expressed in an orthonormal frame of the
 *image* tangent space (Gram-Schmidt on the pushed-forward basis), i.e.
@@ -21,57 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import constants
-from .quadmap import QuadMap, StructuralError, chunks, evaluate
+from .quadmap import QuadMap, StructuralError, chunks
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 RANK_TOL = 1e-10         # smallest acceptable triangular pivot, relative
-LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 IMAGE_NORM_TOL = 1e-10   # image points must sit on the unit sphere
-
-
-def _basis_real(unit_points: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases at unit points, shape (p, m-1, m).
-
-    Deterministic: the reflection taking the first coordinate axis to the
-    base direction is applied to the remaining coordinate axes.
-    """
-    p, m = unit_points.shape
-    v = unit_points.copy()
-    v[:, 0] -= 1.0
-    vv = np.einsum("pi,pi->p", v, v)
-    safe = np.where(vv > 1e-32, vv, 1.0)
-    coef = np.where(vv > 1e-32, 2.0 / safe, 0.0)
-    basis = -(coef[:, None, None] * v[:, 1:, None]) * v[:, None, :]
-    idx = np.arange(1, m)
-    basis[:, idx - 1, idx] += 1.0
-    return basis
-
-
-def _basis_horizontal(unit_points: np.ndarray) -> np.ndarray:
-    """Orthonormal horizontal bases at unit complex points, shape (p, 2(m-1), m).
-
-    A unitary reflection (corrected by the phase of the first coordinate)
-    carries the first coordinate axis to the base direction; its images of
-    the remaining axes u_k give the horizontal pairs (u_k, i u_k).
-    """
-    p, m = unit_points.shape
-    w0 = unit_points[:, 0]
-    mag = np.abs(w0)
-    phase = np.where(mag > 0, w0 / np.where(mag > 0, mag, 1.0), 1.0)
-    wp = unit_points * np.conj(phase)[:, None]
-    v = wp.copy()
-    v[:, 0] -= 1.0
-    vv = np.einsum("pi,pi->p", np.conj(v), v).real
-    safe = np.where(vv > 1e-32, vv, 1.0)
-    coef = np.where(vv > 1e-32, 2.0 / safe, 0.0)
-    cols = -(coef[:, None, None] * np.conj(v[:, 1:, None])) * v[:, None, :]
-    idx = np.arange(1, m)
-    cols[:, idx - 1, idx] += 1.0
-    cols = cols * phase[:, None, None]
-    out = np.empty((p, 2 * (m - 1), m), dtype=complex)
-    out[:, 0::2] = cols
-    out[:, 1::2] = 1j * cols
-    return out
 
 
 def canonical_point(map_: QuadMap) -> np.ndarray:
@@ -85,8 +38,12 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     """Orthonormal tangent (real) or horizontal (complex) bases, shape (p, d, n+1).
 
     points must be a non-empty (p, n+1) batch on the sphere of the map's
-    level radius r_n; every geometry entry point checks that here.  The
-    complex bases are orthogonal to both z and iz in the real inner product.
+    level radius r_n; every geometry entry point checks that here.  One
+    deterministic reflection serves both fields: it carries the first
+    coordinate axis to the unit point (for a complex map, first turned by the
+    phase of its first coordinate) and its images u_k of the remaining axes
+    are the real basis, or give the complex one as the pairs (u_k, i u_k),
+    which are orthogonal to both z and iz in the real inner product.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != map_.domain_dim:
@@ -99,9 +56,24 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
         raise ValueError(f"points are off the level-{map_.n} sphere of radius {r!r} "
                          f"(worst norm deviation {worst:.3e})")
+    u = np.asarray(pts, dtype=map_.components.dtype) / r
+    p, m = u.shape
+    if map_.field == "complex":
+        mag = np.abs(u[:, 0])
+        phase = np.where(mag > 0, u[:, 0] / np.where(mag > 0, mag, 1.0), 1.0)
+        u = u * np.conj(phase)[:, None]
+    v = u.copy()
+    v[:, 0] -= 1.0
+    vv = np.einsum("pi,pi->p", v.conj(), v).real  # conj() of real rows is v itself
+    safe = np.where(vv > 1e-32, vv, 1.0)
+    coef = np.where(vv > 1e-32, 2.0 / safe, 0.0)
+    basis = -(coef[:, None, None] * v[:, 1:, None].conj()) * v[:, None, :]
+    idx = np.arange(1, m)
+    basis[:, idx - 1, idx] += 1.0
     if map_.field == "real":
-        return _basis_real(pts / r)
-    return _basis_horizontal(pts / r)
+        return basis
+    basis = basis * phase[:, None, None]
+    return np.stack([basis, 1j * basis], axis=2).reshape(p, 2 * (m - 1), m)
 
 
 def _pushforward(map_: QuadMap, points):
@@ -135,8 +107,14 @@ def pullback_factor(map_: QuadMap, points) -> tuple[np.ndarray, np.ndarray]:
     return _pushforward(map_, points)[3:]
 
 
-def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
-    """Batched curvature pipeline at points of the level sphere.
+def second_fundamental_form(map_: QuadMap, points) -> tuple[np.ndarray, ...]:
+    """Second fundamental form at points of the level sphere, with the pullback
+    factor and its anisotropy (as pullback_factor), as (alpha, lambda,
+    anisotropy); the kernel that curvature_field runs on each chunk.
+
+    alpha has shape (p, d, d, K); its entry (i, j) is the normal-space
+    component of the embedding's second derivative along the orthonormalized
+    image directions i and j.
 
     Accelerations of the curves t -> map(great circle) are assembled from
     the constant coefficient matrices: for a circle with initial velocity w
@@ -175,16 +153,7 @@ def _curvature_chunk(map_: QuadMap, points: np.ndarray) -> dict:
     r_inv_t = np.linalg.inv(r_tri).transpose(0, 2, 1)
     acc = (r_inv_t @ acc.reshape(p, d, -1)).reshape(acc.shape)
     alpha = r_inv_t[:, None] @ acc
-    return {"alpha": alpha, "lambda": lam, "anisotropy": anis}
-
-
-def second_fundamental_form(map_: QuadMap, points) -> np.ndarray:
-    """Second fundamental form at each point, shape (p, d, d, K).
-
-    Entry (i, j) is the normal-space component of the embedding's second
-    derivative along the orthonormalized image directions i and j.
-    """
-    return _curvature_chunk(map_, np.asarray(points))["alpha"]
+    return alpha, lam, anis
 
 
 def curvature_field(map_: QuadMap, points) -> dict:
@@ -204,40 +173,11 @@ def curvature_field(map_: QuadMap, points) -> dict:
     # per point: the (d, M*K) products of the rows with the stack and two (d, d, K)
     # accelerations
     for part in chunks(len(pts), 8 * d * k * (m + 2 * d)):
-        res = _curvature_chunk(map_, pts[part])
-        a = res.pop("alpha")
+        a, lam, anis = second_fundamental_form(map_, pts[part])
         # a row reduction, not a BLAS dot, whose split depends on the thread count
-        a2 = res["alpha_norm_sq"] = np.square(a.reshape(len(a), -1)).sum(axis=1)
-        hn = res["mean_curvature_norm"] = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
-        res["scalar_curvature_gauss"] = d * (d - 1) + hn * hn - a2
-        parts.append(res)
+        a2 = np.square(a.reshape(len(a), -1)).sum(axis=1)
+        hn = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
+        parts.append({"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
+                      "mean_curvature_norm": hn,
+                      "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2})
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
-def laplace_residual(map_: QuadMap, base_point) -> float:
-    """Deviation of every component from the degree-2 eigenvalue equation.
-
-    A second-order central difference along unit-speed great circles through
-    the base point (one per orthonormal tangent direction, the fiber
-    direction included in the complex case) approximates the intrinsic
-    sphere Laplacian in exact geodesic normal coordinates; each component f
-    must satisfy lap f = -k(k + m - 1)/r^2 f with k = 2 on an m-sphere of
-    the level radius r.  Returns the largest componentwise residual.
-    """
-    dirs = tangent_bases(map_, np.asarray(base_point)[None])[0]
-    pt = np.asarray(base_point, dtype=map_.components.dtype)
-    r = constants.radius(map_.n)
-    if map_.field == "complex":
-        dirs = np.concatenate([dirs, (1j * pt / r)[None, :]], axis=0)
-    m_sphere = dirs.shape[0]
-
-    h = LAPLACE_STEP
-    c, s = np.cos(h / r), np.sin(h / r)
-    plus = c * pt[None, :] + (s * r) * dirs
-    minus = c * pt[None, :] - (s * r) * dirs
-    vals = evaluate(map_, np.concatenate([plus, minus, pt[None, :]], axis=0))
-    f0 = vals[-1]
-    lap = (vals[:m_sphere].sum(axis=0) + vals[m_sphere:2 * m_sphere].sum(axis=0)
-           - 2.0 * m_sphere * f0) / (h * h)
-    expected = -2.0 * (m_sphere + 1) / (r * r) * f0
-    return float(np.max(np.abs(lap - expected)))

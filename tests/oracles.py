@@ -2,7 +2,8 @@
 
 Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
-differential, central differences, exact rational arithmetic, and printf.
+differential, central differences (of the map, its pullback metric and its
+sphere Laplacian), exact rational arithmetic, and printf.
 """
 
 from fractions import Fraction
@@ -13,14 +14,8 @@ from veronese import constants
 from veronese.constants import radius_pow4
 from veronese.geometry import tangent_bases
 from veronese.quadmap import QuadMap, evaluate
-from veronese.sampling import complex_sphere_points, sphere_points
 
-
-def sample_points(n, field, count, seed):
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_points(n + 1, count, seed, radius=r)
-    return complex_sphere_points(n + 1, count, seed, radius=r)
+LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 
 
 def dense_evaluate(map_, points):
@@ -99,6 +94,35 @@ def fd_pullback(map_, point, basis, h=1e-5):
     t = np.stack(cols)
     gram = t @ t.T
     return float(np.trace(gram)) / basis.shape[0]
+
+
+def laplace_residual(map_: QuadMap, base_point) -> float:
+    """Deviation of every component from the degree-2 eigenvalue equation.
+
+    A second-order central difference along unit-speed great circles through
+    the base point (one per orthonormal tangent direction, the fiber
+    direction included in the complex case) approximates the intrinsic
+    sphere Laplacian in exact geodesic normal coordinates; each component f
+    must satisfy lap f = -k(k + m - 1)/r^2 f with k = 2 on an m-sphere of
+    the level radius r.  Returns the largest componentwise residual.
+    """
+    dirs = tangent_bases(map_, np.asarray(base_point)[None])[0]
+    pt = np.asarray(base_point, dtype=map_.components.dtype)
+    r = constants.radius(map_.n)
+    if map_.field == "complex":
+        dirs = np.concatenate([dirs, (1j * pt / r)[None, :]], axis=0)
+    m_sphere = dirs.shape[0]
+
+    h = LAPLACE_STEP
+    c, s = np.cos(h / r), np.sin(h / r)
+    plus = c * pt[None, :] + (s * r) * dirs
+    minus = c * pt[None, :] - (s * r) * dirs
+    vals = evaluate(map_, np.concatenate([plus, minus, pt[None, :]], axis=0))
+    f0 = vals[-1]
+    lap = (vals[:m_sphere].sum(axis=0) + vals[m_sphere:2 * m_sphere].sum(axis=0)
+           - 2.0 * m_sphere * f0) / (h * h)
+    expected = -2.0 * (m_sphere + 1) / (r * r) * f0
+    return float(np.max(np.abs(lap - expected)))
 
 
 def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:

@@ -16,7 +16,9 @@ from veronese.constants import ambient_dims, radius_pow4
 from veronese.construct import build, hopf
 from veronese.quadmap import (evaluate, harmonicity_traces,
                               norm_identity_residual, real_restriction)
-from veronese.sampling import complex_sphere_points, sphere_points
+from veronese.sampling import complex_sphere_points
+
+from oracles import laplace_residual
 
 
 class Criterion:
@@ -45,13 +47,6 @@ class Criterion:
               + (f" -- {'; '.join(self.failures)}" if self.failures else ""))
         assert not self.failures, f"{self.name}: {self.failures}"
         return False
-
-
-def on_sphere_points(field, n, count, seed):
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_points(n + 1, count, seed, radius=r)
-    return complex_sphere_points(n + 1, count, seed, radius=r)
 
 
 def test_criterion_01_exact_sequences():
@@ -108,7 +103,7 @@ def test_criterion_06_homothety():
     with Criterion("06 homothety") as c:
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
-                pts = on_sphere_points(field, n, 20, seed=4000 + n)
+                pts = measure.quotient_samples(n, field, 20, seed=4000 + n)
                 lams, anis = geometry.pullback_factor(build(n, field), pts)
                 for lam, an in zip(lams, anis):
                     c.check(an / lam < 1e-8,
@@ -135,7 +130,7 @@ def test_criterion_07_minimality():
     with Criterion("07 minimality", budget_seconds=30.0) as c:
         for field, cap in (("real", 5), ("complex", 3)):
             for n in range(1, cap + 1):
-                pts = on_sphere_points(field, n, 20, seed=5000 + n)
+                pts = measure.quotient_samples(n, field, 20, seed=5000 + n)
                 h_max = float(np.max(
                     geometry.curvature_field(build(n, field), pts)["mean_curvature_norm"]))
                 c.check(h_max < 1e-6, f"{field} level {n} |H| {h_max:.2e}")
@@ -144,7 +139,7 @@ def test_criterion_07_minimality():
 def test_criterion_08_gauss_consistency():
     with Criterion("08 gauss-consistency") as c:
         for n in range(2, 6):
-            pts = on_sphere_points("real", n, 20, seed=6000 + n)
+            pts = measure.quotient_samples(n, "real", 20, seed=6000 + n)
             geo = geometry.curvature_field(build(n, "real"), pts)
             rho_sq = geo["lambda"] * constants.radius(n) ** 2
             gap = float(np.max(np.abs(geo["scalar_curvature_gauss"]
@@ -188,8 +183,8 @@ def test_criterion_11_laplace_eigenvalue():
     with Criterion("11 laplace-eigenvalue") as c:
         for field in ("real", "complex"):
             for n in range(1, 4):
-                for p in on_sphere_points(field, n, 5, seed=8000 + n):
-                    res = geometry.laplace_residual(build(n, field), p)
+                for p in measure.quotient_samples(n, field, 5, seed=8000 + n):
+                    res = laplace_residual(build(n, field), p)
                     c.check(res < 1e-4, f"{field} level {n} residual {res:.2e}")
 
 

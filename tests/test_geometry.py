@@ -6,12 +6,13 @@ from numpy.testing import assert_allclose
 
 from veronese import constants, geometry, quadmap
 from veronese.construct import build
-from veronese.geometry import (curvature_field, laplace_residual, pullback_factor,
-                               second_fundamental_form, tangent_bases)
+from veronese.geometry import (curvature_field, pullback_factor, second_fundamental_form,
+                               tangent_bases)
+from veronese.measure import quotient_samples
 from veronese.quadmap import QuadMap, StructuralError, evaluate
 from veronese.sampling import sphere_points
 
-from oracles import dense_curvature, fd_pullback, jacobian, sample_points
+from oracles import dense_curvature, fd_pullback, jacobian, laplace_residual
 
 
 def closed_form_lambda(n):
@@ -41,13 +42,22 @@ def test_frame_at_complex_pole():
 def test_frame_invariants_random_points(field, n_max):
     for n in range(1, n_max + 1):
         r = constants.radius(n)
-        pts = sample_points(n, field, 25, seed=100 + n)
+        pts = quotient_samples(n, field, 25, seed=100 + n)
         for p, basis in zip(pts, tangent_bases(build(n, field), pts)):
             d = basis.shape[0]
             assert np.max(np.abs(real_gram(basis, basis) - np.eye(d))) < 1e-13
             assert np.max(np.abs(real_gram(basis, p[None]))) < 1e-13 * r
             if field == "complex":
                 assert np.max(np.abs(real_gram(basis, 1j * p[None]))) < 1e-13 * r
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_complex_frame_follows_the_map_not_the_point_dtype(n):
+    m = build(n, "complex")
+    x = sphere_points(n + 1, 6, seed=20 + n, radius=constants.radius(n))
+    bases = tangent_bases(m, x)
+    assert bases.shape == (6, 2 * n, n + 1)
+    assert np.array_equal(bases, tangent_bases(m, x.astype(complex)))
 
 
 def test_frame_rejects_off_sphere_points():
@@ -63,7 +73,7 @@ def test_frame_rejects_off_sphere_points():
 
 
 def test_pullback_level1_speed():
-    lam, anis = pullback_factor(build(1, "real"), sample_points(1, "real", 10, seed=4))
+    lam, anis = pullback_factor(build(1, "real"), quotient_samples(1, "real", 10, seed=4))
     assert_allclose(lam, 4.0, rtol=0, atol=1e-12)
     assert np.max(anis) < 1e-12
 
@@ -76,7 +86,7 @@ def test_pullback_level2_pole():
 
 
 def test_pullback_level3_value():
-    lam, anis = pullback_factor(build(3, "real"), sample_points(3, "real", 20, seed=6))
+    lam, anis = pullback_factor(build(3, "real"), quotient_samples(3, "real", 20, seed=6))
     assert_allclose(lam, 2.0 * math.sqrt(2.0) / 3.0, rtol=0, atol=1e-10)
     assert np.max(anis) < 1e-10
 
@@ -85,7 +95,7 @@ def test_pullback_level3_value():
 def test_pullback_closed_form_and_fd_oracle(field, n_max):
     for n in range(1, n_max + 1):
         m = build(n, field)
-        pts = sample_points(n, field, 5, seed=31 * n)
+        pts = quotient_samples(n, field, 5, seed=31 * n)
         lams, anis = pullback_factor(m, pts)
         assert np.max(anis / lams) < 1e-8
         for p, basis, lam in zip(pts, tangent_bases(m, pts), lams):
@@ -96,16 +106,17 @@ def test_pullback_closed_form_and_fd_oracle(field, n_max):
 
 def test_alpha_vanishes_in_codimension_zero():
     # level-1 real and complex images fill their spheres
-    alpha = second_fundamental_form(build(1, "real"), sample_points(1, "real", 1, seed=8))
+    alpha = second_fundamental_form(build(1, "real"), quotient_samples(1, "real", 1, seed=8))[0]
     assert np.max(np.abs(alpha)) < 1e-13
-    alphac = second_fundamental_form(build(1, "complex"), sample_points(1, "complex", 1, seed=8))
+    alphac = second_fundamental_form(build(1, "complex"),
+                                     quotient_samples(1, "complex", 1, seed=8))[0]
     assert np.max(np.abs(alphac)) < 1e-12
 
 
 def test_alpha_symmetry_and_tangency():
     m = build(2, "real")
-    pts = sample_points(2, "real", 10, seed=12)
-    for x, basis, alpha in zip(pts, tangent_bases(m, pts), second_fundamental_form(m, pts)):
+    pts = quotient_samples(2, "real", 10, seed=12)
+    for x, basis, alpha in zip(pts, tangent_bases(m, pts), second_fundamental_form(m, pts)[0]):
         assert np.max(np.abs(alpha - np.transpose(alpha, (1, 0, 2)))) < 1e-8
         p = evaluate(m, x)
         t = basis @ jacobian(m, x).T  # analytic image tangents
@@ -131,7 +142,7 @@ EXPECTED_CURVATURE = {
 @pytest.mark.parametrize("field,n", sorted(EXPECTED_CURVATURE))
 def test_curvature_invariants_values(field, n):
     a2_expected, s_expected = EXPECTED_CURVATURE[(field, n)]
-    geo = curvature_field(build(n, field), sample_points(n, field, 20, seed=50 + n))
+    geo = curvature_field(build(n, field), quotient_samples(n, field, 20, seed=50 + n))
     assert np.max(geo["mean_curvature_norm"]) < 1e-7
     a2s, ss = geo["alpha_norm_sq"], geo["scalar_curvature_gauss"]
     assert np.ptp(a2s) < 1e-7 and np.ptp(ss) < 1e-7
@@ -143,7 +154,7 @@ def test_curvature_invariants_values(field, n):
 def test_gauss_relation_consistency(n):
     # the Gauss-relation scalar curvature must equal the round value of the
     # measured induced metric, d(d-1) / (lambda r^2)
-    geo = curvature_field(build(n, "real"), sample_points(n, "real", 5, seed=70 + n))
+    geo = curvature_field(build(n, "real"), quotient_samples(n, "real", 5, seed=70 + n))
     round_value = n * (n - 1) / (geo["lambda"] * constants.radius(n) ** 2)
     assert_allclose(geo["scalar_curvature_gauss"], round_value, rtol=0, atol=1e-6)
 
@@ -151,10 +162,10 @@ def test_gauss_relation_consistency(n):
 def test_curvature_field_matches_pointwise():
     # the batched reduction against plain sums over each point's own alpha
     m = build(3, "real")
-    pts = sample_points(3, "real", 6, seed=91)
+    pts = quotient_samples(3, "real", 6, seed=91)
     batch = curvature_field(m, pts)
     for i, p in enumerate(pts):
-        alpha = second_fundamental_form(m, p[None])[0]
+        alpha = second_fundamental_form(m, p[None])[0][0]
         alpha_sq = float(np.sum(alpha * alpha))
         h_norm = float(np.linalg.norm(np.einsum("aak->k", alpha)))
         assert batch["lambda"][i] == pytest.approx(pullback_factor(m, p[None])[0][0], abs=1e-13)
@@ -167,7 +178,7 @@ def test_curvature_field_matches_pointwise():
                                      ("complex", 1), ("complex", 2), ("complex", 3)])
 def test_laplace_eigenvalue_residual(field, n):
     m = build(n, field)
-    for p in sample_points(n, field, 5, seed=15 + n):
+    for p in quotient_samples(n, field, 5, seed=15 + n):
         assert laplace_residual(m, p) < 1e-4
 
 
@@ -213,7 +224,7 @@ def test_pullback_factor_is_the_batched_pipeline_at_the_canonical_point(field, c
 @pytest.mark.parametrize("field,n", [("real", 3), ("complex", 2)])
 def test_tangent_images_match_jacobian(field, n):
     m = build(n, field)
-    pts = sample_points(n, field, 4, seed=40 + n)
+    pts = quotient_samples(n, field, 4, seed=40 + n)
     images = geometry.tangent_images(m, pts)
     for p, basis, t in zip(pts, tangent_bases(m, pts), images):
         coords = basis if field == "real" else np.concatenate([basis.real, basis.imag], axis=1)
@@ -230,8 +241,8 @@ def test_entry_points_reject_off_sphere_and_wrong_width(entry):
     with pytest.raises(ValueError, match="off the level-2 sphere"):
         entry(m, np.ones((3, 3)))
     with pytest.raises(ValueError, match=r"\(count, 3\)"):
-        entry(m, sample_points(3, "real", 3, seed=1))
-    nan_row = sample_points(2, "real", 2, seed=1)
+        entry(m, quotient_samples(3, "real", 3, seed=1))
+    nan_row = quotient_samples(2, "real", 2, seed=1)
     nan_row[1, 2] = np.nan
     with pytest.raises(ValueError, match="off the level-2 sphere"):
         entry(m, nan_row)
@@ -241,20 +252,19 @@ def test_curvature_rejects_images_off_the_unit_sphere():
     # on-sphere domain points, but a map that does not land on the unit sphere
     half = QuadMap(n=1, components=0.5 * build(1, "real").components)
     with pytest.raises(StructuralError, match="off the unit sphere"):
-        curvature_field(half, sample_points(1, "real", 2, seed=3))
+        curvature_field(half, quotient_samples(1, "real", 2, seed=3))
 
 
 @pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
 def test_planned_kernel_matches_dense_oracle(field, cap):
     for n in range(1, cap + 1):
         m = build(n, field)
-        pts = sample_points(n, field, 3, seed=120 + n)
+        pts = quotient_samples(n, field, 3, seed=120 + n)
         alpha_ref, lam_ref, anis_ref = dense_curvature(m, pts)
         assert_allclose(lam_ref, closed_form_lambda(n), rtol=1e-10, atol=0)
-        lam, anis = pullback_factor(m, pts)
+        alpha, lam, anis = second_fundamental_form(m, pts)
         assert_allclose(lam, lam_ref, rtol=1e-13, atol=0)
         assert_allclose(anis, anis_ref, rtol=0, atol=1e-13 * np.max(lam_ref))
-        alpha = second_fundamental_form(m, pts)
         assert alpha.shape == alpha_ref.shape
         # level 1 has codimension 0, where alpha is rounding noise
         scale = float(np.max(np.abs(alpha_ref))) if n > 1 else 1.0
@@ -265,7 +275,7 @@ def test_planned_kernel_matches_dense_oracle(field, cap):
 def test_curvature_field_does_not_depend_on_chunk_size(field, cap, monkeypatch):
     for n in range(1, cap + 1):
         m = build(n, field)
-        pts = sample_points(n, field, 8, seed=140 + n)
+        pts = quotient_samples(n, field, 8, seed=140 + n)
         whole = curvature_field(m, pts)
         with monkeypatch.context() as patch:
             patch.setattr(quadmap, "CHUNK_BYTES", 1)  # one point per chunk

@@ -1,4 +1,5 @@
-"""No module of the package or its scripts uses another module's private names."""
+"""No module of the package, its scripts or the test oracles uses another module's
+private names."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "veronese").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = (sorted((ROOT / "src" / "veronese").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+           + [ROOT / "tests" / "oracles.py"])
 
 
 def _is_private(name: str) -> bool:

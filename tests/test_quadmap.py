@@ -8,14 +8,14 @@ from numpy.testing import assert_allclose
 
 from veronese import constants, quadmap
 from veronese.construct import build
+from veronese.measure import quotient_samples
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               harmonicity_traces, norm_identity_residual,
                               real_restriction, to_json_dict)
 from veronese.sampling import (ball_points, complex_ball_points, complex_sphere_points,
                                sphere_points)
 
-from oracles import (dense_evaluate, exact_norm_identity_deviation, fd_jacobian,
-                     jacobian, sample_points)
+from oracles import dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
@@ -48,7 +48,7 @@ def test_evaluate_batches():
 @pytest.mark.parametrize("field,n", LEVELS)
 def test_evaluate_matches_dense_oracle(field, n):
     m = build(n, field)
-    on_sphere = sample_points(n, field, 50, 200 + n)
+    on_sphere = quotient_samples(n, field, 50, 200 + n)
     sampler = ball_points if field == "real" else complex_ball_points
     in_ball = sampler(n + 1, 50, 300 + n, radius=2.0)
     for pts in (on_sphere, in_ball):
@@ -61,7 +61,7 @@ def test_evaluate_matches_dense_oracle(field, n):
 @pytest.mark.parametrize("field,n", LEVELS)
 def test_evaluate_does_not_depend_on_chunking(field, n, monkeypatch):
     m = build(n, field)
-    pts = sample_points(n, field, 12, 400 + n)
+    pts = quotient_samples(n, field, 12, 400 + n)
     whole = evaluate(m, pts)
     assert whole.shape == (12, m.component_count)
     assert np.array_equal(np.stack([evaluate(m, p) for p in pts]), whole)
