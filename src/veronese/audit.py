@@ -129,12 +129,8 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
 
     inv_points = measure.quotient_samples(n, field_name, min(max(pair_count, 1), 200), seed)
     base_vals = evaluate(map_, inv_points)
-    if field_name == "real":
-        actions = [-1.0]
-    else:
-        actions = [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
     invariance = 0.0
-    for g in actions:
+    for g in measure.fiber_actions(field_name):
         moved = evaluate(map_, g * inv_points)
         invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
 
@@ -172,7 +168,7 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
     (b) at level 1 the complex map coincides with the closed-form Hopf map;
     (c) on-sphere points land on the unit sphere in both fields.
     """
-    cap = LEVEL_CAPS["diagram"]["complex"]
+    cap = LEVEL_CAPS["audit"]["complex"]
     if not 1 <= n <= cap:
         raise ValueError(f"diagram check is maintained for levels 1..{cap}")
     cmap = construct.build(n, "complex")
@@ -416,7 +412,6 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     minimality_levels = [(field_name, k)
                          for field_name, levels in level_range.items()
                          for k in levels if 2 <= k <= LEVEL_CAPS["minimality"][field_name]]
-    diagram_levels = range(1, min(n_max_complex, LEVEL_CAPS["diagram"]["complex"]) + 1)
     # (claim ids, family, arguments): the ids are what a failing family reports
     families = [
         (["radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
@@ -428,7 +423,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
            _fiber_claims, (f, levels, samples, seed))
           for f, levels in level_range.items()),
         (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
-          "unit_image"], _diagram_claims, (diagram_levels, samples, seed)),
+          "unit_image"], _diagram_claims, (level_range["complex"], samples, seed)),
         (["homothety"] + ["minimality"] * bool(minimality_levels)
          + ["isometry_pullback_level2"] * (n_max_real >= 2),
          _geometry_claims, (level_range, minimality_levels, seed, homothety_tol)),

@@ -17,9 +17,8 @@ FIELDS = ("real", "complex")
 # Highest level, per field, that each part of the package handles.
 LEVEL_CAPS = {
     "build": {"real": MAX_LEVEL, "complex": 8},   # N_12 = 89, M_8 = 79 coordinates
-    "audit": {"real": 6, "complex": 4},           # verify --n-max
+    "audit": {"real": 6, "complex": 4},           # verify --n-max, diagram_check
     "minimality": {"real": 5, "complex": 3},      # audited |H| = 0 levels
-    "diagram": {"complex": 4},                    # complex map against the real one
 }
 
 

@@ -31,7 +31,6 @@ INVARIANCE_TOL = 1e-10
 # at most 8.4e-15 of it (1,000 samples, seeds 0-2, every level of both fields
 # under both metrics; the worst is real n=2), about 120 times inside the bound.
 CONSTANT_SPREAD_TOL = 1e-12
-_PHASES = (math.pi / 3.0, 1.0, 2.5)
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,20 @@ def quotient_volume_factor(n: int, field: str, scale: float) -> float:
     return base * scale ** (d / 2.0)
 
 
+def fiber_actions(field: str) -> list:
+    """The fiber actions that invariance is spot-checked under: -1 (real), or
+    the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
+    if field == "real":
+        return [-1.0]
+    return [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
+
+
 def _check_fiber_invariance(f, samples: np.ndarray, field: str):
     spot = samples[: min(8, samples.shape[0])]
     ref = np.asarray(f(spot), dtype=float)
     scale = max(1.0, float(np.max(np.abs(ref))))
-    actions = [-1.0] if field == "real" else [np.exp(1j * theta) for theta in _PHASES]
     dev = 0.0
-    for g in actions:
+    for g in fiber_actions(field):
         dev = max(dev, float(np.max(np.abs(np.asarray(f(g * spot), dtype=float) - ref))))
     if dev > INVARIANCE_TOL * scale:
         raise ValueError(

@@ -142,17 +142,17 @@ def norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float
     return float(np.max(np.abs(lhs - sq * sq / r4)))
 
 
-def real_restriction(cmap: QuadMap, rmap: QuadMap | None = None):
+def real_restriction(cmap: QuadMap, rmap: QuadMap):
     """Match the complex map against its restriction to real vectors.
 
     On real input the imaginary-part components vanish identically (their
     coefficient matrices have zero real part) and the surviving components,
-    in stored order, must reproduce the real map of the same level.  Returns
-    (sigma, zero_set): sigma maps real component index j to the complex
-    component index carrying the same form, zero_set lists the components
-    that vanish on real points.  If rmap is given, the matched coefficient
-    matrices are compared entry by entry; any inconsistency raises
-    StructuralError since it can only come from a construction-ordering bug.
+    in stored order, must reproduce the real map rmap of the same level.
+    Returns (sigma, zero_set): sigma maps real component index j to the
+    complex component index carrying the same form, zero_set lists the
+    components that vanish on real points.  The matched coefficient matrices
+    are compared entry by entry; any inconsistency raises StructuralError
+    since it can only come from a construction-ordering bug.
     """
     comps = cmap.components
     scale = max(1.0, float(np.max(np.abs(comps))))
@@ -168,18 +168,17 @@ def real_restriction(cmap: QuadMap, rmap: QuadMap | None = None):
         )
     sigma = {j: k for j, k in enumerate(survivors)}
 
-    if rmap is not None:
-        if rmap.n != cmap.n:
-            raise ValueError("real and complex maps must be at the same level")
-        if rmap.component_count != expected_real:
-            raise StructuralError("real map has unexpected component count")
-        for j, k in sigma.items():
-            dev = float(np.max(np.abs(comps[k].real - rmap.components[j])))
-            if dev > RESTRICTION_MATCH_TOL * scale:
-                raise StructuralError(
-                    f"complex component {k} does not restrict to real component {j} "
-                    f"(deviation {dev:.3e})"
-                )
+    if rmap.n != cmap.n:
+        raise ValueError("real and complex maps must be at the same level")
+    if rmap.component_count != expected_real:
+        raise StructuralError("real map has unexpected component count")
+    for j, k in sigma.items():
+        dev = float(np.max(np.abs(comps[k].real - rmap.components[j])))
+        if dev > RESTRICTION_MATCH_TOL * scale:
+            raise StructuralError(
+                f"complex component {k} does not restrict to real component {j} "
+                f"(deviation {dev:.3e})"
+            )
     return sigma, zero_set
 
 
