@@ -56,14 +56,13 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
         raise ValueError(f"points are off the level-{map_.n} sphere of radius {r!r} "
                          f"(worst norm deviation {worst:.3e})")
-    u = np.asarray(pts, dtype=map_.components.dtype) / r
-    p, m = u.shape
+    v = np.asarray(pts, dtype=map_.components.dtype) / r  # the unit points u, a new array
+    p, m = v.shape
     if map_.field == "complex":
-        mag = np.abs(u[:, 0])
-        phase = np.where(mag > 0, u[:, 0] / np.where(mag > 0, mag, 1.0), 1.0)
-        u = u * np.conj(phase)[:, None]
-    v = u.copy()
-    v[:, 0] -= 1.0
+        mag = np.abs(v[:, 0])
+        phase = np.where(mag > 0, v[:, 0] / np.where(mag > 0, mag, 1.0), 1.0)
+        v = v * np.conj(phase)[:, None]
+    v[:, 0] -= 1.0  # v = u - e_0, the reflection's normal
     vv = np.einsum("pi,pi->p", v.conj(), v).real  # conj() of real rows is v itself
     safe = np.where(vv > 1e-32, vv, 1.0)
     coef = np.where(vv > 1e-32, 2.0 / safe, 0.0)
