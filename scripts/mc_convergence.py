@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from veronese import measure
+from veronese import construct, geometry, measure
 
 
 def main():
@@ -29,12 +29,17 @@ def main():
         print(f"{count:>8} {gi2['gauss_bonnet_ratio'] - 1.0:>18.3e} "
               f"{gi3['sigma_quotient'] - target:>20.3e}")
 
+    # the Monte-Carlo mean and standard error, times the quotient volume under
+    # the image metric, whose homothety factor is read at the canonical point
+    map_ = construct.build(2, "real")
+    lam = geometry.curvature_field(map_, geometry.canonical_point(map_)[None])["lambda"][0]
+    volume = measure.quotient_volume_factor(2, "real", float(lam))
     print("\nvarying integrand x0^4 over the level-2 real quotient:")
     print(f"{'samples':>8} {'estimate':>12} {'std_error':>12}")
     for count in (100, 1000, 10_000, 100_000):
-        est = measure.integrate_quotient(
-            lambda p: p[:, 0] ** 4, 2, "real", count, args.seed)
-        print(f"{count:>8} {est.value:>12.6f} {est.std_error:>12.6f}")
+        values = measure.quotient_samples(2, "real", count, args.seed)[:, 0] ** 4
+        std_error = float(np.std(values, ddof=1)) / math.sqrt(count)
+        print(f"{count:>8} {volume * float(np.mean(values)):>12.6f} {volume * std_error:>12.6f}")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import constants, construct, geometry, measure
 from .constants import LEVEL_CAPS
-from .quadmap import (StructuralError, evaluate, harmonicity_traces,
+from .quadmap import (StructuralError, chunks, evaluate, harmonicity_traces,
                       norm_identity_residual, real_restriction)
-from .sampling import complex_sphere_points, sphere_points
+from .sampling import complex_sphere_points, generator, sphere_points
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -124,6 +124,8 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         differential restricted to the tangent/horizontal space has full
         rank at sampled points.
     """
+    if pair_count < 1:
+        raise ValueError("pair_count must be at least 1")
     map_ = construct.build(n, field_name)
     r = constants.radius(n)
 
@@ -134,13 +136,24 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         moved = evaluate(map_, g * inv_points)
         invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
 
-    x = measure.quotient_samples(n, field_name, pair_count, seed + _SEED_STRIDE)
-    y = measure.quotient_samples(n, field_name, pair_count, seed + 2 * _SEED_STRIDE)
+    # pairs are drawn, evaluated and reduced a block at a time; per pair: both points,
+    # evaluate's products of their rows with the stack, and the images
+    x_draw = generator(seed + _SEED_STRIDE)
+    y_draw = generator(seed + 2 * _SEED_STRIDE)
+    m, k = map_.stack.shape[0], map_.component_count
     delta = 1e-3 * r
-    separated = orbit_distance(x, y, field_name) > delta
-    image_dist = np.linalg.norm(evaluate(map_, x) - evaluate(map_, y), axis=1)
-    sep_dist = image_dist[separated]
-    collisions = int(np.sum(sep_dist <= SEPARATION_FLOOR))
+    pairs_tested = collisions = 0
+    nearest = math.inf
+    for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
+        count = part.stop - part.start
+        x = measure.quotient_samples(n, field_name, count, x_draw)
+        y = measure.quotient_samples(n, field_name, count, y_draw)
+        separated = orbit_distance(x, y, field_name) > delta
+        sep_dist = np.linalg.norm(evaluate(map_, x) - evaluate(map_, y), axis=1)[separated]
+        pairs_tested += int(np.sum(separated))
+        collisions += int(np.sum(sep_dist <= SEPARATION_FLOOR))
+        if sep_dist.size:
+            nearest = min(nearest, float(np.min(sep_dist)))
 
     frame_points = measure.quotient_samples(n, field_name, 50, seed + 3 * _SEED_STRIDE)
     tangent = geometry.tangent_images(map_, frame_points)
@@ -152,10 +165,10 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         "n": n,
         "field": field_name,
         "invariance_residual": invariance,
-        "pairs_tested": int(np.sum(separated)),
+        "pairs_tested": pairs_tested,
         "orbit_separation": delta,
         "collisions": collisions,
-        "min_image_distance": float(np.min(sep_dist)) if sep_dist.size else float("inf"),
+        "min_image_distance": nearest,
         "min_singular_value": smallest_singular,
     }
 

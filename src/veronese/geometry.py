@@ -17,6 +17,8 @@ factor, and nothing here silently picks one normalization.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
 
 from . import constants
@@ -100,15 +102,10 @@ def tangent_images(map_: QuadMap, points) -> np.ndarray:
     return _pushforward(map_, points)[2]
 
 
-def pullback_factor(map_: QuadMap, points) -> tuple[np.ndarray, np.ndarray]:
-    """Mean diagonal of the pullback Gram matrix at each point, and its worst
-    deviation from that multiple of I, as two (p,) arrays."""
-    return _pushforward(map_, points)[3:]
-
-
-def second_fundamental_form(map_: QuadMap, points) -> tuple[np.ndarray, ...]:
+def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarray, ...]:
     """Second fundamental form at points of the level sphere, with the pullback
-    factor and its anisotropy (as pullback_factor), as (alpha, lambda,
+    factor (the mean diagonal of the pullback Gram matrix) and its anisotropy
+    (its worst deviation from that multiple of I), as (alpha, lambda,
     anisotropy); the kernel that curvature_field runs on each chunk.
 
     alpha has shape (p, d, d, K); its entry (i, j) is the normal-space
@@ -123,6 +120,10 @@ def second_fundamental_form(map_: QuadMap, points) -> tuple[np.ndarray, ...]:
     orthonormal frame since |map|^2 is constant on the sphere) transformed
     into the Gram-Schmidt-orthonormalized image frame is the second
     fundamental form of the image inside the unit sphere.
+
+    work is None, or a pair of flat float arrays of at least p d M K and
+    p d d K doubles that the products are computed in (curvature_blocks keeps
+    one pair for all its blocks); alpha is then a view of the second.
     """
     rows, dx, tangent, lam, anis = _pushforward(map_, points)
     p, m = dx.shape[0], rows.shape[2]
@@ -138,21 +139,68 @@ def second_fundamental_form(map_: QuadMap, points) -> tuple[np.ndarray, ...]:
         raise StructuralError("image tangent space is rank deficient")
 
     rows = rows[:, 1:]
-    d = rows.shape[1]
+    d, k = rows.shape[1], images.shape[1]
+    spare, acc = work if work is not None else _work(map_, p)
+    acc = acc[:p * d * d * k].reshape(p, d, d, k)
+    term = spare[:acc.size].reshape(acc.shape)  # spare holds one product at a time
     # acc[a, b, k] = 2 B_a^T S_k B_b - (2 / r^2) (B_a . B_b) map(x)_k
-    acc = rows[:, None] @ (rows @ map_.stack).reshape(p, d, m, -1)
+    prod = np.matmul(rows, map_.stack, out=spare[:p * d * m * k].reshape(p, d, m * k))
+    np.matmul(rows[:, None], prod.reshape(p, d, m, k), out=acc)
     acc *= 2.0
     gram_dom = rows @ rows.transpose(0, 2, 1)
-    acc -= (2.0 / constants.radius(map_.n)**2) * gram_dom[..., None] * images[:, None, None, :]
+    acc -= np.multiply((2.0 / constants.radius(map_.n)**2) * gram_dom[..., None],
+                       images[:, None, None, :], out=term)
     frame = np.concatenate([images[:, :, None], q_hat], axis=2)
-    flat = acc.reshape(p, d * d, -1)
-    flat -= (flat @ frame) @ frame.transpose(0, 2, 1)
+    flat = acc.reshape(p, d * d, k)
+    flat -= np.matmul(flat @ frame, frame.transpose(0, 2, 1), out=term.reshape(p, d * d, k))
 
     # alpha[:, :, k] = R^-T acc[:, :, k] R^-1, one product per side
     r_inv_t = np.linalg.inv(r_tri).transpose(0, 2, 1)
-    acc = (r_inv_t @ acc.reshape(p, d, -1)).reshape(acc.shape)
-    alpha = r_inv_t[:, None] @ acc
-    return alpha, lam, anis
+    np.matmul(r_inv_t, acc.reshape(p, d, -1), out=term.reshape(p, d, -1))
+    np.matmul(r_inv_t[:, None], term, out=acc)
+    return acc, lam, anis
+
+
+def _dims(map_: QuadMap) -> tuple[int, int, int]:
+    """The real tangent dimension d (fiber removed), the stack's rows M and the
+    components K."""
+    m = map_.stack.shape[0]
+    return map_.n * (m // map_.domain_dim), m, map_.component_count
+
+
+def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The work of second_fundamental_form for count points: room for the
+    (d, M*K) products, and for the (d, d, K) accelerations."""
+    d, m, k = _dims(map_)
+    return np.empty(count * d * m * k), np.empty(count * d * d * k)
+
+
+def curvature_point_bytes(map_: QuadMap) -> int:
+    """Working memory per point of a curvature_field chunk, in doubles: the work
+    arrays of the (d, M*K) products and the (d, d, K) accelerations, d K (M+d);
+    beside them, at the kernel's peak, the stack product, image, tangent images,
+    their Q factor and the frame, K (M + 3d + 2); the projection's (d, d, d+1)
+    product and four (d, d) matrices; the point's rows; and a few scalars."""
+    d, m, k = _dims(map_)
+    return 8 * (d * k * (m + d) + k * (m + 3 * d + 2) + d * d * (d + 4) + m * (d + 1) + 32)
+
+
+def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[dict]:
+    """The curvature_field of each block of points in turn.  The kernel computes
+    in one pair of work arrays for all the blocks, so the allocator neither
+    gives that memory back nor faults it in again between blocks."""
+    d = _dims(map_)[0]
+    work, room = None, 0
+    for block in blocks:
+        if room < len(block):
+            work, room = _work(map_, len(block)), len(block)
+        a, lam, anis = second_fundamental_form(map_, block, work)
+        # a row reduction, not a BLAS dot, whose split depends on the thread count
+        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1))
+        a2 = a2.sum(axis=1)
+        hn = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
+        yield {"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
+               "mean_curvature_norm": hn, "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2}
 
 
 def curvature_field(map_: QuadMap, points) -> dict:
@@ -166,17 +214,6 @@ def curvature_field(map_: QuadMap, points) -> dict:
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         tangent_bases(map_, pts)  # raises its shape error
-    m, k = map_.stack.shape[0], map_.component_count
-    d = map_.n * (m // map_.domain_dim)  # real tangent dimension, fiber removed
-    parts = []
-    # per point: the (d, M*K) products of the rows with the stack and two (d, d, K)
-    # accelerations
-    for part in chunks(len(pts), 8 * d * k * (m + 2 * d)):
-        a, lam, anis = second_fundamental_form(map_, pts[part])
-        # a row reduction, not a BLAS dot, whose split depends on the thread count
-        a2 = np.square(a.reshape(len(a), -1)).sum(axis=1)
-        hn = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
-        parts.append({"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
-                      "mean_curvature_norm": hn,
-                      "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2})
+    parts = list(curvature_blocks(
+        map_, (pts[part] for part in chunks(len(pts), curvature_point_bytes(map_)))))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

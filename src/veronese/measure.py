@@ -1,5 +1,5 @@
-"""Volumes, Monte-Carlo integration over the projective quotients, and
-the global invariants of the embedded images.
+"""Volumes and the global invariants of the embedded images over the
+projective quotients.
 
 The quotient of the level-n domain sphere is sampled by pushing uniform
 sphere samples through the quotient map (uniform upstairs is uniform
@@ -17,14 +17,13 @@ everything normalization-dependent is reported under both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants, construct, geometry
-from .sampling import complex_sphere_points, sphere_points
+from .quadmap import chunks
+from .sampling import complex_sphere_points, generator, sphere_points
 
-INVARIANCE_TOL = 1e-10
 # An integrand whose spread over the samples is at most this fraction of
 # max(1, |first value|) is a constant: its integral is the closed-form volume
 # times that value, with zero standard error.  The curvature integrands spread
@@ -32,11 +31,11 @@ INVARIANCE_TOL = 1e-10
 # under both metrics; the worst is real n=2), about 120 times inside the bound.
 CONSTANT_SPREAD_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float
-    std_error: float
+# Samples are reduced in buffers of this length.  A run that fits one buffer
+# reduces each integrand with one call of each numpy reduction; a longer one
+# folds the statistics of its buffers.  Either way no figure depends on the
+# chunk length of the curvature field.
+REDUCE_LENGTH = 20_000
 
 
 def sphere_volume(dim: int, r: float) -> float:
@@ -89,105 +88,101 @@ def fiber_actions(field: str) -> list:
     return [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
 
 
-def _check_fiber_invariance(f, samples: np.ndarray, field: str):
-    spot = samples[: min(8, samples.shape[0])]
-    ref = np.asarray(f(spot), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    dev = 0.0
-    for g in fiber_actions(field):
-        dev = max(dev, float(np.max(np.abs(np.asarray(f(g * spot), dtype=float) - ref))))
-    if dev > INVARIANCE_TOL * scale:
-        raise ValueError(
-            f"integrand is not invariant under the fiber action (deviation {dev:.3e})"
-        )
+def _fold(moments: tuple | None, values: np.ndarray) -> tuple:
+    """(count, first, min, max, mean, variance with ddof 1) of the samples reduced
+    so far, extended by one buffer of values.  The buffer is reduced by one call
+    of each numpy reduction, and the two are combined by the pairwise update of
+    Chan, Golub and LeVeque (1979)."""
+    count, mean = len(values), float(np.mean(values))
+    var = float(np.var(values, ddof=1)) if count > 1 else 0.0
+    low, high = float(np.min(values)), float(np.max(values))
+    if moments is None:
+        return count, float(values[0]), low, high, mean, var
+    n0, first, low0, high0, mean0, var0 = moments
+    total, delta = n0 + count, mean - mean0
+    m2 = var0 * (n0 - 1) + var * (count - 1) + delta * delta * n0 * count / total
+    return (total, first, min(low0, low), max(high0, high), mean0 + delta * count / total,
+            m2 / (total - 1))
 
 
-def _estimate(values: np.ndarray, factor: float) -> IntegralEstimate:
-    values = np.asarray(values, dtype=float)
-    first = float(values[0])
-    spread = float(np.ptp(values))
-    mean = float(np.mean(values))
-    if spread <= CONSTANT_SPREAD_TOL * max(1.0, abs(first)):
+def _estimate(moments: tuple, factor: float) -> tuple[float, float, float]:
+    """Integral over the quotient, its standard error and the integrand's mean,
+    from the integrand's moments and the total volume."""
+    count, first, low, high, mean, var = moments
+    if high - low <= CONSTANT_SPREAD_TOL * max(1.0, abs(first)):
         # constant integrand: closed-form volume times the constant; the
         # Monte-Carlo mean stays as a cross-check
         if abs(mean - first) > 1e-9 * max(1.0, abs(first)):
             raise RuntimeError("constant integrand failed its Monte-Carlo cross-check")
-        return IntegralEstimate(factor * first, 0.0)
-    sd = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
-    return IntegralEstimate(factor * mean, factor * sd)
-
-
-def integrate_quotient(f, n: int, field: str, sample_count: int, seed: int) -> IntegralEstimate:
-    """Integral of a fiber-invariant scalar function over the level-n quotient
-    under the image metric.
-
-    f must accept a (count, n+1) batch of domain sphere points and return a
-    (count,) array; invariance under the fiber action is spot-checked and a
-    violation is a precondition error.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    samples = quotient_samples(n, field, sample_count, seed)
-    _check_fiber_invariance(f, samples, field)
-    map_ = construct.build(n, field)
-    lam, _ = geometry.pullback_factor(map_, geometry.canonical_point(map_)[None])
-    factor = quotient_volume_factor(n, field, float(lam[0]))
-    values = np.asarray(f(samples), dtype=float)
-    if values.shape != (sample_count,):
-        raise ValueError("integrand must return one scalar per sample")
-    return _estimate(values, factor)
+        return factor * first, 0.0, mean
+    return factor * mean, factor * (math.sqrt(var) / math.sqrt(count)), mean
 
 
 def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     """Global invariants of the level-n quotient under both metric readings,
     and the pointwise geometry at the canonical point.
 
-    Returns {"image": {...}, "domain": {...}, "canonical": {...}} from one
-    curvature field whose first row is the canonical point (r_n, 0, ..., 0)
-    and whose other rows are the samples.  lambda is read at the canonical
-    point; the domain metric is the image metric times t = 1/lambda.  Each
-    metric reading has the total scalar curvature, the integral of |alpha|^2
-    (the bending-energy functional), the quotient volume and the homothety
-    factor; the Gauss-Bonnet ratio appears for the real level-2 surface and
-    the normalized total scalar curvature (sigma quotient) for the real
-    level-3 space.  The canonical reading has the image-metric invariants at
-    that point and its effective squared radius lambda r_n^2.
+    Returns {"image": {...}, "domain": {...}, "canonical": {...}}.  lambda is
+    read at the canonical point (r_n, 0, ..., 0); the domain metric is the
+    image metric times t = 1/lambda.  The samples are drawn, put through the
+    curvature field and reduced one chunk at a time.  Each metric reading has
+    the total scalar curvature, the integral of |alpha|^2 (the bending-energy
+    functional), the quotient volume and the homothety factor; the Gauss-Bonnet
+    ratio appears for the real level-2 surface and the normalized total scalar
+    curvature (sigma quotient) for the real level-3 space.  The canonical
+    reading has the image-metric invariants at that point and its effective
+    squared radius lambda r_n^2.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     map_ = construct.build(n, field)
-    samples = quotient_samples(n, field, sample_count, seed)
     _, d = _round_quotient(n, field)
 
-    geo = geometry.curvature_field(
-        map_, np.concatenate([geometry.canonical_point(map_)[None], samples]))
+    geo = geometry.curvature_field(map_, geometry.canonical_point(map_)[None])
     canonical = {key: float(value[0]) for key, value in geo.items()}
     lam = canonical.pop("lambda")
     canonical["homothety_factor"] = lam
     canonical["effective_radius_sq"] = lam * constants.radius(n) ** 2
-    geo = {key: value[1:] for key, value in geo.items()}
-    h_sq = geo["mean_curvature_norm"] ** 2
-    readings = {"canonical": canonical}
-    for metric, t in (("image", 1.0), ("domain", 1.0 / lam)):
-        factor = quotient_volume_factor(n, field, lam * t)
-        scalar_vals = geo["scalar_curvature_gauss"] / t
-        alpha_vals = d * (d - 1) + h_sq - scalar_vals
-        total_scalar = _estimate(scalar_vals, factor)
-        pi_functional = _estimate(alpha_vals, factor)
+    metrics = {"image": 1.0, "domain": 1.0 / lam}
 
+    rng = generator(seed)
+    buffer = np.empty((2, REDUCE_LENGTH))  # the scalar curvature and |H| of each sample
+    # per point: the curvature kernel and the point's real row
+    point_bytes = geometry.curvature_point_bytes(map_) + 8 * map_.stack.shape[0]
+    moments = {}
+    for start in range(0, sample_count, REDUCE_LENGTH):
+        length = min(REDUCE_LENGTH, sample_count - start)
+        parts = chunks(length, point_bytes)
+        blocks = (quotient_samples(n, field, part.stop - part.start, rng) for part in parts)
+        for part, geo in zip(parts, geometry.curvature_blocks(map_, blocks)):
+            buffer[0, part] = geo["scalar_curvature_gauss"]
+            buffer[1, part] = geo["mean_curvature_norm"]
+        scalar, h_norm = buffer[:, :length]
+        h_sq = h_norm ** 2
+        for metric, t in metrics.items():
+            scalar_vals = scalar / t
+            alpha_vals = d * (d - 1) + h_sq - scalar_vals
+            for key, values in (("scalar", scalar_vals), ("alpha", alpha_vals)):
+                moments[metric, key] = _fold(moments.get((metric, key)), values)
+
+    readings = {"canonical": canonical}
+    for metric, t in metrics.items():
+        factor = quotient_volume_factor(n, field, lam * t)
+        total_scalar, total_scalar_err, scalar_mean = _estimate(moments[metric, "scalar"], factor)
+        pi_functional, pi_functional_err, alpha_mean = _estimate(moments[metric, "alpha"], factor)
         out = {
             "lambda_bar": lam,
             "volume": factor,
-            "total_scalar": total_scalar.value,
-            "total_scalar_std_error": total_scalar.std_error,
-            "pi_functional": pi_functional.value,
-            "pi_functional_std_error": pi_functional.std_error,
-            "scalar_curvature_mean": float(np.mean(scalar_vals)),
-            "alpha_norm_sq_mean": float(np.mean(alpha_vals)),
+            "total_scalar": total_scalar,
+            "total_scalar_std_error": total_scalar_err,
+            "pi_functional": pi_functional,
+            "pi_functional_std_error": pi_functional_err,
+            "scalar_curvature_mean": scalar_mean,
+            "alpha_norm_sq_mean": alpha_mean,
         }
         if field == "real" and n == 2:
-            out["gauss_bonnet_ratio"] = total_scalar.value / (4.0 * math.pi)
+            out["gauss_bonnet_ratio"] = total_scalar / (4.0 * math.pi)
         if field == "real" and n == 3:
-            out["sigma_quotient"] = total_scalar.value / factor ** (1.0 / 3.0)
+            out["sigma_quotient"] = total_scalar / factor ** (1.0 / 3.0)
         readings[metric] = out
     return readings

@@ -19,15 +19,16 @@ import dataclasses
 import numpy as np
 
 from .constants import ambient_dims, radius_pow4, rational_str
-from .sampling import ball_points, complex_ball_points
+from .sampling import ball_point_blocks
 
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
 HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
-# Working memory one batched kernel (evaluate, a curvature chunk, a cloud block)
-# may hold at once; each divides it by its own per-point footprint.  2 MiB keeps
-# a large evaluate batch near the size of its output and still gives the top-level
-# curvature chunks four to six points (shorter ones spend their time in overhead).
+# Working memory one batched kernel (evaluate, a curvature chunk, a block of
+# audit or cloud samples) may hold at once; each divides it by its own per-point
+# footprint.  2 MiB keeps a large evaluate batch near the size of its output and
+# still gives the top-level curvature chunks four (complex n=8) to seven (real
+# n=12) points (shorter ones spend their time in overhead).
 CHUNK_BYTES = 1 << 21
 
 
@@ -133,13 +134,17 @@ def norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float
     the degree-4 polynomial identity holds.
     """
     r4 = float(radius_pow4(map_.n))
-    m = map_.domain_dim
-    sampler = complex_ball_points if map_.field == "complex" else ball_points
-    pts = sampler(m, sample_count, seed, radius=2.0)
-    sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
-    vals = evaluate(map_, pts)
-    lhs = np.einsum("pk,pk->p", vals, vals)
-    return float(np.max(np.abs(lhs - sq * sq / r4)))
+    m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
+    worst = 0.0
+    # per point: its normals and their copies, and evaluate's product with the stack
+    parts = chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8))
+    for x in ball_point_blocks(m, parts, seed, radius=2.0):
+        pts = x[:, :cdim] + 1j * x[:, cdim:] if map_.field == "complex" else x
+        sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
+        vals = evaluate(map_, pts)
+        lhs = np.einsum("pk,pk->p", vals, vals)
+        worst = max(worst, float(np.max(np.abs(lhs - sq * sq / r4))))
+    return worst
 
 
 def real_restriction(cmap: QuadMap, rmap: QuadMap):

@@ -7,6 +7,9 @@ of global numpy state.  A Generator passed as the seed is used as is.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,14 +34,27 @@ def sphere_points(dim: int, count: int, seed: int | np.random.Generator,
 
 def ball_points(dim: int, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
     """Uniform points in the solid ball of the given radius in R^dim."""
-    if dim < 1 or count < 1:
+    if count < 1:
         raise ValueError("dim and count must be positive")
-    g = generator(seed)
-    x = g.standard_normal((count, dim))
-    nrm = np.linalg.norm(x, axis=1, keepdims=True)
-    nrm[nrm == 0.0] = 1.0
-    u = g.random((count, 1))
-    return radius * u ** (1.0 / dim) * x / nrm
+    return next(ball_point_blocks(dim, [slice(0, count)], seed, radius))
+
+
+def ball_point_blocks(dim: int, parts: list[slice], seed: int,
+                      radius: float = 1.0) -> Iterator[np.ndarray]:
+    """ball_points over range(parts[-1].stop), one block per slice of parts, bit
+    for bit.  Every normal of the directions comes before every radius, so the
+    radii come from a copy of the generator that has drawn and dropped them."""
+    if dim < 1 or not parts:
+        raise ValueError("dim and count must be positive")
+    normals = generator(seed)
+    radii = copy.deepcopy(normals)
+    for part in parts:
+        radii.standard_normal((part.stop - part.start, dim))
+    for part in parts:
+        x = normals.standard_normal((part.stop - part.start, dim))
+        nrm = np.linalg.norm(x, axis=1, keepdims=True)
+        nrm[nrm == 0.0] = 1.0
+        yield radius * radii.random((len(x), 1)) ** (1.0 / dim) * x / nrm
 
 
 def complex_sphere_points(cdim: int, count: int, seed: int | np.random.Generator,

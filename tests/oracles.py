@@ -12,7 +12,7 @@ import numpy as np
 
 from veronese import constants
 from veronese.constants import radius_pow4
-from veronese.geometry import tangent_bases
+from veronese.geometry import tangent_bases, tangent_images
 from veronese.quadmap import QuadMap, evaluate
 
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
@@ -85,6 +85,15 @@ def dense_curvature(map_, points):
     r_inv = np.linalg.inv(r_tri)
     alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
     return alpha, lam, anis
+
+
+def pullback_factor(map_, points):
+    """Mean diagonal of the pullback Gram matrix of the tangent images at each
+    point, and its worst deviation from that multiple of I, as two (p,) arrays."""
+    tangent = tangent_images(map_, points)
+    gram = tangent @ tangent.transpose(0, 2, 1)
+    lam = np.trace(gram, axis1=1, axis2=2) / gram.shape[1]
+    return lam, np.max(np.abs(gram - lam[:, None, None] * np.eye(gram.shape[1])), axis=(1, 2))
 
 
 def fd_pullback(map_, point, basis, h=1e-5):

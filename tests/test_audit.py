@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,20 +175,44 @@ def test_non_finite_numbers_serialize_as_null():
         "details": {"spread": None, "count": 3.0, "error": "boom"}}
 
 
-def test_level2_curvature_field_computed_once(monkeypatch):
-    calls = []
-    original = geometry.curvature_field
-
-    def counting(map_, points, *args, **kwargs):
-        calls.append(len(points))
-        return original(map_, points, *args, **kwargs)
-
-    monkeypatch.setattr(geometry, "curvature_field", counting)
+def test_level2_curvature_field_computed_once(kernel_blocks):
     run_claim_audit(6, 4, seed=0, samples=300)
-    # one 20-point sweep per audited level, then level 2 and level 3 once each,
-    # their samples behind the canonical point
-    assert len(calls) == 12
-    assert sum(calls) == 10 * 20 + 2 * 301
+    # one 20-point sweep per audited level, then level 2 and level 3 once each:
+    # the canonical point alone, then the samples (one block here)
+    assert kernel_blocks == [20] * 10 + [1, 300] * 2
+
+
+FAMILIES = ("_sequence_claims", "_norm_identity_claim", "_harmonicity_claim", "_fiber_claims",
+            "_diagram_claims", "_geometry_claims", "_level2_claims", "_level3_claims")
+
+
+def test_claim_family_memory_does_not_grow_with_samples(monkeypatch):
+    # each family's tracemalloc peak, its samples drawn and reduced block by block
+    peaks = {}
+    for name in FAMILIES:
+        def traced(*args, _name=name, _family=getattr(audit, name)):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return _family(*args)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1] - start
+                peaks[_name] = max(peaks.get(_name, 0), peak)
+        monkeypatch.setattr(audit, name, traced)
+    run_claim_audit(6, 4, samples=20)  # builds and caches every map first
+    by_samples = {}
+    tracemalloc.start()
+    try:
+        for samples in (2_000, 20_000):
+            peaks.clear()
+            run_claim_audit(6, 4, samples=samples)
+            by_samples[samples] = dict(peaks)
+    finally:
+        tracemalloc.stop()
+    for name in FAMILIES:
+        # 16 KiB of slack for the families that draw no samples and hold a few KiB
+        assert by_samples[20_000][name] <= 1.1 * by_samples[2_000][name] + 16 * 1024, (
+            name, by_samples)
 
 
 @pytest.mark.parametrize("n_max_real, n_max_complex", [(1, 1), (2, 1), (3, 2), (6, 4)])
@@ -236,7 +261,13 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
 
 SAMPLERS = [(audit, "sphere_points"), (audit, "complex_sphere_points"),
             (measure, "sphere_points"), (measure, "complex_sphere_points"),
-            (quadmap, "ball_points"), (quadmap, "complex_ball_points")]
+            (quadmap, "ball_point_blocks")]
+
+
+def _philox_key(seed) -> int:
+    if isinstance(seed, np.random.Generator):
+        return int(seed.bit_generator.state["state"]["key"][0])
+    return seed % 2**64
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -245,20 +276,37 @@ def test_point_families_draw_distinct_points(seed, monkeypatch):
     # draw from the same stream as the real ones, so a real draw keyed like a
     # complex one would reuse its normals), and no sampler returns one point
     # set twice (the complex level-1 geometry sweep used to repeat the first
-    # Hopf points)
-    draws = []
-    for module, name in SAMPLERS:
+    # Hopf points); the blocks drawn from one generator are one draw
+    draws = []  # [sampler, seed or generator, blocks]
+
+    def keep(name, key, points):
+        for draw in draws:
+            if isinstance(key, np.random.Generator) and draw[1] is key:
+                draw[2].append(points)
+                return
+        draws.append([name, key, [points]])
+
+    for module, name in SAMPLERS[:4]:
         def record(dim, count, key, radius=1.0, _name=name, _draw=getattr(module, name)):
             points = _draw(dim, count, key, radius=radius)
-            draws.append((_name, key, points))
+            keep(_name, key, points)
             return points
         monkeypatch.setattr(module, name, record)
+
+    def record_blocks(dim, parts, key, radius=1.0, _draw=quadmap.ball_point_blocks):
+        blocks = list(_draw(dim, parts, key, radius=radius))
+        keep("ball_point_blocks", key, np.concatenate(blocks))
+        return iter(blocks)
+    monkeypatch.setattr(quadmap, "ball_point_blocks", record_blocks)
+
     run_claim_audit(n_max_real=2, n_max_complex=2, seed=seed, samples=30)
     assert {name for name, _, _ in draws} == {name for _, name in SAMPLERS}
-    keys = [key % 2**64 for _, key, _ in draws]  # the generator's key
+    keys = [_philox_key(key) for _, key, _ in draws]
     assert len(set(keys)) == len(keys)
-    for i, (name, _, a) in enumerate(draws):
-        for other, _, b in draws[i + 1:]:
+    points = [np.concatenate(blocks) for _, _, blocks in draws]
+    for i, (name, _, _) in enumerate(draws):
+        for j in range(i + 1, len(draws)):
+            a, b = points[i], points[j]
             rows = min(len(a), len(b))
-            if other == name and a.shape[1] == b.shape[1]:
+            if draws[j][0] == name and a.shape[1] == b.shape[1]:
                 assert not np.array_equal(a[:rows], b[:rows])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veronese import construct, geometry, quadmap
+from veronese import construct, geometry, measure, quadmap
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -80,17 +80,11 @@ def test_report_json():
 
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("complex", 3)])
-def test_report_takes_one_curvature_pass(field, n, monkeypatch):
-    # the canonical-point reading is the first row of the one curvature field
-    calls = []
-    for name in ("curvature_field", "pullback_factor"):
-        def count(map_, points, _name=name, _call=getattr(geometry, name)):
-            calls.append((_name, len(points)))
-            return _call(map_, points)
-        monkeypatch.setattr(geometry, name, count)
+def test_report_takes_one_curvature_pass(field, n, kernel_blocks):
+    # the canonical point alone, then every sample once, block by block
     code, _ = run_cli(["report", "--field", field, "--n", str(n), "--samples", "40"])
     assert code == 0
-    assert calls == [("curvature_field", 41)]
+    assert kernel_blocks == [1, 40]
 
 
 def test_report_domain_metric():
@@ -151,25 +145,61 @@ print(code, peak[0].split()[1])
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_cloud_peak_memory_does_not_grow_with_samples(tmp_path):
-    # each run is a fresh child that reports its own high-water mark: ru_maxrss
-    # of a child starts at the peak of its parent, here the whole test session
+def _peak_kb(argv) -> int:
+    """Peak RSS of a fresh child that runs the command line: ru_maxrss of a child
+    starts at the peak of its parent, here the whole pytest run."""
     env = dict(os.environ)
     src = str(Path(quadmap.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()
+    assert code == "0"
+    return int(peak_kb)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_cloud_peak_memory_does_not_grow_with_samples(tmp_path):
     for field, n in (("real", 6), ("complex", 8)):
-        peaks = []
-        for samples in (2_000, 20_000):
-            argv = ["cloud", "--field", field, "--n", str(n), "--samples", str(samples),
-                    "--out", str(tmp_path / f"{field}-{samples}.csv")]
-            proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            code, peak_kb = proc.stdout.split()
-            assert code == "0"
-            peaks.append(int(peak_kb))
+        peaks = [_peak_kb(["cloud", "--field", field, "--n", str(n), "--samples", str(samples),
+                           "--out", str(tmp_path / f"{field}-{samples}.csv")])
+                 for samples in (2_000, 20_000)]
         assert peaks[1] <= 1.1 * peaks[0], (field, n, peaks)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv,counts", [
+    (["verify", "--n-max", "6"], (2_000, 20_000)),
+    (["report", "--field", "real", "--n", "3"], (10_000, 100_000)),
+], ids=["verify", "report"])
+def test_verify_and_report_peak_memory_does_not_grow_with_samples(argv, counts, tmp_path):
+    peaks = [_peak_kb(argv + ["--samples", str(samples), "--format", "json",
+                              "--out", str(tmp_path / f"{samples}.json")])
+             for samples in counts]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("argv,reduce_length", [
+    (["verify", "--n-max", "6", "--samples", "300"], None),
+    (["verify", "--n-max", "3", "--samples", "250"], 100),
+    (["report", "--field", "real", "--n", "2", "--samples", str(measure.REDUCE_LENGTH + 1)],
+     None),
+    (["report", "--field", "complex", "--n", "3", "--samples", "500", "--metric", "domain"],
+     None),
+], ids=["verify", "verify-folded", "report-folded", "report-complex"])
+def test_verify_and_report_do_not_depend_on_chunk_length(argv, reduce_length, monkeypatch):
+    # below and above the reduction length, the real one or a shorter one
+    if reduce_length:
+        monkeypatch.setattr(measure, "REDUCE_LENGTH", reduce_length)
+    outputs = []
+    for chunk_bytes in (1, 1 << 24):  # one point per chunk, and every point in one
+        with monkeypatch.context() as patch:
+            patch.setattr(quadmap, "CHUNK_BYTES", chunk_bytes)
+            code, out = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_errors_exit_2():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from numpy.testing import assert_allclose
 
 from veronese import constants, geometry, quadmap
 from veronese.construct import build
-from veronese.geometry import (curvature_field, pullback_factor, second_fundamental_form,
+from veronese.geometry import (curvature_field, second_fundamental_form,
                                tangent_bases)
 from veronese.measure import quotient_samples
 from veronese.quadmap import QuadMap, StructuralError, evaluate
 from veronese.sampling import sphere_points
 
-from oracles import dense_curvature, fd_pullback, jacobian, laplace_residual
+from oracles import (dense_curvature, fd_pullback, jacobian, laplace_residual,
+                     pullback_factor)
 
 
 def closed_form_lambda(n):
@@ -233,8 +235,7 @@ def test_tangent_images_match_jacobian(field, n):
 
 
 @pytest.mark.parametrize("entry", [geometry.curvature_field, geometry.tangent_images,
-                                   geometry.second_fundamental_form,
-                                   geometry.pullback_factor],
+                                   geometry.second_fundamental_form, pullback_factor],
                          ids=lambda entry: entry.__name__)
 def test_entry_points_reject_off_sphere_and_wrong_width(entry):
     m = build(2, "real")
@@ -282,3 +283,22 @@ def test_curvature_field_does_not_depend_on_chunk_size(field, cap, monkeypatch):
             single = curvature_field(m, pts)
         for key, value in whole.items():
             assert np.array_equal(single[key], value), (n, key)
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_a_budget_sized_chunk_stays_within_chunk_bytes(field, cap):
+    # the tracemalloc peak of one curvature_field call on as many points as one
+    # chunk holds, after a warm-up call
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        length = quadmap.CHUNK_BYTES // geometry.curvature_point_bytes(m)
+        pts = quotient_samples(n, field, length, seed=160 + n)
+        curvature_field(m, pts[:1])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            curvature_field(m, pts)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= quadmap.CHUNK_BYTES, (n, len(pts), peak)

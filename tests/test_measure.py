@@ -6,13 +6,22 @@ import pytest
 from veronese import constants, geometry, measure
 from veronese.construct import build
 from veronese.geometry import curvature_field
-from veronese.measure import (IntegralEstimate, global_invariants,
-                              integrate_quotient, sphere_volume)
-from veronese.sampling import complex_sphere_points, generator, sphere_points
+from veronese.measure import global_invariants, sphere_volume
+from veronese.sampling import (ball_point_blocks, ball_points, complex_sphere_points,
+                               generator, sphere_points)
 
 
-def ones(points):
-    return np.ones(points.shape[0])
+@pytest.fixture
+def varying_scalar_curvature(monkeypatch):
+    """x0^2 added to the scalar curvature of the samples: an integrand that is
+    invariant under the antipodal map but genuinely varies."""
+    def blocks(map_, points, _blocks=geometry.curvature_blocks):
+        for block in points:
+            geo = next(_blocks(map_, [block]))
+            geo["scalar_curvature_gauss"] = geo["scalar_curvature_gauss"] + block[:, 0] ** 2
+            yield geo
+
+    monkeypatch.setattr(geometry, "curvature_blocks", blocks)
 
 
 def test_sphere_volume_values():
@@ -34,41 +43,48 @@ def test_sphere_volume_domain_errors():
     (1, "complex", 4 * math.pi),  # image 2-sphere has area 4 pi
 ])
 def test_quotient_volumes(n, field, expected):
-    est = integrate_quotient(ones, n, field, 2000, seed=0)
-    assert est.value == pytest.approx(expected, rel=1e-12)
-    assert est.std_error < 1e-12
+    reading = global_invariants(n, field, 2000, seed=0)["image"]
+    assert reading["volume"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_integral_estimate_determinism():
-    def f(points):
-        return np.einsum("pi,pi->p", points, points).real ** 2
-
-    a = integrate_quotient(f, 2, "real", 5000, seed=123)
-    b = integrate_quotient(f, 2, "real", 5000, seed=123)
-    assert isinstance(a, IntegralEstimate)
-    assert (a.value, a.std_error) == (b.value, b.std_error)
-    c = integrate_quotient(f, 2, "real", 5000, seed=124)
-    assert c.value != a.value  # different seed, different points
+def test_integral_estimate_determinism(varying_scalar_curvature):
+    a = global_invariants(2, "real", 5000, seed=123)
+    b = global_invariants(2, "real", 5000, seed=123)
+    assert a == b
+    c = global_invariants(2, "real", 5000, seed=124)
+    assert c["image"]["total_scalar"] != a["image"]["total_scalar"]  # different points
 
 
-def test_noninvariant_integrand_rejected():
-    with pytest.raises(ValueError):
-        integrate_quotient(lambda p: p[:, 0], 2, "real", 100, seed=0)
-    with pytest.raises(ValueError):
-        integrate_quotient(lambda p: p[:, 0].real, 1, "complex", 100, seed=0)
+def test_curvature_integrands_are_fiber_invariant():
+    # the integrands global_invariants averages are functions on the quotient
+    for field, n in (("real", 2), ("real", 3), ("complex", 1), ("complex", 2)):
+        m = build(n, field)
+        pts = measure.quotient_samples(n, field, 8, seed=30 + n)
+        ref = curvature_field(m, pts)
+        for g in measure.fiber_actions(field):
+            moved = curvature_field(m, g * pts)
+            for key in ("scalar_curvature_gauss", "mean_curvature_norm", "alpha_norm_sq"):
+                assert np.max(np.abs(moved[key] - ref[key])) < 1e-10 * max(
+                    1.0, float(np.max(np.abs(ref[key])))), (field, n, key)
 
 
-def test_nonconstant_integrand_has_error_bar():
-    def f(points):
-        # antipodally invariant but genuinely varying
-        return points[:, 0] ** 2
-
-    est = integrate_quotient(f, 2, "real", 4000, seed=7)
-    assert est.std_error > 0
-    # integral of x0^2 over the quotient, image metric: lambda * (4 pi r^2 / 2) * (r^2 / 3)
+def test_nonconstant_integrand_has_error_bar(varying_scalar_curvature):
+    # the level-2 scalar curvature is 2/3 in the image metric; the integral of
+    # x0^2 over the quotient, image metric: lambda * (4 pi r^2 / 2) * (r^2 / 3)
     r2 = 1.5
-    expected = 2.0 * (4 * math.pi * r2 / 2) * r2 / 3
-    assert est.value == pytest.approx(expected, abs=4 * est.std_error + 1e-9)
+    volume = 2.0 * 4 * math.pi * r2 / 2
+    expected = volume * (2.0 / 3.0 + r2 / 3)
+    # one reduction buffer, and three folded ones
+    for samples in (4000, 2 * measure.REDUCE_LENGTH + 5000):
+        reading = global_invariants(2, "real", samples, seed=7)["image"]
+        err = reading["total_scalar_std_error"]
+        assert err > 0
+        assert reading["total_scalar"] == pytest.approx(expected, abs=4 * err + 1e-9)
+        # the folded statistics agree with numpy's reductions over all the samples
+        values = 2.0 / 3.0 + measure.quotient_samples(2, "real", samples, 7)[:, 0] ** 2
+        assert reading["scalar_curvature_mean"] == pytest.approx(np.mean(values), rel=1e-13)
+        assert err == pytest.approx(volume * np.std(values, ddof=1) / math.sqrt(samples),
+                                    rel=1e-10)
 
 
 def test_gauss_bonnet_ratio():
@@ -114,11 +130,11 @@ def test_complex_global_invariants():
 
 def test_bad_arguments():
     with pytest.raises(ValueError):
-        integrate_quotient(ones, 2, "quaternionic", 10, seed=0)
-    with pytest.raises(ValueError):
-        integrate_quotient(ones, 2, "real", 0, seed=0)
+        global_invariants(2, "quaternionic", 10, seed=0)
     with pytest.raises(ValueError):
         global_invariants(2, "real", 0, seed=0)
+    with pytest.raises(ValueError):
+        measure.quotient_samples(2, "quaternionic", 10, seed=0)
 
 
 BLOCK_DRAWS = {
@@ -141,6 +157,22 @@ def test_block_draws_from_one_generator_equal_the_single_draw(name):
     assert np.array_equal(np.concatenate(blocks), draw(total, seed))
 
 
+@pytest.mark.parametrize("dim", [1, 6])
+def test_block_draws_from_one_generator_equal_the_single_draw_in_the_ball(dim):
+    # the single draw takes every normal, then every radius, from one generator
+    seed, total = 31, 5_000
+    rng = generator(seed)
+    x = rng.standard_normal((total, dim))
+    u = rng.random((total, 1))
+    single = 1.7 * u ** (1.0 / dim) * x / np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.array_equal(ball_points(dim, total, seed, radius=1.7), single)
+    ends = np.cumsum([0, 1, 7, 4096, total - 4104])
+    parts = [slice(start, stop) for start, stop in zip(ends[:-1], ends[1:])]
+    blocks = list(ball_point_blocks(dim, parts, seed, radius=1.7))
+    assert [len(b) for b in blocks] == [1, 7, 4096, total - 4104]
+    assert np.array_equal(np.concatenate(blocks), single)
+
+
 def test_quotient_samples_deterministic():
     a = measure.quotient_samples(2, "real", 64, seed=21)
     b = measure.quotient_samples(2, "real", 64, seed=21)
@@ -150,17 +182,18 @@ def test_quotient_samples_deterministic():
 
 
 def test_per_metric_readings_equal_separate_calls():
-    # the image reading of one call equals the integrals taken one by one;
+    # the image reading of one call equals the closed-form volume times the
+    # constant integrand of a separate curvature field over the same samples;
     # the domain reading is the same field with the metric scaled by 1/lambda
     both = global_invariants(2, "real", 500, 17)
     image, domain = both["image"], both["domain"]
     m = build(2, "real")
-    scalar = integrate_quotient(
-        lambda p: curvature_field(m, p)["scalar_curvature_gauss"], 2, "real", 500, 17)
-    assert image["volume"] == integrate_quotient(ones, 2, "real", 500, 17).value
-    assert image["total_scalar"] == scalar.value
-    lam = image["lambda_bar"]
-    assert domain["lambda_bar"] == lam
+    lam = float(curvature_field(m, geometry.canonical_point(m)[None])["lambda"][0])
+    scalar = curvature_field(m, measure.quotient_samples(2, "real", 500, 17))
+    assert image["volume"] == measure.quotient_volume_factor(2, "real", lam)
+    assert image["total_scalar"] == image["volume"] * scalar["scalar_curvature_gauss"][0]
+    assert image["scalar_curvature_mean"] == float(np.mean(scalar["scalar_curvature_gauss"]))
+    assert domain["lambda_bar"] == image["lambda_bar"] == lam
     assert domain["volume"] == pytest.approx(image["volume"] / lam, rel=1e-14)
     assert domain["scalar_curvature_mean"] == pytest.approx(
         lam * image["scalar_curvature_mean"], rel=1e-14)
