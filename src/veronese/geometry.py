@@ -10,9 +10,13 @@ here is differenced.
 
 The second fundamental form is expressed in an orthonormal frame of the
 *image* tangent space (Gram-Schmidt on the pushed-forward basis), i.e.
-with respect to the induced image metric.  The pullback of the round
-domain metric differs from the induced metric by the measured homothety
-factor, and nothing here silently picks one normalization.
+with respect to the induced image metric.  That frame is fixed first: the
+domain directions are solved against the triangular factor of the tangent
+images, so the accelerations along them are already in the image frame and
+one normal projection, which also removes the term along the image point,
+finishes the form.  The pullback of the round domain metric differs from the
+induced metric by the measured homothety factor, and nothing here silently
+picks one normalization.
 """
 
 from __future__ import annotations
@@ -112,14 +116,18 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     component of the embedding's second derivative along the orthonormalized
     image directions i and j.
 
-    Accelerations of the curves t -> map(great circle) are assembled from
-    the constant coefficient matrices: for a circle with initial velocity w
-    the component accelerations are 2 q(w, w) - (2 |w|^2 / r^2) map(x), and
-    polarization in w is exact because q is bilinear.  The normal part
-    (orthogonal to the image point and the image tangent space, one
-    orthonormal frame since |map|^2 is constant on the sphere) transformed
-    into the Gram-Schmidt-orthonormalized image frame is the second
-    fundamental form of the image inside the unit sphere.
+    The frame is orthonormalized first: with tangent^T = Q R, the domain
+    directions B' = R^-T B (one batched solve) have the orthonormal columns
+    of Q as their images.  Accelerations of the curves t -> map(great circle)
+    are assembled from the constant coefficient matrices: for a circle with
+    initial velocity w the component accelerations are
+    2 q(w, w) - (2 |w|^2 / r^2) map(x), and polarization in w is exact
+    because q is bilinear, so 2 q(B'_a, B'_b) is already in the image frame.
+    Its normal part (orthogonal to the image point and the image tangent
+    space, one orthonormal frame since |map|^2 is constant on the sphere) is
+    the second fundamental form of the image inside the unit sphere; the
+    map(x) term lies along the image point, which that projection removes, so
+    it is never formed.
 
     work is None, or a pair of flat float arrays of at least p d M K and
     p d d K doubles that the products are computed in (curvature_blocks keeps
@@ -138,26 +146,18 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
 
-    rows = rows[:, 1:]
+    rows = np.linalg.solve(r_tri.transpose(0, 2, 1), rows[:, 1:])   # B' = R^-T B
     d, k = rows.shape[1], images.shape[1]
     spare, acc = work if work is not None else _work(map_, p)
     acc = acc[:p * d * d * k].reshape(p, d, d, k)
-    term = spare[:acc.size].reshape(acc.shape)  # spare holds one product at a time
-    # acc[a, b, k] = 2 B_a^T S_k B_b - (2 / r^2) (B_a . B_b) map(x)_k
+    # acc[a, b, k] = 2 B'_a^T S_k B'_b
     prod = np.matmul(rows, map_.stack, out=spare[:p * d * m * k].reshape(p, d, m * k))
     np.matmul(rows[:, None], prod.reshape(p, d, m, k), out=acc)
     acc *= 2.0
-    gram_dom = rows @ rows.transpose(0, 2, 1)
-    acc -= np.multiply((2.0 / constants.radius(map_.n)**2) * gram_dom[..., None],
-                       images[:, None, None, :], out=term)
     frame = np.concatenate([images[:, :, None], q_hat], axis=2)
     flat = acc.reshape(p, d * d, k)
-    flat -= np.matmul(flat @ frame, frame.transpose(0, 2, 1), out=term.reshape(p, d * d, k))
-
-    # alpha[:, :, k] = R^-T acc[:, :, k] R^-1, one product per side
-    r_inv_t = np.linalg.inv(r_tri).transpose(0, 2, 1)
-    np.matmul(r_inv_t, acc.reshape(p, d, -1), out=term.reshape(p, d, -1))
-    np.matmul(r_inv_t[:, None], term, out=acc)
+    flat -= np.matmul(flat @ frame, frame.transpose(0, 2, 1),
+                      out=spare[:flat.size].reshape(flat.shape))
     return acc, lam, anis
 
 
@@ -178,11 +178,12 @@ def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray]:
 def curvature_point_bytes(map_: QuadMap) -> int:
     """Working memory per point of a curvature_field chunk, in doubles: the work
     arrays of the (d, M*K) products and the (d, d, K) accelerations, d K (M+d);
-    beside them, at the kernel's peak, the stack product, image, tangent images,
-    their Q factor and the frame, K (M + 3d + 2); the projection's (d, d, d+1)
-    product and four (d, d) matrices; the point's rows; and a few scalars."""
+    beside them, at the kernel's peak (the normal projection), the stack
+    product, image, tangent images, their Q factor and the frame, K (M + 3d + 2);
+    the projection's (d, d, d+1) product, R and the solved rows B',
+    d (d (d+2) + M); and a few scalars."""
     d, m, k = _dims(map_)
-    return 8 * (d * k * (m + d) + k * (m + 3 * d + 2) + d * d * (d + 4) + m * (d + 1) + 32)
+    return 8 * (d * k * (m + d) + k * (m + 3 * d + 2) + d * (d * (d + 2) + m) + 32)
 
 
 def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[dict]:

@@ -7,7 +7,6 @@ of global numpy state.  A Generator passed as the seed is used as is.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator
 
 import numpy as np
@@ -42,14 +41,12 @@ def ball_points(dim: int, count: int, seed: int, radius: float = 1.0) -> np.ndar
 def ball_point_blocks(dim: int, parts: list[slice], seed: int,
                       radius: float = 1.0) -> Iterator[np.ndarray]:
     """ball_points over range(parts[-1].stop), one block per slice of parts, bit
-    for bit.  Every normal of the directions comes before every radius, so the
-    radii come from a copy of the generator that has drawn and dropped them."""
+    for bit.  The directions come from generator(seed) and the radii from its
+    jumped stream, so each block draws its normals and its radii in turn."""
     if dim < 1 or not parts:
         raise ValueError("dim and count must be positive")
     normals = generator(seed)
-    radii = copy.deepcopy(normals)
-    for part in parts:
-        radii.standard_normal((part.stop - part.start, dim))
+    radii = np.random.Generator(normals.bit_generator.jumped())
     for part in parts:
         x = normals.standard_normal((part.stop - part.start, dim))
         nrm = np.linalg.norm(x, axis=1, keepdims=True)
@@ -63,7 +60,3 @@ def complex_sphere_points(cdim: int, count: int, seed: int | np.random.Generator
     x = sphere_points(2 * cdim, count, seed, radius)
     return x[:, :cdim] + 1j * x[:, cdim:]
 
-
-def complex_ball_points(cdim: int, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
-    x = ball_points(2 * cdim, count, seed, radius)
-    return x[:, :cdim] + 1j * x[:, cdim:]

@@ -64,7 +64,10 @@ def fd_jacobian(map_, point, h=1e-5):
 
 def dense_curvature(map_, points):
     """The dense pipeline of unplanned three-operand einsums over the complex
-    stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy)."""
+    stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy).
+    It projects the accelerations along the domain basis, the term along the
+    image point included, and changes frame afterwards with R^-1 on both
+    sides, where the kernel solves for the orthonormal frame first."""
     bases = tangent_bases(map_, points)
     tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
     gram = np.einsum("pbk,pck->pbc", tangent, tangent)

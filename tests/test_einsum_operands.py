@@ -3,7 +3,9 @@
 numpy evaluates an einsum of three or more operands in one unplanned pass
 over every index, which made it the bulk of a curvature run and of
 evaluate; the kernels spell each contraction as a batched product of two
-arrays instead.
+arrays instead.  No file there forms an explicit inverse either: a
+change of frame is a solve against the triangular factor, not a product
+with np.linalg.inv of it.
 """
 
 import ast
@@ -35,6 +37,17 @@ def wide_einsums(source: str) -> list[str]:
     return found
 
 
+def inverse_calls(source: str) -> list[str]:
+    """Calls of a function named inv (np.linalg.inv, or inv imported bare)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "inv":
+                found.append(ast.unparse(node))
+    return found
+
+
 def test_detector_finds_wide_einsums():
     assert wide_einsums("np.einsum('kij,pi,pbj->pbk', a, x, b)") == [
         "np.einsum('kij,pi,pbj->pbk', a, x, b)"]
@@ -47,3 +60,10 @@ def test_detector_finds_wide_einsums():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
 def test_no_wide_einsum(path):
     assert wide_einsums(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
+def test_no_explicit_inverse(path):
+    assert inverse_calls("np.linalg.inv(r)\ninv(r)\nnp.linalg.solve(r, b)") == [
+        "np.linalg.inv(r)", "inv(r)"]
+    assert inverse_calls(path.read_text()) == []

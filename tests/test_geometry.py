@@ -272,6 +272,15 @@ def test_planned_kernel_matches_dense_oracle(field, cap):
         assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_minimality_rounding_floor(field):
+    # every level is minimal, so |H| is pure rounding; measured worst 2.8e-15
+    # (complex n=3)
+    for n in range(2, constants.LEVEL_CAPS["build"][field] + 1):
+        geo = curvature_field(build(n, field), quotient_samples(n, field, 300, seed=7))
+        assert np.max(geo["mean_curvature_norm"]) <= 5e-15, n
+
+
 @pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
 def test_curvature_field_does_not_depend_on_chunk_size(field, cap, monkeypatch):
     for n in range(1, cap + 1):

@@ -17,27 +17,27 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "bc37bdc65eaadfacfa64c1656b9af709987d3e4467ed9507b93976b23ec3e5be",
+        "f09603e59f38c97026bb1b09c167a8fece4bd210bdf7587284b15780459e8dda",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "f3b858d8a7e5b70e967d74ade277a337e08050d0f8e3f53dc1fd0f48f435398a",
+        "6dd6bd331497e95551c2c25360f9c0e1da6ff959290cdb3c4f56663ffce77870",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "9d510854e9c2561997f1c506ec6daf8e11efc4d8c943fc161cc7ad17caba8936",
+        "28b93995f6c51181e127ebf923a4c21973340ab7dd30df3c20fe1e96bd2bcb49",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "3b0ff05ad9329e06140dc347d4da050dcb3b4a80f1022225d80884b31ae1a9ba",
+        "eda5dc13318eca5fd592226c8e8184ef7a1a4840e57f64f4097992374715d8ab",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "e19cb315ed06a9e188b8d47b050538599002a1032091f19bef9504c4de664d9f",
+        "2605724275a3496a720fa92703371e35c840b32550c20bc57eb8a994737d7e89",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "0e9b01a587af6bcd75bef77f3b17af9632bd760d4c0ed909fd20e442e367c57b",
+        "75681de67bd7b8c7fe7593729ec65483d5cda5573950a9135ae2022c4e269c43",
     "report --field real --n 2 --samples 500 --metric image":
-        "dac6252dbc5efa2db29330aabcaa11223e99265a730c8f54c65a8b62a60f2843",
+        "ad4459896eef7941dec3f09a1d1ce46f27cda0386a43661be4fe96a947c7f7a0",
     "report --field real --n 2 --samples 500 --metric domain":
-        "346edff2368b3c48f29a824d66d2e10b2f9eeb5618a7cab1e4fdcde0e389e817",
+        "8cc1cb450f59339ee7f52a3861159db8040ee632ddfed72b95d13be3aa76671b",
     "report --field complex --n 3 --samples 500":
-        "912cfe35aec839519dacaa056c8db5d56efdb130ebafc67d6b7ec00229812bf9",
+        "fc5cfb68400e6775557cefadedccc3137860b96e14242aede120ec80ebea5c9b",
     "report --field real --n 12 --samples 40 --format json":
-        "d517d42ba299ebac3155946e05ddad1be2aba32125073ce6273a7cea252e398a",
+        "35930b31e23af5e24c96db63b06362522f5fc11fa36639dfd32fdf1f4f24b4dc",
     "report --field complex --n 8 --samples 40 --format json":
-        "8c83423c9ac8d4beb6ee30226f9e067b5a161f99b245a70cb4818641ba9a2225",
+        "48ab637f1ab1ab5d6639cbee861f6be87fc0942f9fe37700fab76ac6a99c27c8",
     "emit --field real --n 1":
         "eb8ef9f583f1ce6887ceb56344713960e311994b2e33d25c61e7072be18f67c5",
     "emit --field real --n 2":

@@ -159,11 +159,11 @@ def test_block_draws_from_one_generator_equal_the_single_draw(name):
 
 @pytest.mark.parametrize("dim", [1, 6])
 def test_block_draws_from_one_generator_equal_the_single_draw_in_the_ball(dim):
-    # the single draw takes every normal, then every radius, from one generator
+    # the single draw takes every normal from generator(seed) and every radius
+    # from its jumped stream
     seed, total = 31, 5_000
-    rng = generator(seed)
-    x = rng.standard_normal((total, dim))
-    u = rng.random((total, 1))
+    x = generator(seed).standard_normal((total, dim))
+    u = np.random.Generator(generator(seed).bit_generator.jumped()).random((total, 1))
     single = 1.7 * u ** (1.0 / dim) * x / np.linalg.norm(x, axis=1, keepdims=True)
     assert np.array_equal(ball_points(dim, total, seed, radius=1.7), single)
     ends = np.cumsum([0, 1, 7, 4096, total - 4104])

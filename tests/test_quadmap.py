@@ -12,8 +12,7 @@ from veronese.measure import quotient_samples
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               harmonicity_traces, norm_identity_residual,
                               real_restriction, to_json_dict)
-from veronese.sampling import (ball_points, complex_ball_points, complex_sphere_points,
-                               sphere_points)
+from veronese.sampling import ball_points, complex_sphere_points, sphere_points
 
 from oracles import dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian
 
@@ -49,8 +48,11 @@ def test_evaluate_batches():
 def test_evaluate_matches_dense_oracle(field, n):
     m = build(n, field)
     on_sphere = quotient_samples(n, field, 50, 200 + n)
-    sampler = ball_points if field == "real" else complex_ball_points
-    in_ball = sampler(n + 1, 50, 300 + n, radius=2.0)
+    if field == "real":
+        in_ball = ball_points(n + 1, 50, 300 + n, radius=2.0)
+    else:
+        x = ball_points(2 * (n + 1), 50, 300 + n, radius=2.0)
+        in_ball = x[:, :n + 1] + 1j * x[:, n + 1:]
     for pts in (on_sphere, in_ball):
         ref = dense_evaluate(m, pts)
         # relative to the largest image coordinate; measured worst 2.7e-16
