@@ -129,7 +129,10 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     the total scalar curvature, the integral of |alpha|^2 (the bending-energy
     functional), the quotient volume and the homothety factor; the Gauss-Bonnet
     ratio appears for the real level-2 surface and the normalized total scalar
-    curvature (sigma quotient) for the real level-3 space.  The canonical
+    curvature (sigma quotient) for the real level-3 space.  Under both readings
+    |alpha|^2 is the Gauss-relation value d(d-1) + |H|^2 - s with that
+    reading's scalar curvature s; in the domain reading it is not a squared
+    norm in general and can be negative (-4 at complex n=2).  The canonical
     reading has the image-metric invariants at that point and its effective
     squared radius lambda r_n^2.
     """

@@ -26,9 +26,10 @@ RESTRICTION_MATCH_TOL = 1e-14
 HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
 # Working memory one batched kernel (evaluate, a curvature chunk, a block of
 # audit or cloud samples) may hold at once; each divides it by its own per-point
-# footprint.  2 MiB keeps a large evaluate batch near the size of its output and
-# still gives the top-level curvature chunks four (complex n=8) to seven (real
-# n=12) points (shorter ones spend their time in overhead).
+# footprint.  2 MiB gives evaluate's one 2-D product with the stack per chunk
+# 160 (complex n=8) to 26,000 (real n=1) points, and still gives the top-level
+# curvature chunks four (complex n=8) to seven (real n=12) points (shorter ones
+# spend their time in overhead).
 CHUNK_BYTES = 1 << 21
 
 
@@ -103,19 +104,30 @@ def _as_domain_points(map_, point):
     return pts
 
 
+def evaluate_point_bytes(map_: QuadMap) -> int:
+    """Working memory per point of an evaluate chunk: the row's product with the
+    stack, M K doubles; the (1, K) result and the output row, 2 K; the
+    realified row, M (a view for a real map, counted all the same); and four
+    doubles toward the call's fixed overhead."""
+    m, k = map_.stack.shape[0], map_.component_count
+    return 8 * (m * k + 2 * k + m + 4)
+
+
 def evaluate(map_: QuadMap, point) -> np.ndarray:
     """Evaluate the map; accepts a single point or a batch with points in the last axis.
 
-    Each image is x^T S_k x for the point's real row x, taken as x . (x^T S)
-    one point at a time, so no value depends on its batch.
+    Each image is x^T S_k x for the point's real row x, taken as x . (x^T S):
+    one 2-D (p, M) @ (M, M K) product per chunk, then one (1, M) @ (M, K)
+    product per point.  Each entry of either is one length-M dot product of a
+    row with a column, so no value depends on its batch.
     """
     pts = _as_domain_points(map_, point)
     flat = pts.reshape(-1, map_.domain_dim)
     m, k = map_.stack.shape[0], map_.component_count
     out = np.empty((len(flat), k))
-    for part in chunks(len(flat), 8 * m * k):
-        x = map_.real_rows(flat[part])[:, None]
-        out[part] = (x @ (x @ map_.stack).reshape(-1, m, k))[:, 0]
+    for part in chunks(len(flat), evaluate_point_bytes(map_)):
+        x = map_.real_rows(flat[part])
+        out[part] = (x[:, None] @ (x @ map_.stack).reshape(-1, m, k))[:, 0]
     return out.reshape(pts.shape[:-1] + (k,))
 
 

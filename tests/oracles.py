@@ -25,6 +25,16 @@ def dense_evaluate(map_, points):
     return np.einsum("...i,kij,...j->...k", np.conj(pts), map_.components, pts).real
 
 
+def per_point_evaluate(map_, points):
+    """x^T S_k x with both products batched one point at a time, as
+    (1, M) @ (M, M K) and (1, M) @ (M, K): the exact oracle that evaluate, whose
+    first product is one 2-D (p, M) @ (M, M K) product per chunk, must match bit
+    for bit."""
+    m, k = map_.stack.shape[0], map_.component_count
+    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))[:, None]
+    return (x @ (x @ map_.stack).reshape(-1, m, k))[:, 0]
+
+
 def jacobian(map_: QuadMap, point) -> np.ndarray:
     """Differential at a single point; rows are ambient components.
 

@@ -42,6 +42,16 @@ def test_report_does_not_depend_on_the_blas_thread_count(field, n):
     assert one == two
 
 
+@pytest.mark.parametrize("field, n", [("real", 12), ("complex", 8)])
+def test_cloud_does_not_depend_on_the_blas_thread_count(field, n):
+    # each block's (p, M) @ (M, M K) product with the stack is large enough for
+    # OpenBLAS to split over its threads
+    argv = ["-m", "veronese.cli", "cloud", "--field", field, "--n", str(n),
+            "--samples", "2000"]
+    one, two = (_child(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
+
+
 THREADS_AFTER_IMPORT = """
 import os
 import veronese

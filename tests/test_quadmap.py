@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               real_restriction, to_json_dict)
 from veronese.sampling import ball_points, complex_sphere_points, sphere_points
 
-from oracles import dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian
+from oracles import (dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian,
+                     per_point_evaluate)
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
@@ -73,6 +75,33 @@ def test_evaluate_does_not_depend_on_chunking(field, n, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(quadmap, "CHUNK_BYTES", 1)  # one point per chunk
         assert np.array_equal(evaluate(m, pts), whole)
+
+
+@pytest.mark.parametrize("field,n", LEVELS)
+def test_evaluate_equals_the_per_point_products_bit_for_bit(field, n):
+    m = build(n, field)
+    length = quadmap.CHUNK_BYTES // quadmap.evaluate_point_bytes(m)
+    pts = quotient_samples(n, field, 2 * length + 7, 500 + n)  # three chunks
+    for batch in (pts[:1], pts[1:8], pts):
+        assert np.array_equal(evaluate(m, batch), per_point_evaluate(m, batch)), len(batch)
+
+
+@pytest.mark.parametrize("field,n", LEVELS)
+def test_a_budget_sized_evaluate_chunk_stays_within_chunk_bytes(field, n):
+    # the tracemalloc peak of one evaluate call on as many points as one chunk
+    # holds, after a warm-up call
+    m = build(n, field)
+    length = quadmap.CHUNK_BYTES // quadmap.evaluate_point_bytes(m)
+    pts = quotient_samples(n, field, length, seed=600 + n)
+    evaluate(m, pts[:1])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate(m, pts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= quadmap.CHUNK_BYTES, (len(pts), peak)
 
 
 def test_evaluate_dimension_mismatch():
