@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants, construct, geometry, measure
-from .constants import LEVEL_CAPS
+from .constants import LEVEL_CAPS, check_level
 from .quadmap import (StructuralError, chunks, evaluate, harmonicity_traces,
                       norm_identity_residual, real_restriction)
-from .sampling import complex_sphere_points, generator, sphere_points
+from .sampling import generator
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -129,7 +129,7 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
     map_ = construct.build(n, field_name)
     r = constants.radius(n)
 
-    inv_points = measure.quotient_samples(n, field_name, min(max(pair_count, 1), 200), seed)
+    inv_points = measure.quotient_samples(n, field_name, min(pair_count, 200), seed)
     base_vals = evaluate(map_, inv_points)
     invariance = 0.0
     for g in measure.fiber_actions(field_name):
@@ -181,22 +181,19 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
     (b) at level 1 the complex map coincides with the closed-form Hopf map;
     (c) on-sphere points land on the unit sphere in both fields.
     """
-    cap = LEVEL_CAPS["audit"]["complex"]
-    if not 1 <= n <= cap:
-        raise ValueError(f"diagram check is maintained for levels 1..{cap}")
+    check_level(n, LEVEL_CAPS["audit"]["complex"])
     cmap = construct.build(n, "complex")
     rmap = construct.build(n, "real")
     sigma, zero_set = real_restriction(cmap, rmap)
-    r = constants.radius(n)
 
-    x = sphere_points(n + 1, sample_count, seed, radius=r)
+    x = measure.quotient_samples(n, "real", sample_count, seed)
     vals_c = evaluate(cmap, x.astype(complex))
     vals_r = evaluate(rmap, x)
     sig_cols = [sigma[j] for j in range(len(sigma))]
     restriction_residual = float(np.max(np.abs(vals_c[:, sig_cols] - vals_r)))
     zero_residual = float(np.max(np.abs(vals_c[:, zero_set]))) if zero_set else 0.0
 
-    z = complex_sphere_points(n + 1, sample_count, seed + _SEED_STRIDE, radius=r)
+    z = measure.quotient_samples(n, "complex", sample_count, seed + _SEED_STRIDE)
     vals_cz = evaluate(cmap, z)
     unit_residual = max(
         float(np.max(np.abs(np.linalg.norm(vals_r, axis=1) - 1.0))),
@@ -212,7 +209,7 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
         "unit_image_residual": unit_residual,
     }
     if n == 1:
-        zu = complex_sphere_points(2, sample_count, seed + 2 * _SEED_STRIDE)
+        zu = measure.quotient_samples(1, "complex", sample_count, seed + 2 * _SEED_STRIDE)
         out["hopf_residual"] = float(
             np.max(np.abs(construct.hopf(zu) - evaluate(cmap, zu)))
         )
@@ -412,10 +409,8 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     by claim id.
     """
     caps = LEVEL_CAPS["audit"]
-    if not 1 <= n_max_real <= caps["real"]:
-        raise ValueError(f"n_max_real must be in 1..{caps['real']}")
-    if not 1 <= n_max_complex <= caps["complex"]:
-        raise ValueError(f"n_max_complex must be in 1..{caps['complex']}")
+    check_level(n_max_real, caps["real"])
+    check_level(n_max_complex, caps["complex"])
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not 0.0 <= homothety_tol < math.inf:

@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from .constants import ambient_dims, radius_pow4, rational_str
-from .sampling import ball_point_blocks
+from .sampling import generator, sphere_points
 
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
@@ -137,20 +137,24 @@ def harmonicity_traces(map_: QuadMap) -> np.ndarray:
 
 
 def norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float:
-    """Largest deviation of |map(x)|^2 from |x|^4 / r^4 on random ball points.
+    """Largest deviation of |map(x)|^2 from |x|^4 / r^4 on random points of norm 2.
 
-    Points are drawn uniformly from the ball of radius 2 around the
-    origin (real or complex according to the map), so the check covers
-    the identity as one between polynomials, not just on the sphere: a
-    small residual at random points is a probabilistic certificate that
+    Every component of the map is a quadratic form, so |map(x)|^2 - |x|^4 / r^4
+    is a homogeneous quartic: it vanishes everywhere exactly when it vanishes
+    on one sphere around the origin.  The points are drawn uniformly from the
+    sphere of radius 2 (real or complex according to the map), off the domain
+    sphere, so a small residual at them is a probabilistic certificate that
     the degree-4 polynomial identity holds.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     r4 = float(radius_pow4(map_.n))
     m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
+    rng = generator(seed)
     worst = 0.0
     # per point: its normals and their copies, and evaluate's product with the stack
-    parts = chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8))
-    for x in ball_point_blocks(m, parts, seed, radius=2.0):
+    for part in chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8)):
+        x = sphere_points(m, part.stop - part.start, rng, radius=2.0)
         pts = x[:, :cdim] + 1j * x[:, cdim:] if map_.field == "complex" else x
         sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
         vals = evaluate(map_, pts)

@@ -149,6 +149,13 @@ def test_audit_caps():
         run_claim_audit(6, 5, seed=0, samples=10)
     with pytest.raises(ValueError):
         run_claim_audit(2, 2, seed=0, samples=0)
+    for level in (2.5, True):   # not integer levels
+        with pytest.raises(ValueError, match="level must be an integer"):
+            run_claim_audit(level, 2, seed=0, samples=10)
+        with pytest.raises(ValueError, match="level must be an integer"):
+            run_claim_audit(2, level, seed=0, samples=10)
+        with pytest.raises(ValueError, match="level must be an integer"):
+            diagram_check(level, 10, seed=0)
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="homothety_tol"):
             run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=tol)
@@ -259,9 +266,8 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
     assert {e.claim_id for e in hard_failures(entries.values())} == errors
 
 
-SAMPLERS = [(audit, "sphere_points"), (audit, "complex_sphere_points"),
-            (measure, "sphere_points"), (measure, "complex_sphere_points"),
-            (quadmap, "ball_point_blocks")]
+SAMPLERS = [(measure, "sphere_points"), (measure, "complex_sphere_points"),
+            (quadmap, "sphere_points")]
 
 
 def _philox_key(seed) -> int:
@@ -286,18 +292,12 @@ def test_point_families_draw_distinct_points(seed, monkeypatch):
                 return
         draws.append([name, key, [points]])
 
-    for module, name in SAMPLERS[:4]:
+    for module, name in SAMPLERS:
         def record(dim, count, key, radius=1.0, _name=name, _draw=getattr(module, name)):
             points = _draw(dim, count, key, radius=radius)
             keep(_name, key, points)
             return points
         monkeypatch.setattr(module, name, record)
-
-    def record_blocks(dim, parts, key, radius=1.0, _draw=quadmap.ball_point_blocks):
-        blocks = list(_draw(dim, parts, key, radius=radius))
-        keep("ball_point_blocks", key, np.concatenate(blocks))
-        return iter(blocks)
-    monkeypatch.setattr(quadmap, "ball_point_blocks", record_blocks)
 
     run_claim_audit(n_max_real=2, n_max_complex=2, seed=seed, samples=30)
     assert {name for name, _, _ in draws} == {name for _, name in SAMPLERS}

@@ -17,17 +17,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "f09603e59f38c97026bb1b09c167a8fece4bd210bdf7587284b15780459e8dda",
+        "a05abc9af1ce03d1fc99151ec511c3e3d41430f623cbcb4e36e5993f76ea4557",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "6dd6bd331497e95551c2c25360f9c0e1da6ff959290cdb3c4f56663ffce77870",
+        "bebd12c347b2d56765a7f08b721b3f86d6127fcc4f5af0a6b1f1fe6e25f436af",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "28b93995f6c51181e127ebf923a4c21973340ab7dd30df3c20fe1e96bd2bcb49",
+        "259ed1c3982f742667a0a9ded922f85c2a2beb75ed870cc9aadb850e06aaf182",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "eda5dc13318eca5fd592226c8e8184ef7a1a4840e57f64f4097992374715d8ab",
+        "2f48372a918c7e8306a5f68344443fa9136a22a4756148a77ab6cd2a9daf2f7a",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "2605724275a3496a720fa92703371e35c840b32550c20bc57eb8a994737d7e89",
+        "677b06b6e713f621b9d4be4833c593360b99ba5cc36762af92c9de1158f2da4c",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "75681de67bd7b8c7fe7593729ec65483d5cda5573950a9135ae2022c4e269c43",
+        "4d369b6e79d9750fe0d631c8fedb209cc2c5af3c2318c032bab0fbe7cfb6a377",
     "report --field real --n 2 --samples 500 --metric image":
         "ad4459896eef7941dec3f09a1d1ce46f27cda0386a43661be4fe96a947c7f7a0",
     "report --field real --n 2 --samples 500 --metric domain":

@@ -7,8 +7,7 @@ from veronese import constants, geometry, measure
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
-from veronese.sampling import (ball_point_blocks, ball_points, complex_sphere_points,
-                               generator, sphere_points)
+from veronese.sampling import complex_sphere_points, generator, sphere_points
 
 
 @pytest.fixture
@@ -155,22 +154,6 @@ def test_block_draws_from_one_generator_equal_the_single_draw(name):
     blocks = [draw(length, rng) for length in lengths]
     assert [len(b) for b in blocks] == lengths
     assert np.array_equal(np.concatenate(blocks), draw(total, seed))
-
-
-@pytest.mark.parametrize("dim", [1, 6])
-def test_block_draws_from_one_generator_equal_the_single_draw_in_the_ball(dim):
-    # the single draw takes every normal from generator(seed) and every radius
-    # from its jumped stream
-    seed, total = 31, 5_000
-    x = generator(seed).standard_normal((total, dim))
-    u = np.random.Generator(generator(seed).bit_generator.jumped()).random((total, 1))
-    single = 1.7 * u ** (1.0 / dim) * x / np.linalg.norm(x, axis=1, keepdims=True)
-    assert np.array_equal(ball_points(dim, total, seed, radius=1.7), single)
-    ends = np.cumsum([0, 1, 7, 4096, total - 4104])
-    parts = [slice(start, stop) for start, stop in zip(ends[:-1], ends[1:])]
-    blocks = list(ball_point_blocks(dim, parts, seed, radius=1.7))
-    assert [len(b) for b in blocks] == [1, 7, 4096, total - 4104]
-    assert np.array_equal(np.concatenate(blocks), single)
 
 
 def test_quotient_samples_deterministic():

@@ -13,7 +13,7 @@ from veronese.measure import quotient_samples
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               harmonicity_traces, norm_identity_residual,
                               real_restriction, to_json_dict)
-from veronese.sampling import ball_points, complex_sphere_points, sphere_points
+from veronese.sampling import complex_sphere_points, sphere_points
 
 from oracles import (dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian,
                      per_point_evaluate)
@@ -50,15 +50,12 @@ def test_evaluate_batches():
 def test_evaluate_matches_dense_oracle(field, n):
     m = build(n, field)
     on_sphere = quotient_samples(n, field, 50, 200 + n)
-    if field == "real":
-        in_ball = ball_points(n + 1, 50, 300 + n, radius=2.0)
-    else:
-        x = ball_points(2 * (n + 1), 50, 300 + n, radius=2.0)
-        in_ball = x[:, :n + 1] + 1j * x[:, n + 1:]
-    for pts in (on_sphere, in_ball):
+    x = np.random.default_rng(300 + n).uniform(-2.0, 2.0, (2, 50, n + 1))
+    off_sphere = x[0] if field == "real" else x[0] + 1j * x[1]
+    for pts in (on_sphere, off_sphere):
         ref = dense_evaluate(m, pts)
         # relative to the largest image coordinate; measured worst 2.7e-16
-        # (sphere, complex n=2) and 1.8e-16 (ball, real n=10)
+        # (sphere, complex n=2) and 2.1e-16 (off the sphere, complex n=8)
         assert_allclose(evaluate(m, pts), ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
@@ -173,6 +170,22 @@ def test_norm_identity_at_zero_and_scaling():
 def test_norm_identity_sampled(field, n):
     m = build(n, field)
     assert norm_identity_residual(m, 1000, seed=5 * n) < 1e-12
+
+
+@pytest.mark.parametrize("field,n,bump", [("real", 3, 1e-9), ("complex", 2, 1e-9j)])
+def test_norm_identity_catches_a_nudged_coefficient_pair(field, n, bump):
+    # one symmetric (real) or Hermitian (complex) pair moved by 1e-9 breaks the
+    # quartic identity; measured residuals are about 9e-9 for both
+    components = build(n, field).components.copy()
+    components[0, 0, 1] += bump
+    components[0, 1, 0] += np.conj(bump)
+    assert norm_identity_residual(QuadMap(n, components), 1000, seed=5 * n) > 1e-12
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_norm_identity_rejects_an_empty_sample(count):
+    with pytest.raises(ValueError, match="sample_count"):
+        norm_identity_residual(build(2, "real"), count, seed=0)
 
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
