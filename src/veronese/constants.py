@@ -8,6 +8,7 @@ Square roots are taken in floating point at map-build time only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 MAX_LEVEL = 12  # the radius sequence needs (n-1)!; kept at desk scale on purpose
@@ -66,6 +67,7 @@ def ambient_dims(n: int) -> tuple[int, int]:
     return n * (n + 3) // 2 - 1, (n + 1) ** 2 - 2
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0 or True
 def radius(n: int) -> float:
     """Domain sphere radius at level n, in floating point."""
     return float(radius_pow4(n)) ** 0.25

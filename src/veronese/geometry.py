@@ -10,13 +10,14 @@ here is differenced.
 
 The second fundamental form is expressed in an orthonormal frame of the
 *image* tangent space (Gram-Schmidt on the pushed-forward basis), i.e.
-with respect to the induced image metric.  That frame is fixed first: the
-domain directions are solved against the triangular factor of the tangent
-images, so the accelerations along them are already in the image frame and
-one normal projection, which also removes the term along the image point,
-finishes the form.  The pullback of the round domain metric differs from the
-induced metric by the measured homothety factor, and nothing here silently
-picks one normalization.
+with respect to the induced image metric.  That frame is fixed first, from
+the Cholesky factor L of the pullback Gram matrix: one forward substitution
+against L carries the tangent images to the frame and the domain directions
+to the directions that the map sends onto it, so the accelerations along
+them are already in the image frame and one normal projection, which also
+removes the term along the image point, finishes the form.  The pullback of
+the round domain metric differs from the induced metric by the measured
+homothety factor, and nothing here silently picks one normalization.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from . import constants
 from .quadmap import QuadMap, StructuralError, chunks
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
-RANK_TOL = 1e-10         # smallest acceptable triangular pivot, relative
+# Smallest acceptable pivot of the Cholesky factor of the pullback Gram matrix,
+# relative to the largest.  The pivots are the diagonal of R in the QR of the
+# tangent images, but the Gram matrix squares their ratio, so a factorization in
+# doubles resolves a ratio only down to about sqrt(eps) ~ 1e-8: a map with a ratio
+# in 1e-10..1e-8 may fail the factorization instead, which raises the same
+# rank-deficiency error.  The maps of the construction have all pivots equal
+# (their Gram matrix is lambda I).
+RANK_TOL = 1e-10
 IMAGE_NORM_TOL = 1e-10   # image points must sit on the unit sphere
 
 
@@ -82,28 +90,29 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
 
 
 def _pushforward(map_: QuadMap, points):
-    """The points and their tangent_bases as real rows of the map's stack
-    (p, 1 + d, M), the point rows times the stack, x^T S_k for every k
-    (p, 1, M*K), the images of the bases under the differential (p, d, K),
-    and at each point the pullback factor (mean diagonal of the pullback Gram
-    matrix) and its anisotropy (worst deviation from that multiple of I).
+    """The points as real rows of the map's stack (p, M), the point rows times
+    the stack, x^T S_k for every k (p, M*K), the images T of the tangent_bases
+    under the differential beside the bases' own real rows B, as one
+    (p, d, K + M) array [T | B], the pullback Gram matrix T T^T (p, d, d), and
+    at each point the pullback factor (mean diagonal of the Gram matrix) and
+    its anisotropy (worst deviation from that multiple of I).
 
     Products are batched over points, so no point depends on its batch.
     """
-    bases = tangent_bases(map_, points)
-    rows = map_.real_rows(np.concatenate([np.asarray(points)[:, None], bases], axis=1))
-    dx = rows[:, :1] @ map_.stack
-    p, d, m = bases.shape[0], bases.shape[1], rows.shape[2]
-    tangent = 2.0 * (rows[:, 1:] @ dx.reshape(p, m, -1))
+    bases = map_.real_rows(tangent_bases(map_, points))
+    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
+    dx = x @ map_.stack
+    p, d, m = bases.shape
+    tangent = 2.0 * (bases @ dx.reshape(p, m, -1))
     gram = tangent @ tangent.transpose(0, 2, 1)
     lam = np.trace(gram, axis1=1, axis2=2) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    return rows, dx, tangent, lam, anis
+    return x, dx, np.concatenate([tangent, bases], axis=2), gram, lam, anis
 
 
 def tangent_images(map_: QuadMap, points) -> np.ndarray:
     """Pushforward of the tangent_bases at the points, shape (p, d, K)."""
-    return _pushforward(map_, points)[2]
+    return _pushforward(map_, points)[2][:, :, :map_.component_count]
 
 
 def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarray, ...]:
@@ -116,47 +125,56 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     component of the embedding's second derivative along the orthonormalized
     image directions i and j.
 
-    The frame is orthonormalized first: with tangent^T = Q R, the domain
-    directions B' = R^-T B (one batched solve) have the orthonormal columns
-    of Q as their images.  Accelerations of the curves t -> map(great circle)
-    are assembled from the constant coefficient matrices: for a circle with
-    initial velocity w the component accelerations are
-    2 q(w, w) - (2 |w|^2 / r^2) map(x), and polarization in w is exact
-    because q is bilinear, so 2 q(B'_a, B'_b) is already in the image frame.
-    Its normal part (orthogonal to the image point and the image tangent
-    space, one orthonormal frame since |map|^2 is constant on the sphere) is
-    the second fundamental form of the image inside the unit sphere; the
-    map(x) term lies along the image point, which that projection removes, so
-    it is never formed.
+    The frame is orthonormalized first.  With L the Cholesky factor of the
+    pullback Gram matrix T T^T of the tangent images T, the rows of
+    Q^T = L^-1 T are an orthonormal frame of the image tangent space (the Q of
+    the QR factorization T^T = Q L^T, the unique one with a positive
+    diagonal), and the domain directions B' = L^-1 B have those rows as their
+    images; one forward substitution over the d rows of [T | B] gives both.
+    Accelerations of the curves t -> map(great circle) are assembled from the
+    constant coefficient matrices: for a circle with initial velocity w the
+    component accelerations are 2 q(w, w) - (2 |w|^2 / r^2) map(x), and
+    polarization in w is exact because q is bilinear, so 2 q(B'_a, B'_b) is
+    already in the image frame.  Its normal part (orthogonal to the image
+    point and the image tangent space, one orthonormal frame since |map|^2 is
+    constant on the sphere) is the second fundamental form of the image inside
+    the unit sphere; the map(x) term lies along the image point, which that
+    projection removes, so it is never formed.
 
     work is None, or a pair of flat float arrays of at least p d M K and
     p d d K doubles that the products are computed in (curvature_blocks keeps
     one pair for all its blocks); alpha is then a view of the second.
     """
-    rows, dx, tangent, lam, anis = _pushforward(map_, points)
-    p, m = dx.shape[0], rows.shape[2]
-    images = (rows[:, :1] @ dx.reshape(p, m, -1))[:, 0]   # x^T S_k x, as evaluate
+    x, dx, rows, gram, lam, anis = _pushforward(map_, points)
+    p, d, m, k = *rows.shape[:2], x.shape[1], map_.component_count
+    images = (x[:, None] @ dx.reshape(p, m, k))[:, 0]   # x^T S_k x, as evaluate
     worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
         raise StructuralError(f"image points are off the unit sphere "
                               f"(worst deviation {worst:.3e})")
 
-    q_hat, r_tri = np.linalg.qr(tangent.transpose(0, 2, 1))
-    pivots = np.abs(np.diagonal(r_tri, axis1=1, axis2=2))
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise StructuralError("image tangent space is rank deficient") from None
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
+    # [Q^T | B'] = L^-1 [T | B], by forward substitution
+    for i, row in enumerate(rows.transpose(1, 0, 2)):
+        row -= (chol[:, i, None, :i] @ rows[:, :i])[:, 0]
+        row /= chol[:, i, i, None]
 
-    rows = np.linalg.solve(r_tri.transpose(0, 2, 1), rows[:, 1:])   # B' = R^-T B
-    d, k = rows.shape[1], images.shape[1]
+    frame = np.concatenate([images[:, None], rows[:, :, :k]], axis=1)
+    rows = rows[:, :, k:]
     spare, acc = work if work is not None else _work(map_, p)
     acc = acc[:p * d * d * k].reshape(p, d, d, k)
     # acc[a, b, k] = 2 B'_a^T S_k B'_b
     prod = np.matmul(rows, map_.stack, out=spare[:p * d * m * k].reshape(p, d, m * k))
     np.matmul(rows[:, None], prod.reshape(p, d, m, k), out=acc)
     acc *= 2.0
-    frame = np.concatenate([images[:, :, None], q_hat], axis=2)
     flat = acc.reshape(p, d * d, k)
-    flat -= np.matmul(flat @ frame, frame.transpose(0, 2, 1),
+    flat -= np.matmul(flat @ frame.transpose(0, 2, 1), frame,
                       out=spare[:flat.size].reshape(flat.shape))
     return acc, lam, anis
 
@@ -179,11 +197,11 @@ def curvature_point_bytes(map_: QuadMap) -> int:
     """Working memory per point of a curvature_field chunk, in doubles: the work
     arrays of the (d, M*K) products and the (d, d, K) accelerations, d K (M+d);
     beside them, at the kernel's peak (the normal projection), the stack
-    product, image, tangent images, their Q factor and the frame, K (M + 3d + 2);
-    the projection's (d, d, d+1) product, R and the solved rows B',
-    d (d (d+2) + M); and a few scalars."""
+    product, image and frame, K (M + d + 2); the rows [Q^T | B'], d (K + M);
+    the projection's (d, d, d+1) product, the Gram matrix and its Cholesky
+    factor, d d (d+3); the point's real row, M; and a few scalars."""
     d, m, k = _dims(map_)
-    return 8 * (d * k * (m + d) + k * (m + 3 * d + 2) + d * (d * (d + 2) + m) + 32)
+    return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
 
 
 def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[dict]:

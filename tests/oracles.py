@@ -77,7 +77,10 @@ def dense_curvature(map_, points):
     stack, kept as an oracle for the planned kernel: (alpha, lambda, anisotropy).
     It projects the accelerations along the domain basis, the term along the
     image point included, and changes frame afterwards with R^-1 on both
-    sides, where the kernel solves for the orthonormal frame first."""
+    sides, where the kernel builds the orthonormal frame first.  The frame is
+    the Householder QR's, with each column of Q and row of R multiplied by the
+    sign of R's diagonal: the unique QR with a positive diagonal, which is the
+    kernel's Cholesky frame."""
     bases = tangent_bases(map_, points)
     tangent = (2.0 * np.einsum("kij,pi,pbj->pbk", map_.components, np.conj(points), bases)).real
     gram = np.einsum("pbk,pck->pbc", tangent, tangent)
@@ -86,6 +89,8 @@ def dense_curvature(map_, points):
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
     images = dense_evaluate(map_, points)
     q_hat, r_tri = np.linalg.qr(np.swapaxes(tangent, 1, 2))
+    signs = np.sign(np.diagonal(r_tri, axis1=1, axis2=2))
+    q_hat, r_tri = q_hat * signs[:, None, :], r_tri * signs[:, :, None]
     conj_bases = np.conj(bases)
     q_bil = np.einsum("kij,pai,pbj->pabk", map_.components, conj_bases, bases).real
     gram_dom = np.einsum("pai,pbi->pab", bases, conj_bases).real

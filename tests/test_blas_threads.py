@@ -52,6 +52,15 @@ def test_cloud_does_not_depend_on_the_blas_thread_count(field, n):
     assert one == two
 
 
+@pytest.mark.parametrize("command", ["report --field real --n 3", "verify --n-max 3"])
+def test_long_sample_runs_do_not_depend_on_the_blas_thread_count(command):
+    # 20,000 samples reach the Cholesky frame and the (p, M) @ (M, M K) products
+    # in chunks of hundreds of points (650 at real n=3)
+    argv = ["-m", "veronese.cli", *command.split(), "--samples", "20000"]
+    one, two = (_child(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
+
+
 THREADS_AFTER_IMPORT = """
 import os
 import veronese

@@ -65,6 +65,16 @@ def test_level_domain_errors(bad):
         ambient_dims(bad)
 
 
+def test_radius_is_cached_and_still_rejects_non_integer_levels():
+    for n in range(1, constants.MAX_LEVEL + 1):
+        assert constants.radius(n) == float(radius_pow4(n)) ** 0.25
+        assert constants.radius(n) is constants.radius(n)
+    for bad in [2.0, True, 0, constants.MAX_LEVEL + 1]:
+        for _ in range(2):  # a raised error is not cached
+            with pytest.raises(ValueError):
+                constants.radius(bad)
+
+
 def test_step_constants_rejects_base_level():
     with pytest.raises(ValueError):
         step_constants(1)

@@ -4,8 +4,8 @@ numpy evaluates an einsum of three or more operands in one unplanned pass
 over every index, which made it the bulk of a curvature run and of
 evaluate; the kernels spell each contraction as a batched product of two
 arrays instead.  No file there forms an explicit inverse either: a
-change of frame is a solve against the triangular factor, not a product
-with np.linalg.inv of it.
+change of frame is a substitution against the triangular factor, not a
+product with np.linalg.inv of it.
 """
 
 import ast

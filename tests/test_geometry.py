@@ -256,6 +256,29 @@ def test_curvature_rejects_images_off_the_unit_sphere():
         curvature_field(half, quotient_samples(1, "real", 2, seed=3))
 
 
+def cross_term_map(*scales):
+    """The level-2 real map I/r^2 beside the cross terms 2 c_j x_0 x_j, j = 1, 2, ..."""
+    comps = [np.eye(3) / constants.radius(2) ** 2]
+    for j, scale in enumerate(scales, start=1):
+        cross = np.zeros((3, 3))
+        cross[0, j] = cross[j, 0] = scale
+        comps.append(cross)
+    return QuadMap(n=2, components=np.stack(comps))
+
+
+@pytest.mark.parametrize("scales, points", [
+    # one cross term: tangent images of rank 1, whose Gram matrix has no
+    # Cholesky factor
+    ((1e-6,), quotient_samples(2, "real", 5, seed=3)),
+    # two: at the base point the Gram matrix is diag(4 r^2 c_j^2), whose
+    # factor has pivots 1e-11 apart
+    ((1e-3, 1e-14), np.array([[constants.radius(2), 0.0, 0.0]])),
+], ids=["rank-1", "pivot-ratio"])
+def test_rank_deficient_tangent_images_raise(scales, points):
+    with pytest.raises(StructuralError, match="rank deficient"):
+        curvature_field(cross_term_map(*scales), points)
+
+
 @pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
 def test_planned_kernel_matches_dense_oracle(field, cap):
     for n in range(1, cap + 1):

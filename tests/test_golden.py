@@ -17,17 +17,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "a05abc9af1ce03d1fc99151ec511c3e3d41430f623cbcb4e36e5993f76ea4557",
+        "8216f39cabd8dcee5f374e65a4d44969c27d346bc4879ef1f87ce1032bb17131",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "bebd12c347b2d56765a7f08b721b3f86d6127fcc4f5af0a6b1f1fe6e25f436af",
+        "caf79f47afc70bf545967bf918783de98f684fde7ccc74e056ab5172e590b8fa",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "259ed1c3982f742667a0a9ded922f85c2a2beb75ed870cc9aadb850e06aaf182",
+        "69a62ea0bb19b44c6fea71e7772dce9f3d6f9eeacdcac023613b005d4dc95472",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "2f48372a918c7e8306a5f68344443fa9136a22a4756148a77ab6cd2a9daf2f7a",
+        "db5f764aea6e973ec8340684d27716e6e26e7e49221157ceae8abf6db0911d27",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "677b06b6e713f621b9d4be4833c593360b99ba5cc36762af92c9de1158f2da4c",
+        "2a9cdf9875a8f0a31abfbfc4960a2a67430efad5ce0a5cb33381e394c3084ee2",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "4d369b6e79d9750fe0d631c8fedb209cc2c5af3c2318c032bab0fbe7cfb6a377",
+        "7904e464e69c5e48834cbc96eaa23e90309c6d03c4485d9a7465fef196a6377b",
     "report --field real --n 2 --samples 500 --metric image":
         "ad4459896eef7941dec3f09a1d1ce46f27cda0386a43661be4fe96a947c7f7a0",
     "report --field real --n 2 --samples 500 --metric domain":
@@ -37,7 +37,7 @@ GOLDEN = {
     "report --field real --n 12 --samples 40 --format json":
         "35930b31e23af5e24c96db63b06362522f5fc11fa36639dfd32fdf1f4f24b4dc",
     "report --field complex --n 8 --samples 40 --format json":
-        "48ab637f1ab1ab5d6639cbee861f6be87fc0942f9fe37700fab76ac6a99c27c8",
+        "74252505393c5d02b2f392603fd8176b98f67c461d0048f04787e5b77b0da4c3",
     "emit --field real --n 1":
         "eb8ef9f583f1ce6887ceb56344713960e311994b2e33d25c61e7072be18f67c5",
     "emit --field real --n 2":
