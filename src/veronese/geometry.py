@@ -194,12 +194,13 @@ def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def curvature_point_bytes(map_: QuadMap) -> int:
-    """Working memory per point of a curvature_field chunk, in doubles: the work
-    arrays of the (d, M*K) products and the (d, d, K) accelerations, d K (M+d);
-    beside them, at the kernel's peak (the normal projection), the stack
-    product, image and frame, K (M + d + 2); the rows [Q^T | B'], d (K + M);
-    the projection's (d, d, d+1) product, the Gram matrix and its Cholesky
-    factor, d d (d+3); the point's real row, M; and a few scalars."""
+    """Working memory per point of a curvature_field chunk, in bytes, eight per
+    double of: the work arrays of the (d, M*K) products and the (d, d, K)
+    accelerations, d K (M+d); beside them, at the kernel's peak (the normal
+    projection), the stack product, image and frame, K (M + d + 2); the rows
+    [Q^T | B'], d (K + M); the projection's (d, d, d+1) product, the Gram
+    matrix and its Cholesky factor, d d (d+3); the point's real row, M; and a
+    few scalars."""
     d, m, k = _dims(map_)
     return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
 

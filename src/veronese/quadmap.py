@@ -19,7 +19,6 @@ import dataclasses
 import numpy as np
 
 from .constants import ambient_dims, radius_pow4, rational_str
-from .sampling import generator, sphere_points
 
 ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
 RESTRICTION_MATCH_TOL = 1e-14
@@ -136,31 +135,22 @@ def harmonicity_traces(map_: QuadMap) -> np.ndarray:
     return np.trace(map_.components, axis1=1, axis2=2).real
 
 
-def norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float:
-    """Largest deviation of |map(x)|^2 from |x|^4 / r^4 on random points of norm 2.
+def norm_identity_residual(map_: QuadMap) -> float:
+    """Largest coefficient of the quartic |map(x)|^2 - |x|^4 / r^4, times r^4.
 
-    Every component of the map is a quadratic form, so |map(x)|^2 - |x|^4 / r^4
-    is a homogeneous quartic: it vanishes everywhere exactly when it vanishes
-    on one sphere around the origin.  The points are drawn uniformly from the
-    sphere of radius 2 (real or complex according to the map), off the domain
-    sphere, so a small residual at them is a probabilistic certificate that
-    the degree-4 polynomial identity holds.
+    With x the real row of a point, the quartic is sum G[i,j,l,m] x_i x_j x_l x_m
+    for G = sum_k S_k (x) S_k - I (x) I / r^4, formed by one (M^2, K) @ (K, M^2)
+    product with the stack.  It vanishes identically exactly when the full
+    symmetrization of G does; G is symmetric within and between its two index
+    pairs, so that is the mean of its three pairings.  A zero certifies the
+    identity outright, on every point of the domain.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    m = map_.stack.shape[0]
     r4 = float(radius_pow4(map_.n))
-    m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
-    rng = generator(seed)
-    worst = 0.0
-    # per point: its normals and their copies, and evaluate's product with the stack
-    for part in chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8)):
-        x = sphere_points(m, part.stop - part.start, rng, radius=2.0)
-        pts = x[:, :cdim] + 1j * x[:, cdim:] if map_.field == "complex" else x
-        sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
-        vals = evaluate(map_, pts)
-        lhs = np.einsum("pk,pk->p", vals, vals)
-        worst = max(worst, float(np.max(np.abs(lhs - sq * sq / r4))))
-    return worst
+    flat = map_.stack.reshape(m * m, -1)
+    gram = (flat @ flat.T - np.outer(np.eye(m), np.eye(m)) / r4).reshape(m, m, m, m)
+    sym = (gram + gram.transpose(0, 2, 1, 3) + gram.transpose(0, 3, 2, 1)) / 3.0
+    return r4 * float(np.max(np.abs(sym)))
 
 
 def real_restriction(cmap: QuadMap, rmap: QuadMap):

@@ -3,9 +3,10 @@
 Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
 differential, central differences (of the map, its pullback metric and its
-sphere Laplacian), exact rational arithmetic, and printf.
+sphere Laplacian), sampled points, exact rational arithmetic, and printf.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from veronese import constants
 from veronese.constants import radius_pow4
 from veronese.geometry import tangent_bases, tangent_images
-from veronese.quadmap import QuadMap, evaluate
+from veronese.quadmap import QuadMap, chunks, evaluate
+from veronese.sampling import generator, sphere_points
 
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 
@@ -181,6 +183,65 @@ def exact_norm_identity_deviation(map_: QuadMap, points) -> Fraction:
         dev = abs(total - sq * sq / r4)
         worst = max(worst, dev)
     return worst
+
+
+def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) -> float:
+    """Largest deviation of |map(x)|^2 from |x|^4 / r^4 on random points of norm 2.
+
+    The quartic vanishes everywhere exactly when it vanishes on one sphere
+    around the origin; the points are drawn uniformly from the sphere of
+    radius 2 (real or complex according to the map), off the domain sphere,
+    one block at a time from one generator.  A small residual is a
+    probabilistic certificate of the identity that norm_identity_residual
+    reads from the coefficients.
+    """
+    r4 = float(radius_pow4(map_.n))
+    m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
+    rng = generator(seed)
+    worst = 0.0
+    for part in chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8)):
+        x = sphere_points(m, part.stop - part.start, rng, radius=2.0)
+        pts = x[:, :cdim] + 1j * x[:, cdim:] if map_.field == "complex" else x
+        sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
+        vals = evaluate(map_, pts)
+        lhs = np.einsum("pk,pk->p", vals, vals)
+        worst = max(worst, float(np.max(np.abs(lhs - sq * sq / r4))))
+    return worst
+
+
+def exact_quartic_residual(map_: QuadMap) -> Fraction:
+    """r^4 times the largest entry of the symmetrized quartic tensor
+    sum_k S_k (x) S_k - I (x) I / r^4, in exact rational arithmetic.
+
+    S_k is the realified form of A_k, built here from the exact rationals the
+    stored doubles denote, so the only residue measured is coefficient
+    rounding.  The symmetrization averages the full tensor over all 24
+    orderings of its four indices, not the three pairings the package uses.
+    """
+    r4 = radius_pow4(map_.n)
+    n1 = map_.domain_dim
+    mats = []
+    for mat in map_.components:
+        re = [[Fraction(float(mat[i, j].real)) for j in range(n1)] for i in range(n1)]
+        if map_.field == "real":
+            mats.append(re)
+            continue
+        im = [[Fraction(float(mat[i, j].imag)) for j in range(n1)] for i in range(n1)]
+        mats.append([re[i] + [-v for v in im[i]] for i in range(n1)]
+                    + [im[i] + re[i] for i in range(n1)])
+    m = len(mats[0])
+    tensor = {}
+    for idx in itertools.product(range(m), repeat=4):
+        i, j, l, q = idx
+        val = sum(s[i][j] * s[l][q] for s in mats)
+        if i == j and l == q:
+            val -= 1 / r4
+        tensor[idx] = val
+    worst = Fraction(0)
+    for idx in itertools.combinations_with_replacement(range(m), 4):
+        perms = set(itertools.permutations(idx))
+        worst = max(worst, abs(sum(tensor[p] for p in perms) / len(perms)))
+    return r4 * worst
 
 
 def printf_rows(block):

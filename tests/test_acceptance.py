@@ -18,7 +18,7 @@ from veronese.quadmap import (evaluate, harmonicity_traces,
                               norm_identity_residual, real_restriction)
 from veronese.sampling import complex_sphere_points
 
-from oracles import laplace_residual, pullback_factor
+from oracles import laplace_residual, pullback_factor, sampled_norm_identity_residual
 
 
 class Criterion:
@@ -61,10 +61,14 @@ def test_criterion_01_exact_sequences():
 
 def test_criterion_02_norm_identity():
     with Criterion("02 norm-identity", budget_seconds=5.0) as c:
+        for field, cap in (("real", 12), ("complex", 8)):
+            for n in range(1, cap + 1):
+                res = norm_identity_residual(build(n, field))
+                c.check(res < 1e-12, f"{field} level {n} certificate {res:.2e}")
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
-                res = norm_identity_residual(build(n, field), 1000, seed=1000 + n)
-                c.check(res < 1e-12, f"{field} level {n} residual {res:.2e}")
+                res = sampled_norm_identity_residual(build(n, field), 1000, seed=1000 + n)
+                c.check(res < 1e-12, f"{field} level {n} sampled residual {res:.2e}")
 
 
 def test_criterion_03_harmonicity():

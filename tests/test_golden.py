@@ -17,17 +17,17 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "8216f39cabd8dcee5f374e65a4d44969c27d346bc4879ef1f87ce1032bb17131",
+        "20ae98f5c247c2d207f3047921fc4c67b5c0545f3219ea272c820d0d402261d5",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "caf79f47afc70bf545967bf918783de98f684fde7ccc74e056ab5172e590b8fa",
+        "f8fecd965cd1f867e9866e081d69803f72f86001e534ee215de6d90ef29c7159",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "69a62ea0bb19b44c6fea71e7772dce9f3d6f9eeacdcac023613b005d4dc95472",
+        "d02c118b8c75bb75f136dfa9fed2e809864d0626b3f8f1eab51e07f4c3fb9b6d",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "db5f764aea6e973ec8340684d27716e6e26e7e49221157ceae8abf6db0911d27",
+        "a448f828dde4b459af132a18a6aaca30c8f573401499754f504a0637c11d74a3",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "2a9cdf9875a8f0a31abfbfc4960a2a67430efad5ce0a5cb33381e394c3084ee2",
+        "69fe8870b4bc08e7bd77600d4fd4c267029360ea8dffd382b51f2e6c4d266b8b",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "7904e464e69c5e48834cbc96eaa23e90309c6d03c4485d9a7465fef196a6377b",
+        "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
     "report --field real --n 2 --samples 500 --metric image":
         "ad4459896eef7941dec3f09a1d1ce46f27cda0386a43661be4fe96a947c7f7a0",
     "report --field real --n 2 --samples 500 --metric domain":

@@ -15,8 +15,8 @@ from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               real_restriction, to_json_dict)
 from veronese.sampling import complex_sphere_points, sphere_points
 
-from oracles import (dense_evaluate, exact_norm_identity_deviation, fd_jacobian, jacobian,
-                     per_point_evaluate)
+from oracles import (dense_evaluate, exact_norm_identity_deviation, exact_quartic_residual,
+                     fd_jacobian, jacobian, per_point_evaluate, sampled_norm_identity_residual)
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
@@ -165,27 +165,35 @@ def test_norm_identity_at_zero_and_scaling():
     assert_allclose(v2, 16 * v1, rtol=1e-13)
 
 
-@pytest.mark.parametrize("field,n", [("real", n) for n in range(1, 7)]
-                                   + [("complex", n) for n in range(1, 5)])
+AUDITED = [(field, n) for field, cap in constants.LEVEL_CAPS["audit"].items()
+           for n in range(1, cap + 1)]
+
+
+@pytest.mark.parametrize("field,n", AUDITED)
 def test_norm_identity_sampled(field, n):
     m = build(n, field)
-    assert norm_identity_residual(m, 1000, seed=5 * n) < 1e-12
+    assert norm_identity_residual(m) < 1e-12
+    assert sampled_norm_identity_residual(m, 1000, seed=5 * n) < 1e-12
 
 
 @pytest.mark.parametrize("field,n,bump", [("real", 3, 1e-9), ("complex", 2, 1e-9j)])
 def test_norm_identity_catches_a_nudged_coefficient_pair(field, n, bump):
     # one symmetric (real) or Hermitian (complex) pair moved by 1e-9 breaks the
-    # quartic identity; measured residuals are about 9e-9 for both
+    # quartic identity; the certificate reads about 3e-9 (real) and 9e-10
+    # (complex), the sampled residual about 9e-9 for both
     components = build(n, field).components.copy()
     components[0, 0, 1] += bump
     components[0, 1, 0] += np.conj(bump)
-    assert norm_identity_residual(QuadMap(n, components), 1000, seed=5 * n) > 1e-12
+    nudged = QuadMap(n, components)
+    assert norm_identity_residual(nudged) > 1e-12
+    assert sampled_norm_identity_residual(nudged, 1000, seed=5 * n) > 1e-12
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_norm_identity_rejects_an_empty_sample(count):
-    with pytest.raises(ValueError, match="sample_count"):
-        norm_identity_residual(build(2, "real"), count, seed=0)
+@pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
+def test_norm_identity_certificate_matches_exact_rationals(field, n):
+    m = build(n, field)
+    exact = exact_quartic_residual(m)
+    assert abs(norm_identity_residual(m) - float(exact)) < 1e-15
 
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
