@@ -195,6 +195,8 @@ def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) 
     probabilistic certificate of the identity that norm_identity_residual
     reads from the coefficients.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     r4 = float(radius_pow4(map_.n))
     m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
     rng = generator(seed)

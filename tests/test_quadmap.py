@@ -189,6 +189,13 @@ def test_norm_identity_catches_a_nudged_coefficient_pair(field, n, bump):
     assert sampled_norm_identity_residual(nudged, 1000, seed=5 * n) > 1e-12
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_norm_identity_rejects_an_empty_sample(count):
+    # an empty sample would read 0.0 and pass the sampled check vacuously
+    with pytest.raises(ValueError, match="sample_count"):
+        sampled_norm_identity_residual(build(2, "real"), count, seed=0)
+
+
 @pytest.mark.parametrize("field,n", [("real", 2), ("real", 3), ("complex", 2)])
 def test_norm_identity_certificate_matches_exact_rationals(field, n):
     m = build(n, field)
