@@ -21,7 +21,7 @@ from . import constants, construct, geometry, measure
 from .constants import LEVEL_CAPS, check_level
 from .quadmap import (StructuralError, chunks, evaluate, harmonicity_traces,
                       norm_identity_residual, real_restriction)
-from .sampling import generator
+from .sampling import generator, sphere_points
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -102,18 +102,20 @@ def _entry(claim_id, statement, expected, measured, tolerance,
 
 
 def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
-    """Distance between fiber orbits, rowwise over two batches of points.
+    """Distance between fiber orbits, rowwise over two batches of real rows
+    (the rows [Re z, Im z] of complex points for the phase quotient).
 
     Antipodal quotient: min(|x - y|, |x + y|).  Phase quotient: the minimum
     of |x - e^{i t} y| over all phases has the closed form
-    sqrt(|x|^2 + |y|^2 - 2 |<x, y>|), which is used directly.
+    sqrt(|x|^2 + |y|^2 - 2 |<x, y>|), <x, y> = x.y + i (x_re.y_im - x_im.y_re).
     """
     if field_name == "real":
         return np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
-    nx = np.einsum("pi,pi->p", np.conj(x), x).real
-    ny = np.einsum("pi,pi->p", np.conj(y), y).real
-    cross = np.abs(np.einsum("pi,pi->p", np.conj(x), y))
-    return np.sqrt(np.maximum(nx + ny - 2.0 * cross, 0.0))
+    c = x.shape[1] // 2
+    sq = np.einsum("pi,pi->p", x, x) + np.einsum("pi,pi->p", y, y)
+    re = np.einsum("pi,pi->p", x, y)
+    im = np.einsum("pi,pi->p", x[:, :c], y[:, c:]) - np.einsum("pi,pi->p", x[:, c:], y[:, :c])
+    return np.sqrt(np.maximum(sq - 2.0 * np.sqrt(re * re + im * im), 0.0))
 
 
 def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
@@ -121,9 +123,10 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
 
     (a) the image is constant along fibers (antipodal points or unit-phase
         orbits); (b) orbits separated by more than delta = 1e-3 r stay
-        separated in the image, with the measured floor reported; (c) the
-        differential restricted to the tangent/horizontal space has full
-        rank at sampled points.
+        separated in the image, with the measured floor reported (each image
+        difference is (x - y)^T S_k (x + y) for real rows x, y, not the
+        difference of two unit images); (c) the differential restricted to
+        the tangent/horizontal space has full rank at sampled points.
     """
     if pair_count < 1:
         raise ValueError("pair_count must be at least 1")
@@ -137,20 +140,26 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         moved = evaluate(map_, g * inv_points)
         invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
 
-    # pairs are drawn, evaluated and reduced a block at a time; per pair: both points,
-    # evaluate's products of their rows with the stack, and the images
+    # pairs are real rows (the doubles quotient_samples pairs into complex points); per
+    # block, one 2-D product of x + y with the stack into one work array, then one (1, M)
+    # @ (M, K) product per pair.  A pair holds x, y, x +- y, a product row (M K) and a
+    # difference (K); the byte count stays two evaluated images' (longer blocks raise RSS)
     x_draw = generator(seed + _SEED_STRIDE)
     y_draw = generator(seed + 2 * _SEED_STRIDE)
     m, k = map_.stack.shape[0], map_.component_count
     delta = 1e-3 * r
     pairs_tested = collisions = 0
     nearest = math.inf
-    for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
+    parts = chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8))
+    work = np.empty((parts[0].stop, m * k))  # the first block is the longest
+    for part in parts:
         count = part.stop - part.start
-        x = measure.quotient_samples(n, field_name, count, x_draw)
-        y = measure.quotient_samples(n, field_name, count, y_draw)
+        x = sphere_points(m, count, x_draw, radius=r)
+        y = sphere_points(m, count, y_draw, radius=r)
         separated = orbit_distance(x, y, field_name) > delta
-        sep_dist = np.linalg.norm(evaluate(map_, x) - evaluate(map_, y), axis=1)[separated]
+        prod = np.matmul(x + y, map_.stack, out=work[:count])
+        diff = ((x - y)[:, None] @ prod.reshape(count, m, k))[:, 0]
+        sep_dist = np.linalg.norm(diff, axis=1)[separated]
         pairs_tested += int(np.sum(separated))
         collisions += int(np.sum(sep_dist <= SEPARATION_FLOOR))
         if sep_dist.size:

@@ -24,9 +24,12 @@ def sphere_points(dim: int, count: int, seed: int | np.random.Generator,
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     x = generator(seed).standard_normal((count, dim))
-    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    # np.linalg.norm's reduction for real rows, then its division in place
+    nrm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     nrm[nrm == 0.0] = 1.0
-    return radius * x / nrm
+    np.multiply(radius, x, out=x)
+    x /= nrm
+    return x
 
 
 def complex_sphere_points(cdim: int, count: int, seed: int | np.random.Generator,

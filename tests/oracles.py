@@ -3,7 +3,8 @@
 Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
 differential, central differences (of the map, its pullback metric and its
-sphere Laplacian), sampled points, exact rational arithmetic, and printf.
+sphere Laplacian), sampled points, exact rational arithmetic, complex
+points where the package takes real rows, and printf.
 """
 
 import itertools
@@ -11,11 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from veronese import constants
+from veronese import constants, measure
+from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4
 from veronese.geometry import tangent_bases, tangent_images
 from veronese.quadmap import QuadMap, chunks, evaluate
 from veronese.sampling import generator, sphere_points
+
+SEPARATION_DELTA = 1e-3  # orbits farther apart than this times r count as separated
 
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 
@@ -244,6 +248,44 @@ def exact_quartic_residual(map_: QuadMap) -> Fraction:
         perms = set(itertools.permutations(idx))
         worst = max(worst, abs(sum(tensor[p] for p in perms) / len(perms)))
     return r4 * worst
+
+
+def reference_sphere_points(dim, count, seed, radius=1.0):
+    """Normalized Gaussian rows through np.linalg.norm and a fresh array: the
+    oracle that sphere_points, which reduces and divides in place, must match
+    bit for bit."""
+    x = generator(seed).standard_normal((count, dim))
+    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    nrm[nrm == 0.0] = 1.0
+    return radius * x / nrm
+
+
+def complex_orbit_distance(z, w):
+    """sqrt(|z|^2 + |w|^2 - 2 |<z, w>|) rowwise, by complex einsums over complex
+    points: the oracle of orbit_distance's phase branch, which takes real rows."""
+    nz = np.einsum("pi,pi->p", np.conj(z), z).real
+    nw = np.einsum("pi,pi->p", np.conj(w), w).real
+    cross = np.abs(np.einsum("pi,pi->p", np.conj(z), w))
+    return np.sqrt(np.maximum(nz + nw - 2.0 * cross, 0.0))
+
+
+def dense_fiber_separation(map_, pair_count, x_seed, y_seed):
+    """The separation part of fiber_checks, recomputed the long way: all pairs
+    drawn at once through quotient_samples (complex points for a complex map),
+    orbit distances from complex_orbit_distance, and image distances as the
+    difference of two dense_evaluate images.  Returns (pairs_tested,
+    collisions, min_image_distance) for pairs farther apart than 1e-3 r."""
+    n, field_name = map_.n, map_.field
+    x = measure.quotient_samples(n, field_name, pair_count, x_seed)
+    y = measure.quotient_samples(n, field_name, pair_count, y_seed)
+    if field_name == "complex":
+        orbit = complex_orbit_distance(x, y)
+    else:
+        orbit = np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+    separated = orbit > SEPARATION_DELTA * constants.radius(n)
+    dist = np.linalg.norm(dense_evaluate(map_, x) - dense_evaluate(map_, y), axis=1)[separated]
+    nearest = float(np.min(dist)) if dist.size else float("inf")
+    return int(np.sum(separated)), int(np.sum(dist <= SEPARATION_FLOOR)), nearest
 
 
 def printf_rows(block):

@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from veronese import audit, construct, geometry, measure, quadmap
+from veronese import audit, constants, construct, geometry, measure, quadmap
 from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             fiber_checks, hard_failures, orbit_distance,
                             run_claim_audit)
 from veronese.construct import build
 from veronese.quadmap import evaluate
-from veronese.sampling import complex_sphere_points, sphere_points
+from veronese.sampling import complex_sphere_points, generator, sphere_points
+
+from oracles import SEPARATION_DELTA, complex_orbit_distance, dense_fiber_separation
 
 
 def test_orbit_distance_real():
@@ -22,20 +24,37 @@ def test_orbit_distance_real():
     assert d[1] == pytest.approx(math.sqrt(2.0))
 
 
+def _rows(z):
+    return np.concatenate([z.real, z.imag], axis=1)
+
+
 def test_orbit_distance_complex_phase_insensitive():
     z = complex_sphere_points(3, 20, seed=5)
     w = np.exp(1j * 0.83) * z
     # the square root halves the working precision near zero; that is far
     # below the separation threshold of 1e-3 r the distance feeds
-    assert np.max(orbit_distance(z, w, "complex")) < 1e-7
+    assert np.max(orbit_distance(_rows(z), _rows(w), "complex")) < 1e-7
     other = complex_sphere_points(3, 20, seed=6)
-    closed = orbit_distance(z, other, "complex")
+    closed = orbit_distance(_rows(z), _rows(other), "complex")
     # oracle: dense phase scan can only overestimate the true minimum
     thetas = np.linspace(0, 2 * math.pi, 720, endpoint=False)
     scanned = np.min([np.linalg.norm(z - np.exp(1j * t) * other, axis=1)
                       for t in thetas], axis=0)
     assert np.all(closed <= scanned + 1e-12)
     assert np.max(scanned - closed) < 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_orbit_distance_real_rows_match_complex_einsums(n):
+    z = measure.quotient_samples(n, "complex", 1000, seed=60 + n)
+    w = measure.quotient_samples(n, "complex", 1000, seed=70 + n)
+    rows = orbit_distance(_rows(z), _rows(w), "complex")
+    dense = complex_orbit_distance(z, w)
+    # the squared distance is |x|^2 + |y|^2 - 2 |<x, y>|, summed in another order;
+    # compared against its largest terms, since the square root magnifies a last-bit
+    # difference near zero
+    scale = 2.0 * constants.radius(n) ** 2
+    assert np.max(np.abs(rows**2 - dense**2)) <= 1e-15 * scale
 
 
 def test_fiber_checks_real_level2():
@@ -58,6 +77,20 @@ def test_phase_invariance_spot_value():
     z = complex_sphere_points(3, 50, seed=3)
     rotated = np.exp(1j * math.pi / 3.0) * z
     assert np.max(np.abs(evaluate(cmap, rotated) - evaluate(cmap, z))) < 1e-12
+
+
+@pytest.mark.parametrize("field_name, n", [("real", n) for n in range(1, 5)]
+                         + [("complex", n) for n in range(1, 4)])
+def test_fiber_separation_matches_dense_pair_images(field_name, n):
+    # the same pairs, drawn at once as points and compared through two dense images
+    seed = 90 + n
+    rep = fiber_checks(n, field_name, 5000, seed)
+    pairs, collisions, nearest = dense_fiber_separation(
+        build(n, field_name), 5000, generator(seed + audit._SEED_STRIDE),
+        generator(seed + 2 * audit._SEED_STRIDE))
+    assert rep["orbit_separation"] == SEPARATION_DELTA * constants.radius(n)
+    assert (rep["pairs_tested"], rep["collisions"]) == (pairs, collisions)
+    assert rep["min_image_distance"] == pytest.approx(nearest, rel=1e-12)
 
 
 def test_fiber_separation_level3_large():
@@ -275,7 +308,8 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
     assert {e.claim_id for e in hard_failures(entries.values())} == errors
 
 
-SAMPLERS = [(measure, "sphere_points"), (measure, "complex_sphere_points")]
+SAMPLERS = [(measure, "sphere_points"), (measure, "complex_sphere_points"),
+            (audit, "sphere_points")]
 
 
 def _philox_key(seed) -> int:

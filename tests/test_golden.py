@@ -19,13 +19,13 @@ GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
         "20ae98f5c247c2d207f3047921fc4c67b5c0545f3219ea272c820d0d402261d5",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "f8fecd965cd1f867e9866e081d69803f72f86001e534ee215de6d90ef29c7159",
+        "2948f46a34fe246c6c434fe2ae02423fb92919c417a525e7593175db0e8bdeb8",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
         "d02c118b8c75bb75f136dfa9fed2e809864d0626b3f8f1eab51e07f4c3fb9b6d",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
         "a448f828dde4b459af132a18a6aaca30c8f573401499754f504a0637c11d74a3",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "69fe8870b4bc08e7bd77600d4fd4c267029360ea8dffd382b51f2e6c4d266b8b",
+        "880abe6cce52e852bc0ed46a44b316bc57b09bad0c0400bfcfa67979dd32dafd",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
         "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
     "report --field real --n 2 --samples 500 --metric image":

@@ -9,6 +9,8 @@ from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
+from oracles import reference_sphere_points
+
 
 @pytest.fixture
 def varying_scalar_curvature(monkeypatch):
@@ -154,6 +156,13 @@ def test_block_draws_from_one_generator_equal_the_single_draw(name):
     blocks = [draw(length, rng) for length in lengths]
     assert [len(b) for b in blocks] == lengths
     assert np.array_equal(np.concatenate(blocks), draw(total, seed))
+
+
+@pytest.mark.parametrize("dim", [1, 4, 13, 18])
+def test_sphere_points_match_the_reference_bit_for_bit(dim):
+    for radius in (1.0, 0.37, constants.radius(12), 2.0):
+        assert np.array_equal(sphere_points(dim, 500, 40 + dim, radius=radius),
+                              reference_sphere_points(dim, 500, 40 + dim, radius=radius))
 
 
 def test_quotient_samples_deterministic():
