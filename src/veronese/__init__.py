@@ -13,7 +13,7 @@ from .geometry import (canonical_point, curvature_field, second_fundamental_form
                        tangent_bases, tangent_images)
 from .measure import global_invariants, sphere_volume
 from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
-                      norm_identity_residual, real_restriction, to_json_dict)
+                      norm_identity_residual, real_restriction, to_json)
 from .audit import (ClaimAuditEntry, diagram_check, fiber_checks,
                     run_claim_audit)
 
@@ -27,6 +27,6 @@ __all__ = [
     "global_invariants", "sphere_volume",
     "QuadMap", "StructuralError", "evaluate",
     "harmonicity_traces", "norm_identity_residual",
-    "real_restriction", "to_json_dict",
+    "real_restriction", "to_json",
     "ClaimAuditEntry", "diagram_check", "fiber_checks", "run_claim_audit",
 ]

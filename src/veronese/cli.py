@@ -20,7 +20,7 @@ import numpy as np
 
 from . import audit, constants, construct, measure
 from .constants import FIELDS, LEVEL_CAPS
-from .quadmap import StructuralError, chunks, evaluate, to_json_dict
+from .quadmap import StructuralError, chunks, evaluate, to_json
 from .sampling import generator
 
 
@@ -133,8 +133,7 @@ def _render_mapping(pairs, fmt: str, stream) -> None:
 def _cmd_emit(args) -> int:
     map_ = construct.build(args.n, args.field)
     with _output(args.out) as stream:
-        # one write: json.dump writes once per encoder chunk
-        stream.write(json.dumps(to_json_dict(map_), indent=2) + "\n")
+        stream.write(to_json(map_) + "\n")  # one write, where json.dump writes per chunk
     return 0
 
 
@@ -185,8 +184,14 @@ _SCALE_HI = tuple(_SPLIT * s - (_SPLIT * s - s) for s in _SCALE)
 _SCALE_LO = tuple(s - h for s, h in zip(_SCALE, _SCALE_HI))
 
 
-# The two byte tables are built on first use, so that the commands that
-# format no cloud do not pay for them (about 1.2 MB of peak memory at import).
+# The tables are built on first use, so that the commands that format no
+# cloud do not pay for them (about 1.2 MB of peak memory at import).
+@functools.cache
+def _scale_table() -> np.ndarray:
+    """_SCALE, _SCALE_HI and _SCALE_LO as the rows of one array."""
+    return np.array([_SCALE, _SCALE_HI, _SCALE_LO])
+
+
 @functools.cache
 def _group_table() -> np.ndarray:
     """4 ASCII bytes of every group 0000-9999 as one uint32, then the same
@@ -232,7 +237,7 @@ def _format_rows(block: np.ndarray) -> str:
     zeros = (a < 0.1).astype(np.intp)
     zeros += a < 0.01
     zeros += a < 0.001
-    scale, s_hi, s_lo = np.array([_SCALE, _SCALE_HI, _SCALE_LO])[:, zeros]
+    scale, s_hi, s_lo = (row.take(zeros) for row in _scale_table())
     hi = a * scale
     split = _SPLIT * a
     a_hi = split - (split - a)
@@ -270,8 +275,7 @@ def _format_rows(block: np.ndarray) -> str:
     if slow.size:
         text = b"".join((b"%.17g" % v).ljust(24, b"\0") for v in x[slow].tolist())
         fields[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-    fields = fields.ravel()
-    return fields[fields != 0].tobytes().decode("ascii")
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_cloud(args) -> int:

@@ -16,6 +16,8 @@ S_k = A_k.  The map builds that realified stack once.
 from __future__ import annotations
 
 import dataclasses
+import json
+
 import numpy as np
 
 from .constants import ambient_dims, radius_pow4, rational_str
@@ -52,6 +54,8 @@ class QuadMap:
             raise ValueError("components must be a stack of square matrices")
         if comps.shape[1] != self.n + 1:
             raise ValueError(f"matrices must be {self.n + 1}x{self.n + 1} at level {self.n}")
+        if not np.all(np.isfinite(comps)):
+            raise ValueError("coefficients must be finite")
         adjoint = np.conj(np.swapaxes(comps, 1, 2))
         if np.iscomplexobj(comps):
             scale = max(1.0, float(np.max(np.abs(comps))))
@@ -193,17 +197,18 @@ def real_restriction(cmap: QuadMap, rmap: QuadMap):
     return sigma, zero_set
 
 
-def to_json_dict(map_: QuadMap) -> dict:
-    """JSON payload: matrices flattened row-major, complex entries as [re, im]."""
-    if map_.field == "real":
-        comp_list = [[float(v) for v in mat.reshape(-1)] for mat in map_.components]
-    else:
-        comp_list = [[[float(v.real), float(v.imag)] for v in mat.reshape(-1)]
-                     for mat in map_.components]
-    return {
-        "field": map_.field,
-        "n": map_.n,
-        "ambient_dim": map_.component_count - 1,
-        "radius_pow4": rational_str(radius_pow4(map_.n)),
-        "components": comp_list,
-    }
+def to_json(map_: QuadMap) -> str:
+    """json.dumps(..., indent=2) of the map's payload, built directly: matrices
+    flattened row-major, complex entries as [re, im] pairs, every coefficient
+    through one %r template, which writes a finite float as json does (QuadMap
+    holds finite coefficients only)."""
+    comps = map_.components.reshape(map_.component_count, -1)
+    item, values = "%r", comps
+    if map_.field == "complex":
+        item, values = "[\n        %r,\n        %r\n      ]", np.stack([comps.real, comps.imag], -1)
+    matrix = "    [\n" + ",\n".join(["      " + item] * comps.shape[1]) + "\n    ]"
+    body = ",\n".join([matrix] * len(comps)) % tuple(values.ravel().tolist())
+    head = {"field": map_.field, "n": map_.n, "ambient_dim": map_.component_count - 1,
+            "radius_pow4": rational_str(radius_pow4(map_.n))}
+    # the scalar fields' document, up to its closing "\n}"
+    return json.dumps(head, indent=2)[:-2] + ',\n  "components": [\n' + body + "\n  ]\n}"

@@ -4,7 +4,7 @@ Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
 differential, central differences (of the map, its pullback metric and its
 sphere Laplacian), sampled points, exact rational arithmetic, complex
-points where the package takes real rows, and printf.
+points where the package takes real rows, printf, and json.dumps.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import numpy as np
 
 from veronese import constants, measure
 from veronese.audit import SEPARATION_FLOOR
-from veronese.constants import radius_pow4
+from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases, tangent_images
 from veronese.quadmap import QuadMap, chunks, evaluate
 from veronese.sampling import generator, sphere_points
@@ -293,3 +293,20 @@ def printf_rows(block):
     once to the block's values: the oracle of the cloud export's formatter."""
     row = ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def json_payload(map_: QuadMap) -> dict:
+    """The emit document as a dict, one Python float per coefficient, for
+    json.dumps(..., indent=2): the oracle of quadmap.to_json."""
+    if map_.field == "real":
+        comp_list = [[float(v) for v in mat.reshape(-1)] for mat in map_.components]
+    else:
+        comp_list = [[[float(v.real), float(v.imag)] for v in mat.reshape(-1)]
+                     for mat in map_.components]
+    return {
+        "field": map_.field,
+        "n": map_.n,
+        "ambient_dim": map_.component_count - 1,
+        "radius_pow4": rational_str(radius_pow4(map_.n)),
+        "components": comp_list,
+    }

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,11 +13,12 @@ from veronese.construct import build
 from veronese.measure import quotient_samples
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               harmonicity_traces, norm_identity_residual,
-                              real_restriction, to_json_dict)
+                              real_restriction, to_json)
 from veronese.sampling import complex_sphere_points, sphere_points
 
 from oracles import (dense_evaluate, exact_norm_identity_deviation, exact_quartic_residual,
-                     fd_jacobian, jacobian, per_point_evaluate, sampled_norm_identity_residual)
+                     fd_jacobian, jacobian, json_payload, per_point_evaluate,
+                     sampled_norm_identity_residual)
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 LEVELS = [(field, n) for field, cap in constants.LEVEL_CAPS["build"].items()
@@ -278,8 +280,17 @@ def test_hermitian_bound_on_construction():
         QuadMap(n=2, components=np.zeros((1, 2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_non_finite_coefficients_are_rejected(bad, dtype):
+    comps = np.zeros((1, 2, 2), dtype=dtype)
+    comps[0, 0, 0] = bad  # on the diagonal, so symmetric and Hermitian alike
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadMap(n=1, components=comps)
+
+
 def test_json_export_real():
-    payload = to_json_dict(build(1, "real"))
+    payload = json.loads(to_json(build(1, "real")))
     assert payload["field"] == "real"
     assert payload["ambient_dim"] == 1
     assert payload["radius_pow4"] == "1/1"
@@ -287,8 +298,55 @@ def test_json_export_real():
 
 
 def test_json_export_complex():
-    payload = to_json_dict(build(1, "complex"))
+    payload = json.loads(to_json(build(1, "complex")))
     assert payload["field"] == "complex"
     assert payload["ambient_dim"] == 2
     # row-major [re, im] pairs; second component is the imaginary-part form
     assert payload["components"][1] == [[0.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]
+
+
+def _assert_json_is_exact(map_):
+    text = to_json(map_)
+    # as lines: pytest's diff of two long strings on failure takes minutes
+    assert text.split("\n") == json.dumps(json_payload(map_), indent=2).split("\n")
+    loaded = np.array(json.loads(text)["components"])
+    comps = map_.components.reshape(map_.component_count, -1)
+    if map_.field == "complex":
+        comps = np.stack([comps.real, comps.imag], axis=-1)
+    assert loaded.tobytes() == comps.tobytes()  # every bit, the sign of zero too
+
+
+@pytest.mark.parametrize("field,n", LEVELS)
+def test_to_json_matches_json_dumps(field, n):
+    _assert_json_is_exact(build(n, field))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_stacks(draw, field):
+    """Exactly symmetric (real) or Hermitian (complex) stacks of finite doubles."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
+    size = (count, n + 1, n + 1)
+    parts = 2 if field == "complex" else 1
+    values = draw(st.lists(finite, min_size=parts * math.prod(size),
+                           max_size=parts * math.prod(size)))
+    # a view, not re + 1j * im, which would turn a real part -0.0 into 0.0
+    comps = np.array(values).view(complex if parts == 2 else float).reshape(size)
+    upper = np.triu(np.ones((n + 1, n + 1), bool), 1)
+    comps = np.where(upper, comps, np.conj(np.swapaxes(comps, 1, 2)))
+    diag = np.arange(n + 1)
+    comps[:, diag, diag] = comps[:, diag, diag].real
+    return QuadMap(n=n, components=comps)
+
+
+@given(st.sampled_from(["real", "complex"]).flatmap(hermitian_stacks))
+@example(QuadMap(n=1, components=np.array([[[-0.0, 5e-324], [5e-324, 1e300]],
+                                           [[-1e300, 2.2e-308], [2.2e-308, 0.1]]])))
+@example(QuadMap(n=1, components=np.array([[[-0.0, -1e300 + 5e-324j],
+                                            [-1e300 - 5e-324j, 1e300]]])))
+@settings(max_examples=60, deadline=None)
+def test_to_json_matches_json_dumps_on_drawn_stacks(map_):
+    _assert_json_is_exact(map_)
