@@ -111,6 +111,8 @@ def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
     """
     if field_name == "real":
         return np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+    if field_name != "complex":
+        raise ValueError(f"field must be 'real' or 'complex', got {field_name!r}")
     c = x.shape[1] // 2
     sq = np.einsum("pi,pi->p", x, x) + np.einsum("pi,pi->p", y, y)
     re = np.einsum("pi,pi->p", x, y)
@@ -150,10 +152,11 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
     delta = 1e-3 * r
     pairs_tested = collisions = 0
     nearest = math.inf
-    parts = chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8))
-    work = np.empty((parts[0].stop, m * k))  # the first block is the longest
-    for part in parts:
+    work = None
+    for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
         count = part.stop - part.start
+        if work is None:  # the first block is the longest
+            work = np.empty((count, m * k))
         x = sphere_points(m, count, x_draw, radius=r)
         y = sphere_points(m, count, y_draw, radius=r)
         separated = orbit_distance(x, y, field_name) > delta

@@ -21,21 +21,19 @@ import math
 import numpy as np
 
 from . import constants, construct, geometry
-from .quadmap import chunks
+from .quadmap import StructuralError, chunks
 from .sampling import complex_sphere_points, generator, sphere_points
 
 # An integrand whose spread over the samples is at most this fraction of
 # max(1, |first value|) is a constant: its integral is the closed-form volume
-# times that value, with zero standard error.  The curvature integrands spread
-# at most 8.4e-15 of it (1,000 samples, seeds 0-2, every level of both fields
-# under both metrics; the worst is real n=2), about 120 times inside the bound.
+# times that value.  It is the only gate: a wider spread means the map is not
+# the homothetic embedding the construction guarantees, and global_invariants
+# raises.  The curvature integrands spread at most 8.9e-15 times
+# max(1, |first value|) over 1,000 samples (seeds 0-2, every level of both
+# fields under both metrics; the worst is |alpha|^2 at real n=2 in the domain
+# metric) and 1.1e-14 times over 100,000 samples there, about 90 times inside
+# the bound.
 CONSTANT_SPREAD_TOL = 1e-12
-
-# Samples are reduced in buffers of this length.  A run that fits one buffer
-# reduces each integrand with one call of each numpy reduction; a longer one
-# folds the statistics of its buffers.  Either way no figure depends on the
-# chunk length of the curvature field.
-REDUCE_LENGTH = 20_000
 
 
 def sphere_volume(dim: int, r: float) -> float:
@@ -85,37 +83,9 @@ def fiber_actions(field: str) -> list:
     the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
     if field == "real":
         return [-1.0]
-    return [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
-
-
-def _fold(moments: tuple | None, values: np.ndarray) -> tuple:
-    """(count, first, min, max, mean, variance with ddof 1) of the samples reduced
-    so far, extended by one buffer of values.  The buffer is reduced by one call
-    of each numpy reduction, and the two are combined by the pairwise update of
-    Chan, Golub and LeVeque (1979)."""
-    count, mean = len(values), float(np.mean(values))
-    var = float(np.var(values, ddof=1)) if count > 1 else 0.0
-    low, high = float(np.min(values)), float(np.max(values))
-    if moments is None:
-        return count, float(values[0]), low, high, mean, var
-    n0, first, low0, high0, mean0, var0 = moments
-    total, delta = n0 + count, mean - mean0
-    m2 = var0 * (n0 - 1) + var * (count - 1) + delta * delta * n0 * count / total
-    return (total, first, min(low0, low), max(high0, high), mean0 + delta * count / total,
-            m2 / (total - 1))
-
-
-def _estimate(moments: tuple, factor: float) -> tuple[float, float, float]:
-    """Integral over the quotient, its standard error and the integrand's mean,
-    from the integrand's moments and the total volume."""
-    count, first, low, high, mean, var = moments
-    if high - low <= CONSTANT_SPREAD_TOL * max(1.0, abs(first)):
-        # constant integrand: closed-form volume times the constant; the
-        # Monte-Carlo mean stays as a cross-check
-        if abs(mean - first) > 1e-9 * max(1.0, abs(first)):
-            raise RuntimeError("constant integrand failed its Monte-Carlo cross-check")
-        return factor * first, 0.0, mean
-    return factor * mean, factor * (math.sqrt(var) / math.sqrt(count)), mean
+    if field == "complex":
+        return [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
+    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
 def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
@@ -124,17 +94,25 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
 
     Returns {"image": {...}, "domain": {...}, "canonical": {...}}.  lambda is
     read at the canonical point (r_n, 0, ..., 0); the domain metric is the
-    image metric times t = 1/lambda.  The samples are drawn, put through the
-    curvature field and reduced one chunk at a time.  Each metric reading has
-    the total scalar curvature, the integral of |alpha|^2 (the bending-energy
-    functional), the quotient volume and the homothety factor; the Gauss-Bonnet
-    ratio appears for the real level-2 surface and the normalized total scalar
-    curvature (sigma quotient) for the real level-3 space.  Under both readings
-    |alpha|^2 is the Gauss-relation value d(d-1) + |H|^2 - s with that
-    reading's scalar curvature s; in the domain reading it is not a squared
-    norm in general and can be negative (-4 at complex n=2).  The canonical
-    reading has the image-metric invariants at that point and its effective
-    squared radius lambda r_n^2.
+    image metric times t = 1/lambda.  Each metric reading has the total scalar
+    curvature, the integral of |alpha|^2 (the bending-energy functional), the
+    quotient volume and the homothety factor; the Gauss-Bonnet ratio appears
+    for the real level-2 surface and the normalized total scalar curvature
+    (sigma quotient) for the real level-3 space.  Under both readings |alpha|^2
+    is the Gauss-relation value d(d-1) + |H|^2 - s with that reading's scalar
+    curvature s; in the domain reading it is not a squared norm in general and
+    can be negative (-4 at complex n=2).  The canonical reading has the
+    image-metric invariants at that point and its effective squared radius
+    lambda r_n^2.
+
+    The embedding is a homothety, so both integrands are constants of it.  The
+    samples are drawn and put through the curvature field one chunk at a time,
+    and each chunk keeps only the first, least and largest value of the four
+    integrands (scalar curvature and |alpha|^2 under both metrics).  Each
+    integral is the closed-form volume times the first sample's value, which
+    scalar_curvature_mean and alpha_norm_sq_mean hold; a spread wider than
+    CONSTANT_SPREAD_TOL raises StructuralError naming the metric and the
+    integrand.  No figure depends on the chunk length.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -147,45 +125,42 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     canonical["homothety_factor"] = lam
     canonical["effective_radius_sq"] = lam * constants.radius(n) ** 2
     metrics = {"image": 1.0, "domain": 1.0 / lam}
+    ts = np.array(list(metrics.values()))[:, None]  # t of each metric, as a column
 
     rng = generator(seed)
-    buffer = np.empty((2, REDUCE_LENGTH))  # the scalar curvature and |H| of each sample
     # per point: the curvature kernel and the point's real row
-    point_bytes = geometry.curvature_point_bytes(map_) + 8 * map_.stack.shape[0]
-    moments = {}
-    for start in range(0, sample_count, REDUCE_LENGTH):
-        length = min(REDUCE_LENGTH, sample_count - start)
-        parts = chunks(length, point_bytes)
-        blocks = (quotient_samples(n, field, part.stop - part.start, rng) for part in parts)
-        for part, geo in zip(parts, geometry.curvature_blocks(map_, blocks)):
-            buffer[0, part] = geo["scalar_curvature_gauss"]
-            buffer[1, part] = geo["mean_curvature_norm"]
-        scalar, h_norm = buffer[:, :length]
-        h_sq = h_norm ** 2
-        for metric, t in metrics.items():
-            scalar_vals = scalar / t
-            alpha_vals = d * (d - 1) + h_sq - scalar_vals
-            for key, values in (("scalar", scalar_vals), ("alpha", alpha_vals)):
-                moments[metric, key] = _fold(moments.get((metric, key)), values)
+    parts = chunks(sample_count, geometry.curvature_point_bytes(map_) + 8 * map_.stack.shape[0])
+    blocks = (quotient_samples(n, field, part.stop - part.start, rng) for part in parts)
+    first, low, high = None, np.inf, -np.inf
+    for geo in geometry.curvature_blocks(map_, blocks):
+        # rows: the scalar curvature under each metric, then |alpha|^2 under each
+        scalar = geo["scalar_curvature_gauss"] / ts
+        values = np.concatenate([scalar, d * (d - 1) + geo["mean_curvature_norm"] ** 2 - scalar])
+        if first is None:
+            first = values[:, 0].tolist()
+        low, high = np.minimum(low, values.min(axis=1)), np.maximum(high, values.max(axis=1))
+    names = [f"{metric}-metric {integrand}" for integrand in ("scalar curvature", "|alpha|^2")
+             for metric in metrics]
+    for name, value, spread in zip(names, first, (high - low).tolist()):
+        bound = CONSTANT_SPREAD_TOL * max(1.0, abs(value))
+        if not spread <= bound:
+            raise StructuralError(f"the {name} is not constant over the samples: "
+                                  f"spread {spread:.3e}, bound {bound:.3e}")
 
     readings = {"canonical": canonical}
-    for metric, t in metrics.items():
+    for (metric, t), scalar_value, alpha_value in zip(metrics.items(), first[:2], first[2:]):
         factor = quotient_volume_factor(n, field, lam * t)
-        total_scalar, total_scalar_err, scalar_mean = _estimate(moments[metric, "scalar"], factor)
-        pi_functional, pi_functional_err, alpha_mean = _estimate(moments[metric, "alpha"], factor)
         out = {
             "lambda_bar": lam,
             "volume": factor,
-            "total_scalar": total_scalar,
-            "total_scalar_std_error": total_scalar_err,
-            "pi_functional": pi_functional,
-            "pi_functional_std_error": pi_functional_err,
-            "scalar_curvature_mean": scalar_mean,
-            "alpha_norm_sq_mean": alpha_mean,
+            "total_scalar": factor * scalar_value,
+            "pi_functional": factor * alpha_value,
+            "scalar_curvature_mean": scalar_value,
+            "alpha_norm_sq_mean": alpha_value,
         }
         if field == "real" and n == 2:
-            out["gauss_bonnet_ratio"] = total_scalar / (4.0 * math.pi)
+            out["gauss_bonnet_ratio"] = out["total_scalar"] / (4.0 * math.pi)
         if field == "real" and n == 3:
-            out["sigma_quotient"] = total_scalar / factor ** (1.0 / 3.0)
+            out["sigma_quotient"] = out["total_scalar"] / factor ** (1.0 / 3.0)
         readings[metric] = out
     return readings

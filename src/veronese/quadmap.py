@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,6 +37,12 @@ CHUNK_BYTES = 1 << 21
 
 class StructuralError(RuntimeError):
     """A built map violates structure the construction is supposed to guarantee."""
+
+
+def _scale(comps: np.ndarray) -> float:
+    """The largest real or imaginary magnitude of the coefficients, at least 1;
+    finite for finite coefficients, where the largest modulus can overflow."""
+    return max(1.0, float(np.max(np.abs(comps.real))), float(np.max(np.abs(comps.imag))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,8 +65,7 @@ class QuadMap:
             raise ValueError("coefficients must be finite")
         adjoint = np.conj(np.swapaxes(comps, 1, 2))
         if np.iscomplexobj(comps):
-            scale = max(1.0, float(np.max(np.abs(comps))))
-            if np.max(np.abs(comps - adjoint)) > HERMITIAN_TOL * scale:
+            if np.max(np.abs(comps - adjoint)) > HERMITIAN_TOL * _scale(comps):
                 raise ValueError("coefficient matrices must be Hermitian")
         elif not np.array_equal(comps, adjoint):
             raise ValueError("coefficient matrices must be exactly symmetric")
@@ -88,11 +94,12 @@ class QuadMap:
         return points
 
 
-def chunks(count: int, point_bytes: int) -> list[slice]:
-    """Slices covering range(count), each holding at most CHUNK_BYTES of a
-    kernel whose working memory is point_bytes per point (one point at least)."""
+def chunks(count: int, point_bytes: int) -> Iterator[slice]:
+    """Slices covering range(count) in order, each holding at most CHUNK_BYTES of
+    a kernel whose working memory is point_bytes per point (one point at least);
+    made one at a time, so that no list of them grows with count."""
     step = max(1, CHUNK_BYTES // point_bytes)
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def _as_domain_points(map_, point):
@@ -170,7 +177,7 @@ def real_restriction(cmap: QuadMap, rmap: QuadMap):
     since it can only come from a construction-ordering bug.
     """
     comps = cmap.components
-    scale = max(1.0, float(np.max(np.abs(comps))))
+    scale = _scale(comps)
     re_mag = np.max(np.abs(comps.real), axis=(1, 2))
     zero_set = [int(k) for k in np.flatnonzero(re_mag <= ZERO_COMPONENT_TOL * scale)]
     survivors = [int(k) for k in np.flatnonzero(re_mag > ZERO_COMPONENT_TOL * scale)]

@@ -16,3 +16,16 @@ def kernel_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(geometry, "curvature_blocks", blocks)
     return lengths
+
+
+@pytest.fixture
+def varying_scalar_curvature(monkeypatch):
+    """x0^2 added to the scalar curvature of the samples: an integrand that is
+    invariant under the antipodal map but genuinely varies."""
+    def blocks(map_, points, _blocks=geometry.curvature_blocks):
+        for block in points:
+            geo = next(_blocks(map_, [block]))
+            geo["scalar_curvature_gauss"] = geo["scalar_curvature_gauss"] + block[:, 0] ** 2
+            yield geo
+
+    monkeypatch.setattr(geometry, "curvature_blocks", blocks)

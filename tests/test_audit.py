@@ -24,6 +24,12 @@ def test_orbit_distance_real():
     assert d[1] == pytest.approx(math.sqrt(2.0))
 
 
+def test_orbit_distance_rejects_an_unknown_field():
+    x = np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="'Real'"):
+        orbit_distance(x, x, "Real")
+
+
 def _rows(z):
     return np.concatenate([z.real, z.imag], axis=1)
 
@@ -303,6 +309,23 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
         if claim_id in errors:
             assert entry.verdict == ERROR
             assert entry.details == {"error": "Singular matrix"}
+        else:
+            assert entry == healthy[claim_id]
+    assert {e.claim_id for e in hard_failures(entries.values())} == errors
+
+
+def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):
+    healthy = {e.claim_id: e for e in run_claim_audit(3, 2)}
+    request.getfixturevalue("varying_scalar_curvature")
+    entries = {e.claim_id: e for e in run_claim_audit(3, 2)}
+    errors = {"veronese_scalar_curvature", "veronese_alpha_norm_sq", "pi_functional_level2",
+              "gauss_bonnet_level2", "sigma_quotient_level3"}
+    assert entries.keys() == healthy.keys()
+    for claim_id, entry in entries.items():
+        if claim_id in errors:
+            assert entry.verdict == ERROR
+            assert entry.details["error"].startswith(
+                "the image-metric scalar curvature is not constant"), claim_id
         else:
             assert entry == healthy[claim_id]
     assert {e.claim_id for e in hard_failures(entries.values())} == errors

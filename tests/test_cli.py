@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veronese import construct, geometry, measure, quadmap
+from veronese import construct, geometry, quadmap
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -180,18 +180,13 @@ def test_verify_and_report_peak_memory_does_not_grow_with_samples(argv, counts, 
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-@pytest.mark.parametrize("argv,reduce_length", [
-    (["verify", "--n-max", "6", "--samples", "300"], None),
-    (["verify", "--n-max", "3", "--samples", "250"], 100),
-    (["report", "--field", "real", "--n", "2", "--samples", str(measure.REDUCE_LENGTH + 1)],
-     None),
-    (["report", "--field", "complex", "--n", "3", "--samples", "500", "--metric", "domain"],
-     None),
-], ids=["verify", "verify-folded", "report-folded", "report-complex"])
-def test_verify_and_report_do_not_depend_on_chunk_length(argv, reduce_length, monkeypatch):
-    # below and above the reduction length, the real one or a shorter one
-    if reduce_length:
-        monkeypatch.setattr(measure, "REDUCE_LENGTH", reduce_length)
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "6", "--samples", "300"],
+    ["verify", "--n-max", "3", "--samples", "250"],
+    ["report", "--field", "real", "--n", "2", "--samples", "20001"],
+    ["report", "--field", "complex", "--n", "3", "--samples", "500", "--metric", "domain"],
+], ids=["verify", "verify-short", "report-long", "report-complex"])
+def test_verify_and_report_do_not_depend_on_chunk_length(argv, monkeypatch):
     outputs = []
     for chunk_bytes in (1, 1 << 24):  # one point per chunk, and every point in one
         with monkeypatch.context() as patch:
@@ -262,6 +257,13 @@ def test_broken_map_is_a_failure_not_a_usage_error(argv, scaled_level2_map, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: image points are off the unit sphere")
+
+
+def test_a_nonconstant_integrand_is_a_failure(varying_scalar_curvature, capsys):
+    assert main(["report", "--field", "real", "--n", "2", "--samples", "50"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the image-metric scalar curvature is not constant")
 
 
 def _reject_constant(name):

@@ -19,25 +19,25 @@ GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
         "20ae98f5c247c2d207f3047921fc4c67b5c0545f3219ea272c820d0d402261d5",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "2948f46a34fe246c6c434fe2ae02423fb92919c417a525e7593175db0e8bdeb8",
+        "3c9aeca339b58e647188ea79fbfad196b52f065819552f1f8b130b84385a6da2",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
         "d02c118b8c75bb75f136dfa9fed2e809864d0626b3f8f1eab51e07f4c3fb9b6d",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
         "a448f828dde4b459af132a18a6aaca30c8f573401499754f504a0637c11d74a3",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "880abe6cce52e852bc0ed46a44b316bc57b09bad0c0400bfcfa67979dd32dafd",
+        "866a57881a90e26b9e552bbc889c60e92b7d994999f8f64049e87f425148094b",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
         "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
     "report --field real --n 2 --samples 500 --metric image":
-        "ad4459896eef7941dec3f09a1d1ce46f27cda0386a43661be4fe96a947c7f7a0",
+        "dbd9e78f32611f11961f5bb80659806093df8e2e32eff29b5d0fb0e3b4fc713f",
     "report --field real --n 2 --samples 500 --metric domain":
-        "8cc1cb450f59339ee7f52a3861159db8040ee632ddfed72b95d13be3aa76671b",
+        "aa3c4159f875665d74e683424d1bd982baf904e7a0eded5b322b25f3dbc6f072",
     "report --field complex --n 3 --samples 500":
-        "fc5cfb68400e6775557cefadedccc3137860b96e14242aede120ec80ebea5c9b",
+        "d69694c4cd56491a2915386771992cc20463be4aaf5143d31f5a9f3fdee40abe",
     "report --field real --n 12 --samples 40 --format json":
-        "35930b31e23af5e24c96db63b06362522f5fc11fa36639dfd32fdf1f4f24b4dc",
+        "81594f9c0f83b4044f4140bc27aa4eaf6325d0ca43e16e522f7f09d465408e0c",
     "report --field complex --n 8 --samples 40 --format json":
-        "74252505393c5d02b2f392603fd8176b98f67c461d0048f04787e5b77b0da4c3",
+        "e8194c51b79f27489b838dacffc96776cd537e9c0bee84615200964803ff69b9",
     "emit --field real --n 1":
         "eb8ef9f583f1ce6887ceb56344713960e311994b2e33d25c61e7072be18f67c5",
     "emit --field real --n 2":

@@ -3,26 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from veronese import constants, geometry, measure
+from veronese import constants, geometry, measure, quadmap
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
+from veronese.quadmap import StructuralError
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
 from oracles import reference_sphere_points
-
-
-@pytest.fixture
-def varying_scalar_curvature(monkeypatch):
-    """x0^2 added to the scalar curvature of the samples: an integrand that is
-    invariant under the antipodal map but genuinely varies."""
-    def blocks(map_, points, _blocks=geometry.curvature_blocks):
-        for block in points:
-            geo = next(_blocks(map_, [block]))
-            geo["scalar_curvature_gauss"] = geo["scalar_curvature_gauss"] + block[:, 0] ** 2
-            yield geo
-
-    monkeypatch.setattr(geometry, "curvature_blocks", blocks)
 
 
 def test_sphere_volume_values():
@@ -48,12 +36,15 @@ def test_quotient_volumes(n, field, expected):
     assert reading["volume"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_integral_estimate_determinism(varying_scalar_curvature):
+def test_integral_estimate_determinism():
     a = global_invariants(2, "real", 5000, seed=123)
     b = global_invariants(2, "real", 5000, seed=123)
     assert a == b
+    # other points read the same constants, up to rounding
     c = global_invariants(2, "real", 5000, seed=124)
-    assert c["image"]["total_scalar"] != a["image"]["total_scalar"]  # different points
+    for metric in ("image", "domain"):
+        for key, value in a[metric].items():
+            assert c[metric][key] == pytest.approx(value, rel=1e-13), (metric, key)
 
 
 def test_curvature_integrands_are_fiber_invariant():
@@ -69,23 +60,15 @@ def test_curvature_integrands_are_fiber_invariant():
                     1.0, float(np.max(np.abs(ref[key])))), (field, n, key)
 
 
-def test_nonconstant_integrand_has_error_bar(varying_scalar_curvature):
-    # the level-2 scalar curvature is 2/3 in the image metric; the integral of
-    # x0^2 over the quotient, image metric: lambda * (4 pi r^2 / 2) * (r^2 / 3)
-    r2 = 1.5
-    volume = 2.0 * 4 * math.pi * r2 / 2
-    expected = volume * (2.0 / 3.0 + r2 / 3)
-    # one reduction buffer, and three folded ones
-    for samples in (4000, 2 * measure.REDUCE_LENGTH + 5000):
-        reading = global_invariants(2, "real", samples, seed=7)["image"]
-        err = reading["total_scalar_std_error"]
-        assert err > 0
-        assert reading["total_scalar"] == pytest.approx(expected, abs=4 * err + 1e-9)
-        # the folded statistics agree with numpy's reductions over all the samples
-        values = 2.0 / 3.0 + measure.quotient_samples(2, "real", samples, 7)[:, 0] ** 2
-        assert reading["scalar_curvature_mean"] == pytest.approx(np.mean(values), rel=1e-13)
-        assert err == pytest.approx(volume * np.std(values, ddof=1) / math.sqrt(samples),
-                                    rel=1e-10)
+@pytest.mark.parametrize("chunk_bytes", [1, quadmap.CHUNK_BYTES],
+                         ids=["point-chunks", "budget-chunks"])
+def test_nonconstant_integrand_raises(varying_scalar_curvature, chunk_bytes, monkeypatch):
+    # at one point per chunk only the spread across chunks shows the variation
+    monkeypatch.setattr(quadmap, "CHUNK_BYTES", chunk_bytes)
+    with pytest.raises(StructuralError, match="the image-metric scalar curvature is not constant"):
+        global_invariants(2, "real", 4000, seed=7)
+    # one sample spreads nothing
+    assert global_invariants(2, "real", 1, seed=7)["image"]["total_scalar"] > 0
 
 
 def test_gauss_bonnet_ratio():
@@ -136,6 +119,8 @@ def test_bad_arguments():
         global_invariants(2, "real", 0, seed=0)
     with pytest.raises(ValueError):
         measure.quotient_samples(2, "quaternionic", 10, seed=0)
+    with pytest.raises(ValueError):
+        measure.fiber_actions("quaternionic")
 
 
 BLOCK_DRAWS = {
@@ -174,18 +159,21 @@ def test_quotient_samples_deterministic():
 
 
 def test_per_metric_readings_equal_separate_calls():
-    # the image reading of one call equals the closed-form volume times the
-    # constant integrand of a separate curvature field over the same samples;
-    # the domain reading is the same field with the metric scaled by 1/lambda
+    # each reading's constants equal row 0 of a separate curvature field over the
+    # same samples, the domain reading with the metric scaled by t = 1/lambda,
+    # and the integrals are the closed-form volume times them
     both = global_invariants(2, "real", 500, 17)
     image, domain = both["image"], both["domain"]
     m = build(2, "real")
     lam = float(curvature_field(m, geometry.canonical_point(m)[None])["lambda"][0])
-    scalar = curvature_field(m, measure.quotient_samples(2, "real", 500, 17))
-    assert image["volume"] == measure.quotient_volume_factor(2, "real", lam)
-    assert image["total_scalar"] == image["volume"] * scalar["scalar_curvature_gauss"][0]
-    assert image["scalar_curvature_mean"] == float(np.mean(scalar["scalar_curvature_gauss"]))
+    geo = curvature_field(m, measure.quotient_samples(2, "real", 500, 17))
+    scalar, h_norm = float(geo["scalar_curvature_gauss"][0]), float(geo["mean_curvature_norm"][0])
     assert domain["lambda_bar"] == image["lambda_bar"] == lam
+    for reading, t in ((image, 1.0), (domain, 1.0 / lam)):
+        assert reading["volume"] == measure.quotient_volume_factor(2, "real", lam * t)
+        assert reading["scalar_curvature_mean"] == scalar / t
+        assert reading["alpha_norm_sq_mean"] == 2 + h_norm**2 - scalar / t
+        assert reading["total_scalar"] == reading["volume"] * reading["scalar_curvature_mean"]
     assert domain["volume"] == pytest.approx(image["volume"] / lam, rel=1e-14)
     assert domain["scalar_curvature_mean"] == pytest.approx(
         lam * image["scalar_curvature_mean"], rel=1e-14)
@@ -222,5 +210,6 @@ def test_curvature_integrands_take_the_constant_branch(field, n):
     readings = global_invariants(n, field, 1000, seed=60 + n)
     for metric in ("image", "domain"):
         reading = readings[metric]
-        assert reading["total_scalar_std_error"] == 0.0, metric
-        assert reading["pi_functional_std_error"] == 0.0, metric
+        assert reading["total_scalar"] == reading["volume"] * reading["scalar_curvature_mean"]
+        assert reading["pi_functional"] == reading["volume"] * reading["alpha_norm_sq_mean"]
+        assert not any(key.endswith("std_error") for key in reading), metric

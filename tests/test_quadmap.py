@@ -280,6 +280,17 @@ def test_hermitian_bound_on_construction():
         QuadMap(n=2, components=np.zeros((1, 2, 2), dtype=complex))
 
 
+def test_hermitian_bound_near_the_largest_double():
+    # the modulus of 1.7e308 + 1.7e308j overflows; the bound must not
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuadMap(n=1, components=[[[0, 1.7e308 + 1.7e308j], [5.0, 0.0]]])
+    big = 1.7e308 * np.array([[[0, 1 + 1j], [1 - 1j, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]])
+    cmap = QuadMap(n=1, components=big)
+    # on real points the first and last components survive; none is lost to the scale
+    rmap = QuadMap(n=1, components=big[[0, 2]].real)
+    assert real_restriction(cmap, rmap) == ({0: 0, 1: 2}, [1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_non_finite_coefficients_are_rejected(bad, dtype):
