@@ -2,8 +2,9 @@
 geometry, and export image point clouds.
 
 Exit codes: 0 on success (SCALE_DEPENDENT audit entries are reported but
-non-fatal), 1 on a hard invariant failure or a map that breaks the
-structure the construction guarantees, 2 on usage errors.  Identical
+non-fatal), 1 on a hard invariant failure, a map that breaks the
+structure the construction guarantees, or a reader that closes stdout
+early, 2 on usage errors.  Identical
 configurations (seed included) produce byte-identical output.
 """
 
@@ -12,13 +13,17 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
+import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import audit, constants, construct, measure
+# audit and measure (which loads geometry) are imported by the commands that
+# run them, so emit loads neither
+from . import constants, construct
 from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import StructuralError, chunks, evaluate, to_json
 from .sampling import generator
@@ -87,6 +92,8 @@ def _fmt(x: float) -> str:
 
 
 def _render_entries(entries, fmt: str, stream) -> None:
+    from . import audit
+
     if fmt == "json":
         stream.write(json.dumps(audit.audit_to_dicts(entries), indent=2) + "\n")
         return
@@ -138,6 +145,8 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import audit
+
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     caps = LEVEL_CAPS["audit"]
@@ -161,6 +170,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import measure
+
     both = measure.global_invariants(args.n, args.field, args.samples, args.seed)
     pairs = [("n", args.n), ("field", args.field), ("metric", args.metric),
              ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
@@ -279,6 +290,8 @@ def _format_rows(block: np.ndarray) -> str:
 
 
 def _cmd_cloud(args) -> int:
+    from . import measure
+
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     map_ = construct.build(args.n, args.field)
@@ -317,5 +330,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point (`python -m veronese.cli` and the `veronese`
+    script): main, then exit without the shutdown collection."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # the objects left from import move to the permanent generation, which the
+    # collections at exit skip; the OS reclaims them with the process
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -61,9 +61,10 @@ def test_long_sample_runs_do_not_depend_on_the_blas_thread_count(command):
     assert one == two
 
 
+# veronese itself loads no numpy (its names load on first use); quadmap does
 THREADS_AFTER_IMPORT = """
 import os
-import veronese
+import veronese.quadmap
 task = "/proc/self/task"
 print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(task)) if os.path.isdir(task) else "-")
 """

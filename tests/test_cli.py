@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -145,14 +146,23 @@ print(code, peak[0].split()[1])
 """
 
 
-def _peak_kb(argv) -> int:
-    """Peak RSS of a fresh child that runs the command line: ru_maxrss of a child
-    starts at the peak of its parent, here the whole pytest run."""
+def _python_env() -> dict:
+    """The environment of a `python` child that imports veronese from this checkout."""
     env = dict(os.environ)
     src = str(Path(quadmap.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _python(args, text=True) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_python_env(),
+                          capture_output=True, text=text, timeout=120)
+
+
+def _peak_kb(argv) -> int:
+    """Peak RSS of a fresh child that runs the command line: ru_maxrss of a child
+    starts at the peak of its parent, here the whole pytest run."""
+    proc = _python(["-c", PEAK_RSS, *argv])
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = proc.stdout.split()
     assert code == "0"
@@ -368,3 +378,64 @@ def test_every_command_line_exits_0_1_or_2(argv):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+LOADED_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("veronese.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, *sorted(name for name in sys.modules if name.startswith("veronese.")))
+"""
+
+
+@pytest.mark.parametrize("argv,needed,unused", [
+    (["emit", "--field", "real", "--n", "12"], {"veronese.construct"},
+     {"veronese.audit", "veronese.geometry", "veronese.measure"}),
+    (["report", "--field", "real", "--n", "2", "--samples", "20"],
+     {"veronese.measure", "veronese.geometry"}, {"veronese.audit"}),
+], ids=["emit", "report"])
+def test_a_command_loads_only_the_modules_it_runs(argv, needed, unused, tmp_path):
+    proc = _python(["-c", LOADED_MODULES, *argv, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert needed <= set(loaded)
+    assert not unused & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "--field", "complex", "--n", "8"],
+    ["verify", "--n-max", "2", "--samples", "50", "--format", "json"],
+    ["verify", "--n-max", "0"],
+], ids=["emit", "verify", "usage-error"])
+def test_a_process_prints_what_main_returns(argv, monkeypatch):
+    def no_freeze():
+        raise AssertionError("main must not touch the collector")
+
+    monkeypatch.setattr(gc, "freeze", no_freeze)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    proc = _python(["-m", "veronese.cli", *argv], text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.getvalue().encode(), err.getvalue().encode())
+
+
+@pytest.mark.parametrize("argv,read", [
+    # megabytes of rows, far more than a pipe buffers, so a write inside the command fails
+    (["cloud", "--field", "real", "--n", "12", "--samples", "5000"], 10),
+    # a few hundred bytes, still buffered when the command returns: the final flush fails
+    (["emit", "--field", "real", "--n", "1"], 0),
+], ids=["cloud", "emit"])
+def test_a_closed_pipe_exits_1_without_a_traceback(argv, read):
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as a pipe is by default
+    proc = subprocess.Popen([sys.executable, "-m", "veronese.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err

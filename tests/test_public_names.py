@@ -1,8 +1,10 @@
 """Every public module-level function or class of the package is used: read by
 the package or its scripts outside its own definition, or exported in
-veronese.__all__."""
+veronese.__all__; and every exported name loads from its module on first use."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,22 @@ def _reads() -> set[tuple[str, str | None]]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
 def test_every_public_definition_is_used(path):
     assert unused(public_definitions(path.read_text()), _reads(), veronese.__all__) == []
+
+
+@pytest.mark.parametrize("name", veronese.__all__)
+def test_every_exported_name_resolves_to_its_definition(name):
+    value = getattr(veronese, name)
+    assert value.__module__.startswith("veronese.")
+    assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        veronese.no_such_name
+
+
+def test_a_submodule_imports_by_name():
+    from veronese import geometry
+
+    assert geometry is sys.modules["veronese.geometry"]
+    assert geometry.curvature_field is veronese.curvature_field
