@@ -18,7 +18,6 @@ _SOURCES = {
     "build": "construct", "hopf": "construct",
     "canonical_point": "geometry", "curvature_field": "geometry",
     "second_fundamental_form": "geometry", "tangent_bases": "geometry",
-    "tangent_images": "geometry",
     "global_invariants": "measure", "sphere_volume": "measure",
     "QuadMap": "quadmap", "StructuralError": "quadmap", "evaluate": "quadmap",
     "harmonicity_traces": "quadmap", "norm_identity_residual": "quadmap",

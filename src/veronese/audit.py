@@ -29,12 +29,12 @@ SCALE_DEPENDENT = "SCALE_DEPENDENT"
 ERROR = "ERROR"
 
 POINTWISE_TOL = 1e-6
-MC_REL_TOL = 1e-3
+INTEGRAL_REL_TOL = 1e-3
 SEPARATION_FLOOR = 1e-9
 MIN_SINGULAR_VALUE = 1e-8
 
 # every sub-seed comes from _sub_seed: seed + j * _SEED_STRIDE + level, where a family
-# that draws several point sets also takes the next multiples (fiber_checks 7..10,
+# that draws several point sets also takes the next multiples (fiber_checks 7..9,
 # diagram_check 11..13), plus a field term for complex draws: the complex samplers
 # draw from the same stream as the real ones, so a real draw keyed like a complex
 # one would reuse its normals.  No two draws of one audit share a key.  Multiple 5
@@ -121,14 +121,13 @@ def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
 
 
 def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
-    """Invariance, separation, and local-injectivity report for one level.
+    """Invariance and separation report for one level.
 
     (a) the image is constant along fibers (antipodal points or unit-phase
         orbits); (b) orbits separated by more than delta = 1e-3 r stay
         separated in the image, with the measured floor reported (each image
         difference is (x - y)^T S_k (x + y) for real rows x, y, not the
-        difference of two unit images); (c) the differential restricted to
-        the tangent/horizontal space has full rank at sampled points.
+        difference of two unit images).
     """
     if pair_count < 1:
         raise ValueError("pair_count must be at least 1")
@@ -168,12 +167,6 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         if sep_dist.size:
             nearest = min(nearest, float(np.min(sep_dist)))
 
-    frame_points = measure.quotient_samples(n, field_name, 50, seed + 3 * _SEED_STRIDE)
-    tangent = geometry.tangent_images(map_, frame_points)
-    smallest_singular = float(
-        np.min(np.linalg.svd(np.swapaxes(tangent, 1, 2), compute_uv=False))
-    )
-
     return {
         "n": n,
         "field": field_name,
@@ -182,7 +175,6 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         "orbit_separation": delta,
         "collisions": collisions,
         "min_image_distance": nearest,
-        "min_singular_value": smallest_singular,
     }
 
 
@@ -233,12 +225,17 @@ def _geometry_sweep(n: int, field_name: str, seed: int, points: int = 20) -> dic
     map_ = construct.build(n, field_name)
     samples = measure.quotient_samples(n, field_name, points, seed)
     geo = geometry.curvature_field(map_, samples)
-    lam = geo["lambda"]
+    lam, anis = geo["lambda"], geo["anisotropy"]
+    d = n if field_name == "real" else 2 * n
     return {
         "lambda_mean": float(np.mean(lam)),
         "lambda_spread": float(np.ptp(lam)),
-        "anisotropy_max": float(np.max(geo["anisotropy"])),
+        "anisotropy_max": float(np.max(anis)),
         "h_norm_max": float(np.max(geo["mean_curvature_norm"])),
+        # the Gram matrix is lambda I + E with |E_ij| <= anisotropy, so |E|_2 <= d anisotropy,
+        # by Weyl no eigenvalue is below lambda - d anisotropy, and no singular value of the
+        # differential below this floor
+        "singular_value_floor": math.sqrt(max(0.0, float(np.min(lam - d * anis)))),
     }
 
 
@@ -305,10 +302,6 @@ def _fiber_claims(field_name, levels, samples, seed) -> list[ClaimAuditEntry]:
                0.0, float(sum(rep["collisions"] for rep in reports)), 0.0,
                details={"min_image_distance": min(rep["min_image_distance"]
                                                   for rep in reports)}),
-        _entry(f"local_injectivity_{field_name}",
-               "differential has full rank on tangent/horizontal spaces",
-               MIN_SINGULAR_VALUE, min(rep["min_singular_value"] for rep in reports),
-               0.0, mode="at_least"),
     ]
 
 
@@ -343,6 +336,11 @@ def _geometry_claims(level_range, minimality_levels, seed,
         "homothety",
         "the pullback metric is one constant multiple of the round metric",
         0.0, homothety_dev, homothety_tol)]
+    entries += [_entry(
+        f"local_injectivity_{field_name}",
+        "differential has full rank on tangent/horizontal spaces",
+        MIN_SINGULAR_VALUE, min(sweeps[(field_name, k)]["singular_value_floor"] for k in levels),
+        0.0, mode="at_least") for field_name, levels in level_range.items()]
     if minimality_levels:
         entries.append(_entry(
             "minimality",
@@ -380,14 +378,14 @@ def _level2_claims(samples, seed) -> list[ClaimAuditEntry]:
         _entry("pi_functional_level2",
                "total squared second fundamental form over the level-2 real "
                "quotient (stated 2 pi); measured under both metric conventions",
-               2.0 * math.pi, gi_img["pi_functional"], MC_REL_TOL * 2.0 * math.pi,
+               2.0 * math.pi, gi_img["pi_functional"], INTEGRAL_REL_TOL * 2.0 * math.pi,
                scale_dependent=True,
                details={"measured_image": gi_img["pi_functional"],
                         "measured_domain": gi_dom["pi_functional"]}),
         _entry("gauss_bonnet_level2",
                "total scalar curvature of the level-2 real quotient over 4 pi "
                "equals its Euler characteristic 1",
-               1.0, gi_img["gauss_bonnet_ratio"], MC_REL_TOL,
+               1.0, gi_img["gauss_bonnet_ratio"], INTEGRAL_REL_TOL,
                details={"domain_metric_value": gi_dom["gauss_bonnet_ratio"]}),
     ]
 
@@ -436,12 +434,13 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
         *(([f"norm_identity_{f}"], _norm_identity_claim, (f, levels))
           for f, levels in level_range.items()),
         (["harmonicity"], _harmonicity_claim, ()),
-        *(([f"fiber_invariance_{f}", f"fiber_separation_{f}", f"local_injectivity_{f}"],
+        *(([f"fiber_invariance_{f}", f"fiber_separation_{f}"],
            _fiber_claims, (f, levels, samples, seed))
           for f, levels in level_range.items()),
         (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
           "unit_image"], _diagram_claims, (level_range["complex"], samples, seed)),
-        (["homothety"] + ["minimality"] * bool(minimality_levels)
+        (["homothety"] + [f"local_injectivity_{f}" for f in level_range]
+         + ["minimality"] * bool(minimality_levels)
          + ["isometry_pullback_level2"] * (n_max_real >= 2),
          _geometry_claims, (level_range, minimality_levels, seed, homothety_tol)),
     ]

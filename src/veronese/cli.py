@@ -36,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, verification, and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = "key of the random draws, an integer in 0..2**64-1"
 
     p_emit = sub.add_parser("emit", help="write the coefficient matrices of one map as JSON")
     p_emit.add_argument("--field", choices=FIELDS, required=True)
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"highest level to audit (real capped at {caps['real']}, "
                                f"complex at {caps['complex']})")
     p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0, help=seed_help)
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="tolerance for the homothety-constancy claim")
     p_verify.add_argument("--format", choices=["table", "json", "csv"], default="table")
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--field", choices=FIELDS, required=True)
     p_report.add_argument("--n", type=int, required=True)
     p_report.add_argument("--samples", type=int, default=1000)
-    p_report.add_argument("--seed", type=int, default=0)
+    p_report.add_argument("--seed", type=int, default=0, help=seed_help)
     p_report.add_argument("--metric", choices=["image", "domain"], default="image")
     p_report.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p_report.add_argument("--out", default="-")
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cloud.add_argument("--field", choices=FIELDS, required=True)
     p_cloud.add_argument("--n", type=int, required=True)
     p_cloud.add_argument("--samples", type=int, default=1000)
-    p_cloud.add_argument("--seed", type=int, default=0)
+    p_cloud.add_argument("--seed", type=int, default=0, help=seed_help)
     p_cloud.add_argument("--out", default="-")
 
     return parser
@@ -320,6 +321,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) not in range(2**64):  # the Philox key space
+            raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
         return _DISPATCH[args.command](args)
     except (StructuralError, np.linalg.LinAlgError) as exc:
         # a broken map or measurement, not a usage error (LinAlgError is a ValueError)

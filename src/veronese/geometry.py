@@ -110,11 +110,6 @@ def _pushforward(map_: QuadMap, points):
     return x, dx, np.concatenate([tangent, bases], axis=2), gram, lam, anis
 
 
-def tangent_images(map_: QuadMap, points) -> np.ndarray:
-    """Pushforward of the tangent_bases at the points, shape (p, d, K)."""
-    return _pushforward(map_, points)[2][:, :, :map_.component_count]
-
-
 def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarray, ...]:
     """Second fundamental form at points of the level sphere, with the pullback
     factor (the mean diagonal of the pullback Gram matrix) and its anisotropy

@@ -15,7 +15,7 @@ import numpy as np
 from veronese import constants, measure
 from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
-from veronese.geometry import tangent_bases, tangent_images
+from veronese.geometry import tangent_bases
 from veronese.quadmap import QuadMap, chunks, evaluate
 from veronese.sampling import generator, sphere_points
 
@@ -109,6 +109,23 @@ def dense_curvature(map_, points):
     r_inv = np.linalg.inv(r_tri)
     alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
     return alpha, lam, anis
+
+
+def tangent_images(map_, points):
+    """Pushforward of the tangent_bases at the points, shape (p, d, K): the real
+    rows B of the bases times the point rows' products with the stack, 2 B (x^T S)
+    batched over points, the operations of the tangent rows of the package's
+    pipeline, so that pullback_factor reads its lambda and anisotropy bit for bit."""
+    bases = map_.real_rows(tangent_bases(map_, points))
+    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
+    p, _, m = bases.shape
+    return 2.0 * (bases @ (x @ map_.stack).reshape(p, m, -1))
+
+
+def smallest_singular_value(map_, points) -> float:
+    """The least singular value of the tangent images over the points, by SVD."""
+    images = np.swapaxes(tangent_images(map_, points), 1, 2)
+    return float(np.min(np.linalg.svd(images, compute_uv=False)))
 
 
 def pullback_factor(map_, points):

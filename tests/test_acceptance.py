@@ -18,7 +18,8 @@ from veronese.quadmap import (evaluate, harmonicity_traces,
                               norm_identity_residual, real_restriction)
 from veronese.sampling import complex_sphere_points
 
-from oracles import laplace_residual, pullback_factor, sampled_norm_identity_residual
+from oracles import (laplace_residual, pullback_factor, sampled_norm_identity_residual,
+                     smallest_singular_value)
 
 
 class Criterion:
@@ -88,8 +89,9 @@ def test_criterion_04_fiber_structure():
                         f"{field} level {n} invariance {rep['invariance_residual']:.2e}")
                 c.check(rep["collisions"] == 0,
                         f"{field} level {n} has {rep['collisions']} collisions")
-                c.check(rep["min_singular_value"] > 1e-8,
-                        f"{field} level {n} singular value {rep['min_singular_value']:.2e}")
+                pts = measure.quotient_samples(n, field, 50, seed=2100 + n)
+                smallest = smallest_singular_value(build(n, field), pts)
+                c.check(smallest > 1e-8, f"{field} level {n} singular value {smallest:.2e}")
 
 
 def test_criterion_05_diagram():

@@ -13,7 +13,8 @@ from veronese.construct import build
 from veronese.quadmap import evaluate
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
-from oracles import SEPARATION_DELTA, complex_orbit_distance, dense_fiber_separation
+from oracles import (SEPARATION_DELTA, complex_orbit_distance, dense_fiber_separation,
+                     smallest_singular_value)
 
 
 def test_orbit_distance_real():
@@ -67,7 +68,7 @@ def test_fiber_checks_real_level2():
     rep = fiber_checks(2, "real", 2000, seed=1)
     assert rep["invariance_residual"] == 0.0  # even polynomials, exact
     assert rep["collisions"] == 0
-    assert rep["min_singular_value"] > 1e-8
+    assert rep["min_image_distance"] > 1e-9
     assert rep["pairs_tested"] > 1900
 
 
@@ -75,7 +76,7 @@ def test_fiber_checks_complex_level2():
     rep = fiber_checks(2, "complex", 2000, seed=2)
     assert rep["invariance_residual"] < 1e-12
     assert rep["collisions"] == 0
-    assert rep["min_singular_value"] > 1e-8
+    assert rep["min_image_distance"] > 1e-9
 
 
 def test_phase_invariance_spot_value():
@@ -103,6 +104,21 @@ def test_fiber_separation_level3_large():
     rep = fiber_checks(3, "real", 10_000, seed=4)
     assert rep["collisions"] == 0
     assert rep["min_image_distance"] > 1e-9
+
+
+@pytest.mark.parametrize("field_name, n", [("real", n) for n in range(1, 7)]
+                         + [("complex", n) for n in range(1, 5)])
+def test_singular_value_floor_bounds_the_svd(field_name, n):
+    # the sweep's floor sqrt(lambda - d anisotropy) at the points the audit draws with
+    # seed 0, against the SVD of the tangent images there.  Where the Gram matrix
+    # rounds to lambda I (levels 1 and 2) the two are one value computed two ways,
+    # and the floor may read one unit in the last place above; over 40 seeds it read
+    # from one ulp above to 2.4e-15 relative below
+    seed = audit._sub_seed(0, 23, n, field_name)
+    floor = audit._geometry_sweep(n, field_name, seed)["singular_value_floor"]
+    points = measure.quotient_samples(n, field_name, 20, seed)
+    smallest = smallest_singular_value(build(n, field_name), points)
+    assert smallest * (1.0 - 1e-14) <= floor <= smallest + np.spacing(smallest)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -301,7 +317,8 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
     healthy = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
     monkeypatch.setattr(geometry, "curvature_field", singular)
     entries = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
-    errors = {"homothety", "minimality", "isometry_pullback_level2",
+    errors = {"homothety", "local_injectivity_real", "local_injectivity_complex",
+              "minimality", "isometry_pullback_level2",
               "veronese_scalar_curvature", "veronese_alpha_norm_sq",
               "pi_functional_level2", "gauss_bonnet_level2", "sigma_quotient_level3"}
     assert entries.keys() == healthy.keys()

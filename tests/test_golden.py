@@ -19,13 +19,13 @@ GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
         "20ae98f5c247c2d207f3047921fc4c67b5c0545f3219ea272c820d0d402261d5",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "3c9aeca339b58e647188ea79fbfad196b52f065819552f1f8b130b84385a6da2",
+        "d928fdaee72f80810372fdc3815a2229f510218b68658a6d8b18fbcac2ffbf8d",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
         "d02c118b8c75bb75f136dfa9fed2e809864d0626b3f8f1eab51e07f4c3fb9b6d",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
         "a448f828dde4b459af132a18a6aaca30c8f573401499754f504a0637c11d74a3",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "866a57881a90e26b9e552bbc889c60e92b7d994999f8f64049e87f425148094b",
+        "c9107b0e355c787d183ef0552e5a4307f6cc6a2c3b25cdab5bfa6b58f190fe16",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
         "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
     "report --field real --n 2 --samples 500 --metric image":
