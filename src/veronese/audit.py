@@ -20,7 +20,7 @@ import numpy as np
 from . import constants, construct, geometry, measure
 from .constants import LEVEL_CAPS, check_level
 from .quadmap import (StructuralError, chunks, evaluate, harmonicity_traces,
-                      norm_identity_residual, real_restriction)
+                      norm_identity_residual, real_restriction, row_sum)
 from .sampling import generator, sphere_points
 
 MATCH = "MATCH"
@@ -101,16 +101,19 @@ def _entry(claim_id, statement, expected, measured, tolerance,
     )
 
 
-def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
+def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str,
+                   minus_plus=None) -> np.ndarray:
     """Distance between fiber orbits, rowwise over two batches of real rows
     (the rows [Re z, Im z] of complex points for the phase quotient).
 
-    Antipodal quotient: min(|x - y|, |x + y|).  Phase quotient: the minimum
-    of |x - e^{i t} y| over all phases has the closed form
-    sqrt(|x|^2 + |y|^2 - 2 |<x, y>|), <x, y> = x.y + i (x_re.y_im - x_im.y_re).
+    Antipodal quotient: min(|x - y|, |x + y|), from minus_plus = (x - y, x + y)
+    when the caller has them.  Phase quotient: the minimum of |x - e^{i t} y|
+    over all phases has the closed form sqrt(|x|^2 + |y|^2 - 2 |<x, y>|),
+    <x, y> = x.y + i (x_re.y_im - x_im.y_re).
     """
     if field_name == "real":
-        return np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+        minus, plus = (x - y, x + y) if minus_plus is None else minus_plus
+        return np.sqrt(np.minimum(row_sum(minus * minus), row_sum(plus * plus)))
     if field_name != "complex":
         raise ValueError(f"field must be 'real' or 'complex', got {field_name!r}")
     c = x.shape[1] // 2
@@ -158,14 +161,15 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
             work = np.empty((count, m * k))
         x = sphere_points(m, count, x_draw, radius=r)
         y = sphere_points(m, count, y_draw, radius=r)
-        separated = orbit_distance(x, y, field_name) > delta
-        prod = np.matmul(x + y, map_.stack, out=work[:count])
-        diff = ((x - y)[:, None] @ prod.reshape(count, m, k))[:, 0]
-        sep_dist = np.linalg.norm(diff, axis=1)[separated]
-        pairs_tested += int(np.sum(separated))
-        collisions += int(np.sum(sep_dist <= SEPARATION_FLOOR))
-        if sep_dist.size:
-            nearest = min(nearest, float(np.min(sep_dist)))
+        minus, plus = x - y, x + y
+        separated = orbit_distance(x, y, field_name, (minus, plus)) > delta
+        prod = np.matmul(plus, map_.stack, out=work[:count])
+        diff = (minus[:, None] @ prod.reshape(count, m, k))[:, 0]
+        # the image distances of the separated pairs; inf marks the others
+        sep_dist = np.where(separated, np.sqrt(row_sum(diff * diff)), math.inf)
+        pairs_tested += np.count_nonzero(separated)
+        collisions += np.count_nonzero(sep_dist <= SEPARATION_FLOOR)
+        nearest = min(nearest, float(np.min(sep_dist)))
 
     return {
         "n": n,

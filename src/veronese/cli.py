@@ -150,16 +150,14 @@ def _cmd_verify(args) -> int:
 
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    if not 0.0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     caps = LEVEL_CAPS["audit"]
-    entries = audit.run_claim_audit(
-        n_max_real=min(args.n_max, caps["real"]),
-        n_max_complex=min(args.n_max, caps["complex"]),
-        seed=args.seed,
-        samples=args.samples,
-        homothety_tol=args.tol,
-    )
-    failures = audit.hard_failures(entries)
     with _output(args.out) as stream:
+        entries = audit.run_claim_audit(
+            min(args.n_max, caps["real"]), min(args.n_max, caps["complex"]),
+            seed=args.seed, samples=args.samples, homothety_tol=args.tol)
+        failures = audit.hard_failures(entries)
         _render_entries(entries, args.format, stream)
         if args.format == "table":
             stream.write(f"\n{len(entries)} claims audited, "
@@ -173,12 +171,13 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     from . import measure
 
-    both = measure.global_invariants(args.n, args.field, args.samples, args.seed)
-    pairs = [("n", args.n), ("field", args.field), ("metric", args.metric),
-             ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
-    pairs += sorted(both["canonical"].items())
-    pairs += sorted(both[args.metric].items())
+    construct.build(args.n, args.field)  # checks the level
     with _output(args.out) as stream:
+        both = measure.global_invariants(args.n, args.field, args.samples, args.seed)
+        pairs = [("n", args.n), ("field", args.field), ("metric", args.metric),
+                 ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
+        pairs += sorted(both["canonical"].items())
+        pairs += sorted(both[args.metric].items())
         _render_mapping(pairs, args.format, stream)
     return 0
 
@@ -293,8 +292,6 @@ def _format_rows(block: np.ndarray) -> str:
 def _cmd_cloud(args) -> int:
     from . import measure
 
-    if args.samples < 1:
-        raise ValueError("--samples must be positive")
     map_ = construct.build(args.n, args.field)
     k = map_.component_count
     rng = generator(args.seed)
@@ -323,6 +320,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) not in range(2**64):  # the Philox key space
             raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError("--samples must be positive")
         return _DISPATCH[args.command](args)
     except (StructuralError, np.linalg.LinAlgError) as exc:
         # a broken map or measurement, not a usage error (LinAlgError is a ValueError)

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import constants
-from .quadmap import QuadMap, StructuralError, chunks
+from .quadmap import QuadMap, StructuralError, chunks, row_max, row_min, row_sum
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 # Smallest acceptable pivot of the Cholesky factor of the pullback Gram matrix,
@@ -66,11 +66,13 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     if np.iscomplexobj(pts) and map_.field == "real":
         raise ValueError("real map expects real coordinates")
     r = constants.radius(map_.n)
-    worst = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - r)))
+    u = np.asarray(pts, dtype=map_.components.dtype)
+    # np.linalg.norm's operations for rows of floats, real or complex
+    worst = float(np.max(np.abs(np.sqrt(row_sum((u.conj() * u).real)) - r)))
     if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
         raise ValueError(f"points are off the level-{map_.n} sphere of radius {r!r} "
                          f"(worst norm deviation {worst:.3e})")
-    v = np.asarray(pts, dtype=map_.components.dtype) / r  # the unit points u, a new array
+    v = u / r  # the unit points, a new array
     p, m = v.shape
     if map_.field == "complex":
         mag = np.abs(v[:, 0])
@@ -105,8 +107,8 @@ def _pushforward(map_: QuadMap, points):
     p, d, m = bases.shape
     tangent = 2.0 * (bases @ dx.reshape(p, m, -1))
     gram = tangent @ tangent.transpose(0, 2, 1)
-    lam = np.trace(gram, axis1=1, axis2=2) / d
-    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
+    anis = row_max(np.abs(gram - lam[:, None, None] * np.eye(d)).reshape(p, d * d))
     return x, dx, np.concatenate([tangent, bases], axis=2), gram, lam, anis
 
 
@@ -143,7 +145,7 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     x, dx, rows, gram, lam, anis = _pushforward(map_, points)
     p, d, m, k = *rows.shape[:2], x.shape[1], map_.component_count
     images = (x[:, None] @ dx.reshape(p, m, k))[:, 0]   # x^T S_k x, as evaluate
-    worst = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
+    worst = float(np.max(np.abs(np.sqrt(row_sum(images * images)) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
         raise StructuralError(f"image points are off the unit sphere "
                               f"(worst deviation {worst:.3e})")
@@ -153,11 +155,12 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     except np.linalg.LinAlgError:
         raise StructuralError("image tangent space is rank deficient") from None
     pivots = np.diagonal(chol, axis1=1, axis2=2)
-    if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
+    if np.any(row_min(pivots) <= RANK_TOL * row_max(pivots)):
         raise StructuralError("image tangent space is rank deficient")
     # [Q^T | B'] = L^-1 [T | B], by forward substitution
     for i, row in enumerate(rows.transpose(1, 0, 2)):
-        row -= (chol[:, i, None, :i] @ rows[:, :i])[:, 0]
+        if i:  # row 0 has nothing to subtract
+            row -= (chol[:, i, None, :i] @ rows[:, :i])[:, 0]
         row /= chol[:, i, i, None]
 
     frame = np.concatenate([images[:, None], rows[:, :, :k]], axis=1)
@@ -213,7 +216,9 @@ def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[di
         # a row reduction, not a BLAS dot, whose split depends on the thread count
         a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1))
         a2 = a2.sum(axis=1)
-        hn = np.linalg.norm(np.trace(a, axis1=1, axis2=2), axis=1)
+        # the trace of alpha, (p, K), then its norm; no name holds it across the yield
+        hn = row_sum(np.diagonal(a, axis1=1, axis2=2))
+        hn = np.sqrt(row_sum(hn * hn))
         yield {"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
                "mean_curvature_norm": hn, "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2}
 

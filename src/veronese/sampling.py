@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quadmap import row_sum
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -25,7 +27,7 @@ def sphere_points(dim: int, count: int, seed: int | np.random.Generator,
         raise ValueError("dim and count must be positive")
     x = generator(seed).standard_normal((count, dim))
     # np.linalg.norm's reduction for real rows, then its division in place
-    nrm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    nrm = np.sqrt(row_sum(x * x))[:, None]
     nrm[nrm == 0.0] = 1.0
     np.multiply(radius, x, out=x)
     x /= nrm

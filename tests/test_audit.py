@@ -25,6 +25,16 @@ def test_orbit_distance_real():
     assert d[1] == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 10])
+def test_orbit_distance_real_is_the_least_norm_bit_for_bit(m):
+    x = sphere_points(m, 300, 1, radius=1.5)
+    y = sphere_points(m, 300, 2, radius=1.5)
+    y[:5] = -x[:5]  # antipodal pairs, at distance 0
+    expected = np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+    assert np.array_equal(orbit_distance(x, y, "real"), expected)
+    assert np.array_equal(orbit_distance(x, y, "real", (x - y, x + y)), expected)
+
+
 def test_orbit_distance_rejects_an_unknown_field():
     x = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="'Real'"):

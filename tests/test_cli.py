@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from veronese import construct, geometry, quadmap
 from veronese.cli import main
+from veronese.constants import LEVEL_CAPS
 from veronese.quadmap import QuadMap
 
 
@@ -261,10 +263,44 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv,module,compute", [
+    (["verify", "--n-max", "6", "--samples", "300000"], "audit", "run_claim_audit"),
+    (["report", "--field", "real", "--n", "12", "--samples", "100000"],
+     "measure", "global_invariants"),
+], ids=["verify", "report"])
+def test_an_unwritable_out_exits_before_the_run(argv, module, compute, tmp_path, capsys,
+                                                monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was opened")
+
+    monkeypatch.setattr(importlib.import_module(f"veronese.{module}"), compute, never)
+    target = tmp_path / "missing-dir" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "2", "--samples", "0"],
+    ["verify", "--n-max", "2", "--tol", "-1"],
+    ["verify", "--n-max", "2", "--tol", "nan"],
+    ["report", "--field", "real", "--n", "2", "--samples", "-3"],
+    ["report", "--field", "complex", "--n", "9"],
+], ids=["verify-samples", "verify-tol", "verify-nan-tol", "report-samples", "report-level"])
+def test_verify_and_report_reject_their_arguments_before_writing(argv, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
 @pytest.fixture
 def scaled_level2_map(monkeypatch):
     # the level-2 map scaled by 1.001 no longer lands on the unit sphere
     original = construct.build
+    # build and cache every level first: build makes level n from build(n - 1), so a
+    # level first built under the patch would be cached on top of the scaled map
+    for field, cap in LEVEL_CAPS["build"].items():
+        original(cap, field)
 
     def scaled(n, field):
         map_ = original(n, field)

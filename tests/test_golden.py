@@ -28,6 +28,9 @@ GOLDEN = {
         "c9107b0e355c787d183ef0552e5a4307f6cc6a2c3b25cdab5bfa6b58f190fe16",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
         "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
+    # real levels 5 and 6, where the samplers draw rows of 6 and 7 coordinates
+    "verify --n-max 6 --samples 2000 --seed 5 --format json":
+        "6e213543306c2f141063cc4b30534c1052e92badaa8bce2a377eb4a710a8f87d",
     "report --field real --n 2 --samples 500 --metric image":
         "dbd9e78f32611f11961f5bb80659806093df8e2e32eff29b5d0fb0e3b4fc713f",
     "report --field real --n 2 --samples 500 --metric domain":
