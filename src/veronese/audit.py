@@ -101,18 +101,16 @@ def _entry(claim_id, statement, expected, measured, tolerance,
     )
 
 
-def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str,
-                   minus_plus=None) -> np.ndarray:
+def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
     """Distance between fiber orbits, rowwise over two batches of real rows
     (the rows [Re z, Im z] of complex points for the phase quotient).
 
-    Antipodal quotient: min(|x - y|, |x + y|), from minus_plus = (x - y, x + y)
-    when the caller has them.  Phase quotient: the minimum of |x - e^{i t} y|
-    over all phases has the closed form sqrt(|x|^2 + |y|^2 - 2 |<x, y>|),
-    <x, y> = x.y + i (x_re.y_im - x_im.y_re).
+    Antipodal quotient: min(|x - y|, |x + y|).  Phase quotient: the minimum
+    of |x - e^{i t} y| over all phases has the closed form
+    sqrt(|x|^2 + |y|^2 - 2 |<x, y>|), <x, y> = x.y + i (x_re.y_im - x_im.y_re).
     """
     if field_name == "real":
-        minus, plus = (x - y, x + y) if minus_plus is None else minus_plus
+        minus, plus = x - y, x + y
         return np.sqrt(np.minimum(row_sum(minus * minus), row_sum(plus * plus)))
     if field_name != "complex":
         raise ValueError(f"field must be 'real' or 'complex', got {field_name!r}")
@@ -161,8 +159,8 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
             work = np.empty((count, m * k))
         x = sphere_points(m, count, x_draw, radius=r)
         y = sphere_points(m, count, y_draw, radius=r)
+        separated = orbit_distance(x, y, field_name) > delta
         minus, plus = x - y, x + y
-        separated = orbit_distance(x, y, field_name, (minus, plus)) > delta
         prod = np.matmul(plus, map_.stack, out=work[:count])
         diff = (minus[:, None] @ prod.reshape(count, m, k))[:, 0]
         # the image distances of the separated pairs; inf marks the others
@@ -410,6 +408,19 @@ def _error_entry(claim_id: str, exc: Exception) -> ClaimAuditEntry:
         tolerance=math.nan, details={"error": str(exc)})
 
 
+def check_arguments(n_max_real: int, n_max_complex: int, samples: int,
+                    homothety_tol: float) -> None:
+    """Raise ValueError for arguments that run_claim_audit rejects, without
+    running anything."""
+    caps = LEVEL_CAPS["audit"]
+    check_level(n_max_real, caps["real"])
+    check_level(n_max_complex, caps["complex"])
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if not 0.0 <= homothety_tol < math.inf:
+        raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
+
+
 def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
                     samples: int = 1000, homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
     """Run every audited claim up to the requested levels; never aborts on MISMATCH.
@@ -419,13 +430,7 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     are kept.  Deterministic given (seed, samples); entries come back sorted
     by claim id.
     """
-    caps = LEVEL_CAPS["audit"]
-    check_level(n_max_real, caps["real"])
-    check_level(n_max_complex, caps["complex"])
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if not 0.0 <= homothety_tol < math.inf:
-        raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
+    check_arguments(n_max_real, n_max_complex, samples, homothety_tol)
 
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
     minimality_levels = [(field_name, k)

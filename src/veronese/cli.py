@@ -150,13 +150,12 @@ def _cmd_verify(args) -> int:
 
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
-    if not 0.0 <= args.tol < np.inf:
-        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     caps = LEVEL_CAPS["audit"]
+    n_max = min(args.n_max, caps["real"]), min(args.n_max, caps["complex"])
+    audit.check_arguments(*n_max, args.samples, args.tol)
     with _output(args.out) as stream:
-        entries = audit.run_claim_audit(
-            min(args.n_max, caps["real"]), min(args.n_max, caps["complex"]),
-            seed=args.seed, samples=args.samples, homothety_tol=args.tol)
+        entries = audit.run_claim_audit(*n_max, seed=args.seed, samples=args.samples,
+                                        homothety_tol=args.tol)
         failures = audit.hard_failures(entries)
         _render_entries(entries, args.format, stream)
         if args.format == "table":

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import constants
-from .quadmap import QuadMap, StructuralError, chunks, row_max, row_min, row_sum
+from .quadmap import QuadMap, StructuralError, chunks, row_sum
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 # Smallest acceptable pivot of the Cholesky factor of the pullback Gram matrix,
@@ -108,7 +108,7 @@ def _pushforward(map_: QuadMap, points):
     tangent = 2.0 * (bases @ dx.reshape(p, m, -1))
     gram = tangent @ tangent.transpose(0, 2, 1)
     lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
-    anis = row_max(np.abs(gram - lam[:, None, None] * np.eye(d)).reshape(p, d * d))
+    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
     return x, dx, np.concatenate([tangent, bases], axis=2), gram, lam, anis
 
 
@@ -155,7 +155,7 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     except np.linalg.LinAlgError:
         raise StructuralError("image tangent space is rank deficient") from None
     pivots = np.diagonal(chol, axis1=1, axis2=2)
-    if np.any(row_min(pivots) <= RANK_TOL * row_max(pivots)):
+    if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
     # [Q^T | B'] = L^-1 [T | B], by forward substitution
     for i, row in enumerate(rows.transpose(1, 0, 2)):

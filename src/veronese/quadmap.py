@@ -102,33 +102,20 @@ def chunks(count: int, point_bytes: int) -> Iterator[slice]:
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-# numpy reduces a row of fewer than 8 terms in order, in one inner-loop call per
-# row, and sums 8 terms or more in pairwise blocks.  Under 8 columns the row
-# reductions below apply the ufunc column by column, in order, which gives the same
-# bits in one call per column; from 8 up they call numpy's reduction.
-def _row_reduce(ufunc, a: np.ndarray, start) -> np.ndarray:
-    if not 0 < a.shape[-1] < 8:
-        return ufunc.reduce(a, axis=-1)
-    out = start(a[..., 0])
-    for j in range(1, a.shape[-1]):
-        ufunc(out, a[..., j], out=out)
-    return out
-
-
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=-1) of a float array, bit for bit; like numpy's, the
-    sum starts from +0.0, so that a row of -0.0 sums to +0.0."""
-    return _row_reduce(np.add, a, lambda first: first + 0.0)
+    """np.add.reduce(a, axis=-1) of a float array, bit for bit.
 
-
-def row_max(a: np.ndarray) -> np.ndarray:
-    """np.max(a, axis=-1), bit for bit."""
-    return _row_reduce(np.maximum, a, np.copy)
-
-
-def row_min(a: np.ndarray) -> np.ndarray:
-    """np.min(a, axis=-1), bit for bit."""
-    return _row_reduce(np.minimum, a, np.copy)
+    numpy adds a row of fewer than 8 terms in order, from +0.0 (so that a row
+    of -0.0 sums to +0.0), in one inner-loop call per row, and sums 8 terms or
+    more in pairwise blocks.  Under 8 columns this adds the columns in that
+    order, one call per column; from 8 up it calls numpy's reduction.
+    """
+    if not 0 < a.shape[-1] < 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
 
 
 def _as_domain_points(map_, point):
