@@ -21,12 +21,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# audit and measure (which loads geometry) are imported by the commands that
-# run them, so emit loads neither
+# audit and measure (which loads geometry) are imported by verify and report only
 from . import constants, construct
 from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import StructuralError, chunks, evaluate, to_json
-from .sampling import generator
+from .sampling import generator, quotient_samples
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,15 +288,13 @@ def _format_rows(block: np.ndarray) -> str:
 
 
 def _cmd_cloud(args) -> int:
-    from . import measure
-
     map_ = construct.build(args.n, args.field)
     k = map_.component_count
     rng = generator(args.seed)
     with _output(args.out) as stream:
         # sampling, evaluate and _format_rows peak at about 225 bytes a value (tracemalloc)
         for part in chunks(args.samples, 232 * k):
-            pts = measure.quotient_samples(args.n, args.field, part.stop - part.start, rng)
+            pts = quotient_samples(args.n, args.field, part.stop - part.start, rng)
             stream.write(_format_rows(evaluate(map_, pts)))
     return 0
 

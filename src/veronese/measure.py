@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants, construct, geometry
 from .quadmap import StructuralError, chunks
-from .sampling import complex_sphere_points, generator, sphere_points
+from .sampling import generator, quotient_samples
 
 # An integrand whose spread over the samples is at most this fraction of
 # max(1, |first value|) is a constant: its integral is the closed-form volume
@@ -43,17 +43,6 @@ def sphere_volume(dim: int, r: float) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
     return 2.0 * math.pi ** ((dim + 1) / 2.0) * r**dim / math.gamma((dim + 1) / 2.0)
-
-
-def quotient_samples(n: int, field: str, count: int,
-                     seed: int | np.random.Generator) -> np.ndarray:
-    """Uniform samples on the level-n domain sphere (representatives of the quotient)."""
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_points(n + 1, count, seed, radius=r)
-    if field == "complex":
-        return complex_sphere_points(n + 1, count, seed, radius=r)
-    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
 def _round_quotient(n: int, field: str) -> tuple[float, int]:
@@ -78,13 +67,13 @@ def quotient_volume_factor(n: int, field: str, scale: float) -> float:
     return base * scale ** (d / 2.0)
 
 
-def fiber_actions(field: str) -> list:
-    """The fiber actions that invariance is spot-checked under: -1 (real), or
-    the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
+def fiber_actions(field: str) -> np.ndarray:
+    """The fiber actions that invariance is spot-checked under, as one array:
+    -1 (real), or the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
     if field == "real":
-        return [-1.0]
+        return np.array([-1.0])
     if field == "complex":
-        return [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)]
+        return np.exp(1j * (2.0 * math.pi * np.arange(1, 17) / 17.0))
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 

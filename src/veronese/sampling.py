@@ -1,4 +1,4 @@
-"""Deterministic random points on real and complex spheres.
+"""Deterministic random points on real and complex spheres and their projective quotients.
 
 All draws go through a Philox counter-based generator keyed by the caller's seed,
 so identical (seed, count) reproduces the same points bit for bit, independently
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import constants
 from .quadmap import row_sum
 
 _MASK64 = (1 << 64) - 1
@@ -40,3 +41,13 @@ def complex_sphere_points(cdim: int, count: int, seed: int | np.random.Generator
     x = sphere_points(2 * cdim, count, seed, radius)
     return x[:, :cdim] + 1j * x[:, cdim:]
 
+
+def quotient_samples(n: int, field: str, count: int,
+                     seed: int | np.random.Generator) -> np.ndarray:
+    """Uniform samples on the level-n domain sphere (representatives of the quotient)."""
+    r = constants.radius(n)
+    if field == "real":
+        return sphere_points(n + 1, count, seed, radius=r)
+    if field == "complex":
+        return complex_sphere_points(n + 1, count, seed, radius=r)
+    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")

@@ -8,16 +8,17 @@ points where the package takes real rows, printf, and json.dumps.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from veronese import constants, measure
+from veronese import constants
 from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases
 from veronese.quadmap import QuadMap, chunks, evaluate
-from veronese.sampling import generator, sphere_points
+from veronese.sampling import generator, quotient_samples, sphere_points
 
 SEPARATION_DELTA = 1e-3  # orbits farther apart than this times r count as separated
 
@@ -293,8 +294,8 @@ def dense_fiber_separation(map_, pair_count, x_seed, y_seed):
     difference of two dense_evaluate images.  Returns (pairs_tested,
     collisions, min_image_distance) for pairs farther apart than 1e-3 r."""
     n, field_name = map_.n, map_.field
-    x = measure.quotient_samples(n, field_name, pair_count, x_seed)
-    y = measure.quotient_samples(n, field_name, pair_count, y_seed)
+    x = quotient_samples(n, field_name, pair_count, x_seed)
+    y = quotient_samples(n, field_name, pair_count, y_seed)
     if field_name == "complex":
         orbit = complex_orbit_distance(x, y)
     else:
@@ -303,6 +304,21 @@ def dense_fiber_separation(map_, pair_count, x_seed, y_seed):
     dist = np.linalg.norm(dense_evaluate(map_, x) - dense_evaluate(map_, y), axis=1)[separated]
     nearest = float(np.min(dist)) if dist.size else float("inf")
     return int(np.sum(separated)), int(np.sum(dist <= SEPARATION_FLOOR)), nearest
+
+
+def per_action_invariance(map_, point_count, seed):
+    """The invariance part of fiber_checks one group element at a time: the
+    largest change of the image of point_count quotient samples under -1 (real)
+    or each phase exp(2 pi i j / 17), j = 1..16 (complex), one evaluate call per
+    element."""
+    points = quotient_samples(map_.n, map_.field, point_count, seed)
+    base = evaluate(map_, points)
+    actions = ([-1.0] if map_.field == "real"
+               else [np.exp(1j * (2.0 * math.pi * j / 17.0)) for j in range(1, 17)])
+    invariance = 0.0
+    for g in actions:
+        invariance = max(invariance, float(np.max(np.abs(evaluate(map_, g * points) - base))))
+    return invariance
 
 
 def printf_rows(block):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from veronese import audit, constants, construct, geometry, measure, quadmap
+from veronese import audit, constants, construct, geometry, measure, quadmap, sampling
 from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             fiber_checks, hard_failures, orbit_distance,
                             run_claim_audit)
@@ -14,7 +14,7 @@ from veronese.quadmap import evaluate
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
 from oracles import (SEPARATION_DELTA, complex_orbit_distance, dense_fiber_separation,
-                     smallest_singular_value)
+                     per_action_invariance, smallest_singular_value)
 
 
 def test_orbit_distance_real():
@@ -107,6 +107,16 @@ def test_fiber_separation_matches_dense_pair_images(field_name, n):
     assert rep["orbit_separation"] == SEPARATION_DELTA * constants.radius(n)
     assert (rep["pairs_tested"], rep["collisions"]) == (pairs, collisions)
     assert rep["min_image_distance"] == pytest.approx(nearest, rel=1e-12)
+
+
+@pytest.mark.parametrize("field_name, n", [("real", n) for n in range(1, 7)]
+                         + [("complex", n) for n in range(1, 5)])
+def test_fiber_invariance_equals_the_per_action_loop(field_name, n):
+    # the group elements of fiber_actions, one array, against phases taken one at a time
+    # in Python floats, at the audit's seeds
+    seed = audit._sub_seed(0, 7, n, field_name)
+    rep = fiber_checks(n, field_name, 200, seed)
+    assert rep["invariance_residual"] == per_action_invariance(build(n, field_name), 200, seed)
 
 
 def test_fiber_separation_level3_large():
@@ -357,7 +367,7 @@ def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):
     assert {e.claim_id for e in hard_failures(entries.values())} == errors
 
 
-SAMPLERS = [(measure, "sphere_points"), (measure, "complex_sphere_points"),
+SAMPLERS = [(sampling, "sphere_points"), (sampling, "complex_sphere_points"),
             (audit, "sphere_points")]
 
 
@@ -373,8 +383,10 @@ def test_point_families_draw_distinct_points(seed, monkeypatch):
     # draw from the same stream as the real ones, so a real draw keyed like a
     # complex one would reuse its normals), and no sampler returns one point
     # set twice (the complex level-1 geometry sweep used to repeat the first
-    # Hopf points); the blocks drawn from one generator are one draw
+    # Hopf points); the blocks drawn from one generator are one draw, and only the
+    # outermost sampler of a call counts (complex_sphere_points calls sphere_points)
     draws = []  # [sampler, seed or generator, blocks]
+    depth = [0]  # recorded samplers running
 
     def keep(name, key, points):
         for draw in draws:
@@ -385,8 +397,13 @@ def test_point_families_draw_distinct_points(seed, monkeypatch):
 
     for module, name in SAMPLERS:
         def record(dim, count, key, radius=1.0, _name=name, _draw=getattr(module, name)):
-            points = _draw(dim, count, key, radius=radius)
-            keep(_name, key, points)
+            depth[0] += 1
+            try:
+                points = _draw(dim, count, key, radius=radius)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                keep(_name, key, points)
             return points
         monkeypatch.setattr(module, name, record)
 

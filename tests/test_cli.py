@@ -446,7 +446,10 @@ except SystemExit as exc:
      {"veronese.audit", "veronese.geometry", "veronese.measure"}),
     (["report", "--field", "real", "--n", "2", "--samples", "20"],
      {"veronese.measure", "veronese.geometry"}, {"veronese.audit"}),
-], ids=["emit", "report"])
+    (["cloud", "--field", "complex", "--n", "2", "--samples", "20"],
+     {"veronese.sampling", "veronese.quadmap"},
+     {"veronese.audit", "veronese.geometry", "veronese.measure"}),
+], ids=["emit", "report", "cloud"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, unused, tmp_path):
     proc = _python(["-c", LOADED_MODULES, *argv, "--out", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
