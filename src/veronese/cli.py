@@ -76,15 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _output(path: str):
-    if path == "-":
-        yield sys.stdout
-        return
+    """The stream of --out ("-" is stdout), flushed or closed on leaving.  A path
+    that cannot be opened, written or closed is a usage error; a closed pipe is
+    left to run()."""
     try:
-        handle = open(path, "w", newline="")
+        if path == "-":
+            yield sys.stdout
+            sys.stdout.flush()
+            return
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except BrokenPipeError:
+        raise
     except OSError as exc:
+        if path == "-":  # point stdout at devnull so the flush at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    with handle:
-        yield handle
 
 
 def _fmt(x: float) -> str:

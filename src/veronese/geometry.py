@@ -91,27 +91,6 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     return np.stack([basis, 1j * basis], axis=2).reshape(p, 2 * (m - 1), m)
 
 
-def _pushforward(map_: QuadMap, points):
-    """The points as real rows of the map's stack (p, M), the point rows times
-    the stack, x^T S_k for every k (p, M*K), the images T of the tangent_bases
-    under the differential beside the bases' own real rows B, as one
-    (p, d, K + M) array [T | B], the pullback Gram matrix T T^T (p, d, d), and
-    at each point the pullback factor (mean diagonal of the Gram matrix) and
-    its anisotropy (worst deviation from that multiple of I).
-
-    Products are batched over points, so no point depends on its batch.
-    """
-    bases = map_.real_rows(tangent_bases(map_, points))
-    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
-    dx = x @ map_.stack
-    p, d, m = bases.shape
-    tangent = 2.0 * (bases @ dx.reshape(p, m, -1))
-    gram = tangent @ tangent.transpose(0, 2, 1)
-    lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
-    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    return x, dx, np.concatenate([tangent, bases], axis=2), gram, lam, anis
-
-
 def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarray, ...]:
     """Second fundamental form at points of the level sphere, with the pullback
     factor (the mean diagonal of the pullback Gram matrix) and its anisotropy
@@ -122,8 +101,11 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     component of the embedding's second derivative along the orthonormalized
     image directions i and j.
 
-    The frame is orthonormalized first.  With L the Cholesky factor of the
-    pullback Gram matrix T T^T of the tangent images T, the rows of
+    One product x^T S_k of the point rows x with the stack gives the images
+    x^T S_k x and the tangent images T = 2 B (x^T S_k) of the real rows B of the
+    tangent_bases.  Every product is batched over points, so no point depends
+    on its batch.  The frame is orthonormalized first.  With L the Cholesky
+    factor of the pullback Gram matrix T T^T of the tangent images, the rows of
     Q^T = L^-1 T are an orthonormal frame of the image tangent space (the Q of
     the QR factorization T^T = Q L^T, the unique one with a positive
     diagonal), and the domain directions B' = L^-1 B have those rows as their
@@ -142,8 +124,16 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     p d d K doubles that the products are computed in (curvature_blocks keeps
     one pair for all its blocks); alpha is then a view of the second.
     """
-    x, dx, rows, gram, lam, anis = _pushforward(map_, points)
-    p, d, m, k = *rows.shape[:2], x.shape[1], map_.component_count
+    bases = map_.real_rows(tangent_bases(map_, points))
+    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
+    dx = x @ map_.stack
+    (p, d, m), k = bases.shape, map_.component_count
+    tangent = 2.0 * (bases @ dx.reshape(p, m, k))
+    gram = tangent @ tangent.transpose(0, 2, 1)
+    lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
+    anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    rows = np.concatenate([tangent, bases], axis=2)
+    del tangent, bases  # curvature_point_bytes counts them once, as [T | B]
     images = (x[:, None] @ dx.reshape(p, m, k))[:, 0]   # x^T S_k x, as evaluate
     worst = float(np.max(np.abs(np.sqrt(row_sum(images * images)) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:

@@ -115,8 +115,9 @@ def dense_curvature(map_, points):
 def tangent_images(map_, points):
     """Pushforward of the tangent_bases at the points, shape (p, d, K): the real
     rows B of the bases times the point rows' products with the stack, 2 B (x^T S)
-    batched over points, the operations of the tangent rows of the package's
-    pipeline, so that pullback_factor reads its lambda and anisotropy bit for bit."""
+    batched over points, the operations of the tangent rows T that
+    geometry.second_fundamental_form forms, so that pullback_factor reads its lambda
+    and anisotropy bit for bit."""
     bases = map_.real_rows(tangent_bases(map_, points))
     x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
     p, _, m = bases.shape

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import importlib
 import io
@@ -481,7 +482,7 @@ def test_a_process_prints_what_main_returns(argv, monkeypatch):
 @pytest.mark.parametrize("argv,read", [
     # megabytes of rows, far more than a pipe buffers, so a write inside the command fails
     (["cloud", "--field", "real", "--n", "12", "--samples", "5000"], 10),
-    # a few hundred bytes, still buffered when the command returns: the final flush fails
+    # a few hundred bytes, still buffered when the command has written: the flush fails
     (["emit", "--field", "real", "--n", "1"], 0),
 ], ids=["cloud", "emit"])
 def test_a_closed_pipe_exits_1_without_a_traceback(argv, read):
@@ -494,3 +495,28 @@ def test_a_closed_pipe_exits_1_without_a_traceback(argv, read):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err
+
+
+WRITE_COMMANDS = [
+    ["emit", "--field", "complex", "--n", "1"],
+    ["verify", "--n-max", "1", "--samples", "50"],
+    ["report", "--field", "real", "--n", "2", "--samples", "50"],
+    # rows beyond any stdio buffer, so a write inside the command fails
+    ["cloud", "--field", "real", "--n", "12", "--samples", "5000"],
+]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", WRITE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["out", "stdout"])
+def test_a_failed_write_is_a_usage_error_without_a_traceback(argv, target):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        if target == "out":
+            argv = argv + ["--out", "/dev/full"]
+        proc = subprocess.run([sys.executable, "-m", "veronese.cli", *argv],
+                              env=_python_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    path = "/dev/full" if target == "out" else "-"
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n")

@@ -1,4 +1,4 @@
-"""No einsum in the package or its scripts contracts more than two arrays at once.
+"""No einsum in the package contracts more than two arrays at once.
 
 numpy evaluates an einsum of three or more operands in one unplanned pass
 over every index, which made it the bulk of a curvature run and of
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "veronese").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "veronese").glob("*.py"))
 
 
 def wide_einsums(source: str) -> list[str]:

@@ -334,3 +334,22 @@ def test_a_budget_sized_chunk_stays_within_chunk_bytes(field, cap):
         finally:
             tracemalloc.stop()
         assert peak <= quadmap.CHUNK_BYTES, (n, len(pts), peak)
+
+
+@pytest.mark.parametrize("field,n", [("real", n) for n in range(1, 13)]
+                         + [("complex", n) for n in range(1, 9)])
+def test_the_curvature_ladder_at_every_build_level(field, n):
+    # measured worst deviations, relative to max(1, |value|): 1.2e-15 (|alpha|^2),
+    # 1.4e-15 (s), 7.8e-16 (lambda) and 2.2e-15 (|H|)
+    m = build(n, field)
+    pts = np.concatenate([geometry.canonical_point(m)[None],
+                          quotient_samples(n, field, 5, seed=180 + n)])
+    geo = curvature_field(m, pts)
+    d = n if field == "real" else 2 * n
+    # found exact with sympy at the canonical point at real 2, 3, 4, 6 and complex 2, 3, 4
+    a2 = n * (n - 1) * (n + 2) / (2 * (n + 1)) if field == "real" else 2.0 * n * (n - 1)
+    for key, value in [("lambda", closed_form_lambda(n)), ("alpha_norm_sq", a2),
+                       ("scalar_curvature_gauss", d * (d - 1) - a2),
+                       ("mean_curvature_norm", 0.0)]:
+        assert_allclose(geo[key], value, rtol=0, atol=1e-12 * max(1.0, abs(value)),
+                        err_msg=key)
