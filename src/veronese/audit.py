@@ -229,8 +229,7 @@ def _geometry_sweep(n: int, field_name: str, seed: int) -> dict:
     map_ = construct.build(n, field_name)
     samples = quotient_samples(n, field_name, SWEEP_POINTS, seed)
     geo = geometry.curvature_field(map_, samples)
-    lam, anis = geo["lambda"], geo["anisotropy"]
-    d = n if field_name == "real" else 2 * n
+    lam, anis, d = geo["lambda"], geo["anisotropy"], map_.quotient_dim
     return {
         "lambda_mean": float(np.mean(lam)),
         "lambda_spread": float(np.ptp(lam)),

@@ -17,7 +17,7 @@ import gc
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -92,6 +92,12 @@ def _output(path: str):
         if path == "-":  # point stdout at devnull so the flush at exit does not raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _error(message) -> None:
+    """Write an error line to stderr; a stderr that cannot be written changes no exit code."""
+    with suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
 
 
 def _fmt(x: float) -> str:
@@ -169,7 +175,7 @@ def _cmd_verify(args) -> int:
                          f"{len(failures)} hard failure(s)\n")
     for message in dict.fromkeys(e.details["error"] for e in entries
                                  if e.verdict == audit.ERROR):
-        print(f"error: {message}", file=sys.stderr)
+        _error(message)
     return 1 if failures else 0
 
 
@@ -328,10 +334,10 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (StructuralError, np.linalg.LinAlgError) as exc:
         # a broken map or measurement, not a usage error (LinAlgError is a ValueError)
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
 
 

@@ -63,10 +63,8 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != map_.domain_dim:
         raise ValueError(f"points must be a non-empty (count, {map_.domain_dim}) array "
                          f"at level {map_.n}, got shape {pts.shape}")
-    if np.iscomplexobj(pts) and map_.field == "real":
-        raise ValueError("real map expects real coordinates")
     r = constants.radius(map_.n)
-    u = np.asarray(pts, dtype=map_.components.dtype)
+    u = map_.domain_points(pts)
     # np.linalg.norm's operations for rows of floats, real or complex
     worst = float(np.max(np.abs(np.sqrt(row_sum((u.conj() * u).real)) - r)))
     if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
@@ -125,7 +123,7 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     one pair for all its blocks); alpha is then a view of the second.
     """
     bases = map_.real_rows(tangent_bases(map_, points))
-    x = map_.real_rows(np.asarray(points, dtype=map_.components.dtype))
+    x = map_.real_rows(map_.domain_points(points))
     dx = x @ map_.stack
     (p, d, m), k = bases.shape, map_.component_count
     tangent = 2.0 * (bases @ dx.reshape(p, m, k))
@@ -167,17 +165,10 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     return acc, lam, anis
 
 
-def _dims(map_: QuadMap) -> tuple[int, int, int]:
-    """The real tangent dimension d (fiber removed), the stack's rows M and the
-    components K."""
-    m = map_.stack.shape[0]
-    return map_.n * (m // map_.domain_dim), m, map_.component_count
-
-
 def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The work of second_fundamental_form for count points: room for the
     (d, M*K) products, and for the (d, d, K) accelerations."""
-    d, m, k = _dims(map_)
+    d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return np.empty(count * d * m * k), np.empty(count * d * d * k)
 
 
@@ -189,7 +180,7 @@ def curvature_point_bytes(map_: QuadMap) -> int:
     [Q^T | B'], d (K + M); the projection's (d, d, d+1) product, the Gram
     matrix and its Cholesky factor, d d (d+3); the point's real row, M; and a
     few scalars."""
-    d, m, k = _dims(map_)
+    d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
 
 
@@ -197,7 +188,7 @@ def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[di
     """The curvature_field of each block of points in turn.  The kernel computes
     in one pair of work arrays for all the blocks, so the allocator neither
     gives that memory back nor faults it in again between blocks."""
-    d = _dims(map_)[0]
+    d = map_.quotient_dim
     work, room = None, 0
     for block in blocks:
         if room < len(block):

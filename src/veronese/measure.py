@@ -45,26 +45,20 @@ def sphere_volume(dim: int, r: float) -> float:
     return 2.0 * math.pi ** ((dim + 1) / 2.0) * r**dim / math.gamma((dim + 1) / 2.0)
 
 
-def _round_quotient(n: int, field: str) -> tuple[float, int]:
-    """Volume and dimension d of the level-n quotient of the round domain sphere."""
-    r = constants.radius(n)
-    if field == "real":
-        return sphere_volume(n, r) / 2.0, n
-    if field == "complex":
-        return sphere_volume(2 * n + 1, r) / (2.0 * math.pi * r), 2 * n
-    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-
-
 def quotient_volume_factor(n: int, field: str, scale: float) -> float:
     """Total quotient volume when the round metric is multiplied by scale.
 
     The round quotient volume is Vol(S^n(r))/2 for the antipodal quotient and
     Vol(S^{2n+1}(r))/(2 pi r) for the phase quotient; scaling the metric by a
-    constant multiplies it by that constant to the power d/2.  The image
-    metric is the homothety factor times the round one.
+    constant multiplies it by that constant to the power d/2 (d = n or 2n).
+    The image metric is the homothety factor times the round one.
     """
-    base, d = _round_quotient(n, field)
-    return base * scale ** (d / 2.0)
+    r = constants.radius(n)
+    if field == "real":
+        return sphere_volume(n, r) / 2.0 * scale ** (n / 2.0)
+    if field == "complex":
+        return sphere_volume(2 * n + 1, r) / (2.0 * math.pi * r) * scale ** (2 * n / 2.0)
+    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
 def fiber_actions(field: str) -> np.ndarray:
@@ -106,7 +100,7 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     map_ = construct.build(n, field)
-    _, d = _round_quotient(n, field)
+    d = map_.quotient_dim
 
     geo = geometry.curvature_field(map_, geometry.canonical_point(map_)[None])
     canonical = {key: float(value[0]) for key, value in geo.items()}

@@ -87,6 +87,23 @@ class QuadMap:
     def domain_dim(self) -> int:
         return self.n + 1
 
+    @property
+    def quotient_dim(self) -> int:
+        """Real dimension d of the projective quotient: n real, 2n complex."""
+        return self.n * (self.stack.shape[0] // self.domain_dim)
+
+    def domain_points(self, points) -> np.ndarray:
+        """points, with points in the last axis, as an array of the map's dtype."""
+        if np.iscomplexobj(points) and self.field == "real":
+            raise ValueError("real map expects real coordinates")
+        pts = np.asarray(points, dtype=self.components.dtype)
+        if pts.ndim == 0 or pts.shape[-1] != self.domain_dim:
+            raise ValueError(
+                f"point dimension {pts.shape[-1] if pts.ndim else 0} does not match "
+                f"domain dimension {self.domain_dim}"
+            )
+        return pts
+
     def real_rows(self, points) -> np.ndarray:
         """Points of the domain as rows of the real stack: [Re z, Im z] for a complex map."""
         if self.field == "complex":
@@ -118,18 +135,6 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_domain_points(map_, point):
-    if np.iscomplexobj(point) and map_.field == "real":
-        raise ValueError("real map expects real coordinates")
-    pts = np.asarray(point, dtype=map_.components.dtype)
-    if pts.ndim == 0 or pts.shape[-1] != map_.domain_dim:
-        raise ValueError(
-            f"point dimension {pts.shape[-1] if pts.ndim else 0} does not match "
-            f"domain dimension {map_.domain_dim}"
-        )
-    return pts
-
-
 def evaluate_point_bytes(map_: QuadMap) -> int:
     """Working memory per point of an evaluate chunk: the row's product with the
     stack, M K doubles; the (1, K) result and the output row, 2 K; the
@@ -147,7 +152,7 @@ def evaluate(map_: QuadMap, point) -> np.ndarray:
     product per point.  Each entry of either is one length-M dot product of a
     row with a column, so no value depends on its batch.
     """
-    pts = _as_domain_points(map_, point)
+    pts = map_.domain_points(point)
     flat = pts.reshape(-1, map_.domain_dim)
     m, k = map_.stack.shape[0], map_.component_count
     out = np.empty((len(flat), k))

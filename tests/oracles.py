@@ -3,8 +3,8 @@
 Each recomputes a quantity the package computes another way: dense
 three-operand einsums over the complex coefficient stack, the analytic
 differential, central differences (of the map, its pullback metric and its
-sphere Laplacian), sampled points, exact rational arithmetic, complex
-points where the package takes real rows, printf, and json.dumps.
+sphere Laplacian), sampled points, exact rational and sympy arithmetic,
+complex points where the package takes real rows, printf, and json.dumps.
 """
 
 import itertools
@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from veronese import constants
 from veronese.audit import SEPARATION_FLOOR
@@ -110,6 +111,75 @@ def dense_curvature(map_, points):
     r_inv = np.linalg.inv(r_tri)
     alpha = np.einsum("pma,pnb,pmnk->pabk", r_inv, r_inv, acc)
     return alpha, lam, anis
+
+
+def exact_stack(n, field):
+    """The realified level-n stack S_k in sympy: the construction redone with the
+    exact coefficients sqrt(a^2) and sqrt(b^2) of constants.step_constants."""
+    if field == "real":
+        re = [sympy.Matrix([[0, 1], [1, 0]]), sympy.Matrix([[1, 0], [0, -1]])]
+        im = [sympy.zeros(2, 2)] * 2
+        cross = [(1, 0)]  # (real, imaginary) part of the lower entry of a cross term
+    else:
+        re = [sympy.Matrix([[0, 1], [1, 0]]), sympy.zeros(2, 2), sympy.Matrix([[1, 0], [0, -1]])]
+        im = [sympy.zeros(2, 2), sympy.Matrix([[0, 1], [-1, 0]]), sympy.zeros(2, 2)]
+        cross = [(1, 0), (0, -1)]
+    for level in range(2, n + 1):
+        a_sq, b_sq = constants.step_constants(level)
+        inv = 1 / sympy.sqrt(level + 1)
+        half = sympy.sqrt(sympy.Rational(a_sq)) * inv / 2
+        b = sympy.sqrt(sympy.Rational(b_sq)) * inv
+        re, im = ([sympy.diag(mat * inv, 0) for mat in mats] for mats in (re, im))
+        for k in range(level):
+            for lower_re, lower_im in cross:
+                r, i = sympy.zeros(level + 1, level + 1), sympy.zeros(level + 1, level + 1)
+                r[level, k] = r[k, level] = lower_re * half
+                i[level, k], i[k, level] = lower_im * half, -lower_im * half
+                re.append(r)
+                im.append(i)
+        re.append(sympy.diag(*[b] * level, -level * b))
+        im.append(sympy.zeros(level + 1, level + 1))
+    if field == "real":
+        return re
+    return [sympy.Matrix(sympy.BlockMatrix([[r, -i], [i, r]])) for r, i in zip(re, im)]
+
+
+def exact_canonical_curvature(n, field):
+    """lambda, |alpha|^2 and |H|^2 at the canonical point r_n e_0, exact, in sympy.
+
+    The tangent basis is the coordinate axes e_1..e_n, and for a complex map
+    also the imaginary axes of z_1..z_n (not e_0 or i z_0): orthonormal, and
+    orthogonal to the point and its fiber.  At x = r_n e_0 the image is
+    r_n^2 S_k[0, 0] and the tangent images are T_a = 2 r_n S_k[a, 0].  Their Gram
+    matrix must be exactly lambda I.  alpha is the normal part of
+    2 B'_a S_k B'_b for B' = B / sqrt(lambda), against the image point and the
+    orthonormal frame T / sqrt(lambda): that is the normal part of 2 S_k[a, b]
+    divided by lambda, and the frame's projection is T^T T / lambda.
+    """
+    stack = exact_stack(n, field)
+    axes = list(range(1, n + 1))
+    if field == "complex":
+        axes += list(range(n + 2, 2 * n + 2))
+    r_sq = sympy.sqrt(sympy.Rational(constants.radius_pow4(n)))
+    dot = lambda u, v: sympy.expand(sum(x * y for x, y in zip(u, v)))
+    image = [sympy.expand(r_sq * s[0, 0]) for s in stack]
+    tangent = [[sympy.expand(2 * sympy.sqrt(r_sq) * s[a, 0]) for s in stack] for a in axes]
+    lam = dot(tangent[0], tangent[0])
+    gram = sympy.Matrix(len(axes), len(axes), lambda i, j: dot(tangent[i], tangent[j]))
+    assert gram == lam * sympy.eye(len(axes)), gram
+    assert dot(image, image) == 1
+    alpha_sq, trace = 0, [0] * len(stack)
+    for a in axes:
+        for b in axes:
+            acc = [2 * s[a, b] for s in stack]
+            for u, scale in [(image, 1)] + [(t, lam) for t in tangent]:
+                c = dot(acc, u) / scale
+                acc = [sympy.expand(x - c * y) for x, y in zip(acc, u)]
+            acc = [x / lam for x in acc]
+            alpha_sq += dot(acc, acc)
+            if a == b:
+                trace = [x + y for x, y in zip(trace, acc)]
+    return lam, sympy.expand(alpha_sq), dot(trace, trace)
 
 
 def tangent_images(map_, points):

@@ -520,3 +520,31 @@ def test_a_failed_write_is_a_usage_error_without_a_traceback(argv, target):
     path = "/dev/full" if target == "out" else "-"
     assert (proc.returncode, proc.stderr) == (
         2, f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "0"],
+    ["emit", "--field", "real", "--n", "1", "--out", "missing/x"],
+    ["report", "--field", "real", "--n", "99"],
+], ids=lambda argv: argv[0])
+def test_a_usage_error_exits_2_when_stderr_cannot_be_written(argv, tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "veronese.cli", *argv], cwd=tmp_path,
+                              env=_python_env(), stdout=subprocess.PIPE, stderr=full,
+                              timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+class FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "2", "--samples", "50"],  # its ERROR entries' lines
+    ["report", "--field", "real", "--n", "2", "--samples", "50"],
+], ids=lambda argv: argv[0])
+def test_a_failure_exits_1_when_stderr_cannot_be_written(argv, scaled_level2_map):
+    with redirect_stdout(io.StringIO()), redirect_stderr(FullStream()):
+        assert main(argv) == 1

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from numpy.testing import assert_allclose
 
 from veronese import constants, geometry, quadmap
@@ -13,13 +15,21 @@ from veronese.measure import quotient_samples
 from veronese.quadmap import QuadMap, StructuralError, evaluate
 from veronese.sampling import sphere_points
 
-from oracles import (dense_curvature, fd_pullback, jacobian, laplace_residual,
-                     pullback_factor, tangent_images)
+from oracles import (dense_curvature, exact_canonical_curvature, fd_pullback, jacobian,
+                     laplace_residual, pullback_factor, tangent_images)
 
 
 def closed_form_lambda(n):
     # pullback factor 2(n+1) / (n r_n^2), equal to 4 / (n sqrt((n-1)!))
     return 2.0 * (n + 1) / (n * constants.radius(n) ** 2)
+
+
+def ladder(n, field, d):
+    """The closed forms of |alpha|^2 and s = d(d-1) - |alpha|^2 of the level-n image
+    of dimension d, exact: n(n-1)(n+2) / (2(n+1)) (real) and 2n(n-1) (complex)."""
+    a2 = (Fraction(n * (n - 1) * (n + 2), 2 * (n + 1)) if field == "real"
+          else Fraction(2 * n * (n - 1)))
+    return a2, d * (d - 1) - a2
 
 
 def real_gram(u, v):
@@ -126,30 +136,6 @@ def test_alpha_symmetry_and_tangency():
             for j in range(basis.shape[0]):
                 assert abs(alpha[i, j] @ p) < 1e-8
                 assert np.max(np.abs(t @ alpha[i, j])) < 1e-8
-
-
-EXPECTED_CURVATURE = {
-    # field, n: (alpha_norm_sq, scalar_curvature) in the image metric
-    ("real", 1): (0.0, 0.0),
-    ("real", 2): (4.0 / 3.0, 2.0 / 3.0),
-    ("real", 3): (15.0 / 4.0, 9.0 / 4.0),
-    ("real", 4): (36.0 / 5.0, 24.0 / 5.0),
-    ("real", 5): (35.0 / 3.0, 25.0 / 3.0),
-    ("complex", 1): (0.0, 2.0),
-    ("complex", 2): (4.0, 8.0),
-    ("complex", 3): (12.0, 18.0),
-}
-
-
-@pytest.mark.parametrize("field,n", sorted(EXPECTED_CURVATURE))
-def test_curvature_invariants_values(field, n):
-    a2_expected, s_expected = EXPECTED_CURVATURE[(field, n)]
-    geo = curvature_field(build(n, field), quotient_samples(n, field, 20, seed=50 + n))
-    assert np.max(geo["mean_curvature_norm"]) < 1e-7
-    a2s, ss = geo["alpha_norm_sq"], geo["scalar_curvature_gauss"]
-    assert np.ptp(a2s) < 1e-7 and np.ptp(ss) < 1e-7
-    assert np.mean(a2s) == pytest.approx(a2_expected, abs=1e-9)
-    assert np.mean(ss) == pytest.approx(s_expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -345,11 +331,57 @@ def test_the_curvature_ladder_at_every_build_level(field, n):
     pts = np.concatenate([geometry.canonical_point(m)[None],
                           quotient_samples(n, field, 5, seed=180 + n)])
     geo = curvature_field(m, pts)
-    d = n if field == "real" else 2 * n
-    # found exact with sympy at the canonical point at real 2, 3, 4, 6 and complex 2, 3, 4
-    a2 = n * (n - 1) * (n + 2) / (2 * (n + 1)) if field == "real" else 2.0 * n * (n - 1)
-    for key, value in [("lambda", closed_form_lambda(n)), ("alpha_norm_sq", a2),
-                       ("scalar_curvature_gauss", d * (d - 1) - a2),
-                       ("mean_curvature_norm", 0.0)]:
+    a2, s = ladder(n, field, m.quotient_dim)
+    for key, value in [("lambda", closed_form_lambda(n)), ("alpha_norm_sq", float(a2)),
+                       ("scalar_curvature_gauss", float(s)), ("mean_curvature_norm", 0.0)]:
         assert_allclose(geo[key], value, rtol=0, atol=1e-12 * max(1.0, abs(value)),
                         err_msg=key)
+
+
+# (|alpha|^2, s) in the image metric, worked by hand: the ladder's cross-check
+EXPECTED_CURVATURE = {
+    ("real", 1): (Fraction(0), Fraction(0)),
+    ("real", 2): (Fraction(4, 3), Fraction(2, 3)),
+    ("real", 3): (Fraction(15, 4), Fraction(9, 4)),
+    ("real", 4): (Fraction(36, 5), Fraction(24, 5)),
+    ("real", 5): (Fraction(35, 3), Fraction(25, 3)),
+    ("complex", 1): (Fraction(0), Fraction(2)),
+    ("complex", 2): (Fraction(4), Fraction(8)),
+    ("complex", 3): (Fraction(12), Fraction(18)),
+}
+
+
+def test_the_ladder_reproduces_the_hand_worked_table():
+    for (field, n), expected in EXPECTED_CURVATURE.items():
+        assert ladder(n, field, build(n, field).quotient_dim) == expected, (field, n)
+
+
+@pytest.mark.parametrize("field,n", [(field, n) for field in ("real", "complex")
+                                     for n in range(1, constants.LEVEL_CAPS["audit"][field] + 1)])
+def test_curvature_at_the_canonical_point_is_the_exact_value(field, n):
+    # lambda, |alpha|^2 and |H|^2 in sympy; 0.4 s at complex n=4
+    lam, a2, h2 = exact_canonical_curvature(n, field)
+    m = build(n, field)
+    a2_ladder, s = ladder(n, field, m.quotient_dim)
+    r_sq = sympy.sqrt(sympy.Rational(constants.radius_pow4(n)))
+    assert (lam, a2, h2) == (2 * (n + 1) / (n * r_sq), a2_ladder, 0)
+    geo = curvature_field(m, geometry.canonical_point(m)[None])
+    for key, value in [("lambda", float(lam)), ("alpha_norm_sq", float(a2)),
+                       ("scalar_curvature_gauss", float(s)), ("mean_curvature_norm", 0.0)]:
+        assert_allclose(geo[key], value, rtol=0, atol=1e-12 * max(1.0, abs(value)),
+                        err_msg=key)
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_the_quotient_dimension_is_the_width_of_the_tangent_bases(field, cap):
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        assert m.quotient_dim == (n if field == "real" else 2 * n)
+        assert tangent_bases(m, geometry.canonical_point(m)[None]).shape[1] == m.quotient_dim
+
+
+@pytest.mark.parametrize("entry", [evaluate, tangent_bases, second_fundamental_form,
+                                   curvature_field], ids=lambda entry: entry.__name__)
+def test_a_real_map_rejects_complex_points(entry):
+    with pytest.raises(ValueError, match="^real map expects real coordinates$"):
+        entry(build(2, "real"), np.array([[constants.radius(2), 0.0, 0j]]))

@@ -105,9 +105,11 @@ def test_a_budget_sized_evaluate_chunk_stays_within_chunk_bytes(field, n):
 
 
 def test_evaluate_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point dimension 2 does not match domain dimension 3$"):
         evaluate(build(2, "real"), [1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point dimension 0 does not match domain dimension 3$"):
+        evaluate(build(2, "real"), 1.0)
+    with pytest.raises(ValueError, match="^real map expects real coordinates$"):
         evaluate(build(1, "real"), np.array([1.0 + 1j, 0j]))
 
 
