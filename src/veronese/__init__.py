@@ -22,8 +22,7 @@ _SOURCES = {
     "QuadMap": "quadmap", "StructuralError": "quadmap", "evaluate": "quadmap",
     "harmonicity_traces": "quadmap", "norm_identity_residual": "quadmap",
     "real_restriction": "quadmap", "to_json": "quadmap",
-    "ClaimAuditEntry": "audit", "diagram_check": "audit", "fiber_checks": "audit",
-    "run_claim_audit": "audit",
+    "ClaimAuditEntry": "audit", "diagram_check": "audit", "run_claim_audit": "audit",
 }
 
 __all__ = list(_SOURCES)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import constants, construct, geometry, measure
 from .constants import LEVEL_CAPS, check_level
-from .quadmap import (StructuralError, chunks, evaluate, harmonicity_traces,
-                      norm_identity_residual, real_restriction, row_sum)
-from .sampling import generator, quotient_samples, sphere_points
+from .quadmap import (QuadMap, StructuralError, evaluate, harmonicity_traces,
+                      norm_identity_residual, real_restriction)
+from .sampling import quotient_samples
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -35,11 +35,11 @@ MIN_SINGULAR_VALUE = 1e-8
 SWEEP_POINTS = 20  # points of the geometry sweep at each level
 
 # every sub-seed comes from _sub_seed: seed + j * _SEED_STRIDE + level, where a family
-# that draws several point sets also takes the next multiples (fiber_checks 7..9,
-# diagram_check 11..13), plus a field term for complex draws: the complex samplers
-# draw from the same stream as the real ones, so a real draw keyed like a complex
-# one would reuse its normals.  No two draws of one audit share a key.  Multiple 5
-# is unused: the norm identity is read from coefficients and draws nothing.
+# that draws several point sets also takes the next multiples (diagram_check 11..13),
+# plus a field term for complex draws: the complex samplers draw from the same stream
+# as the real ones, so a real draw keyed like a complex one would reuse its normals.
+# No two draws of one audit share a key.  Multiples 5 and 7..9 are free: the norm
+# identity and the fiber claims are read from coefficients and draw nothing.
 _SEED_STRIDE = 0x9E3779B9
 _FIELD_TERM = {"real": 0, "complex": 32 * _SEED_STRIDE}
 
@@ -100,86 +100,6 @@ def _entry(claim_id, statement, expected, measured, tolerance,
         measured=measured, abs_deviation=dev, verdict=verdict,
         tolerance=float(tolerance), details=dict(details or {}),
     )
-
-
-def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
-    """Distance between fiber orbits, rowwise over two batches of real rows
-    (the rows [Re z, Im z] of complex points for the phase quotient).
-
-    Antipodal quotient: min(|x - y|, |x + y|).  Phase quotient: the minimum
-    of |x - e^{i t} y| over all phases has the closed form
-    sqrt(|x|^2 + |y|^2 - 2 |<x, y>|), <x, y> = x.y + i (x_re.y_im - x_im.y_re).
-    """
-    if field_name == "real":
-        minus, plus = x - y, x + y
-        return np.sqrt(np.minimum(row_sum(minus * minus), row_sum(plus * plus)))
-    if field_name != "complex":
-        raise ValueError(f"field must be 'real' or 'complex', got {field_name!r}")
-    c = x.shape[1] // 2
-    sq = np.einsum("pi,pi->p", x, x) + np.einsum("pi,pi->p", y, y)
-    re = np.einsum("pi,pi->p", x, y)
-    im = np.einsum("pi,pi->p", x[:, :c], y[:, c:]) - np.einsum("pi,pi->p", x[:, c:], y[:, :c])
-    return np.sqrt(np.maximum(sq - 2.0 * np.sqrt(re * re + im * im), 0.0))
-
-
-def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
-    """Invariance and separation report for one level.
-
-    (a) the image is constant along fibers (antipodal points or unit-phase
-        orbits); (b) orbits separated by more than delta = 1e-3 r stay
-        separated in the image, with the measured floor reported (each image
-        difference is (x - y)^T S_k (x + y) for real rows x, y, not the
-        difference of two unit images).
-    """
-    if pair_count < 1:
-        raise ValueError("pair_count must be at least 1")
-    map_ = construct.build(n, field_name)
-    r = constants.radius(n)
-
-    # one evaluate per group element: one batch of all moved copies raised verify's peak RSS 1 MB
-    inv_points = quotient_samples(n, field_name, min(pair_count, 200), seed)
-    base_vals = evaluate(map_, inv_points)
-    invariance = 0.0
-    for g in measure.fiber_actions(field_name):
-        moved = evaluate(map_, g * inv_points)
-        invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
-
-    # pairs are real rows (the doubles quotient_samples pairs into complex points); per
-    # block, one 2-D product of x + y with the stack into one work array, then one (1, M)
-    # @ (M, K) product per pair.  A pair holds x, y, x +- y, a product row (M K) and a
-    # difference (K); the byte count stays two evaluated images' (longer blocks raise RSS)
-    x_draw = generator(seed + _SEED_STRIDE)
-    y_draw = generator(seed + 2 * _SEED_STRIDE)
-    m, k = map_.stack.shape[0], map_.component_count
-    delta = 1e-3 * r
-    pairs_tested = collisions = 0
-    nearest = math.inf
-    work = None
-    for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
-        count = part.stop - part.start
-        if work is None:  # the first block is the longest
-            work = np.empty((count, m * k))
-        x = sphere_points(m, count, x_draw, radius=r)
-        y = sphere_points(m, count, y_draw, radius=r)
-        separated = orbit_distance(x, y, field_name) > delta
-        minus, plus = x - y, x + y
-        prod = np.matmul(plus, map_.stack, out=work[:count])
-        diff = (minus[:, None] @ prod.reshape(count, m, k))[:, 0]
-        # the image distances of the separated pairs; inf marks the others
-        sep_dist = np.where(separated, np.sqrt(row_sum(diff * diff)), math.inf)
-        pairs_tested += np.count_nonzero(separated)
-        collisions += np.count_nonzero(sep_dist <= SEPARATION_FLOOR)
-        nearest = min(nearest, float(np.min(sep_dist)))
-
-    return {
-        "n": n,
-        "field": field_name,
-        "invariance_residual": invariance,
-        "pairs_tested": pairs_tested,
-        "orbit_separation": delta,
-        "collisions": collisions,
-        "min_image_distance": nearest,
-    }
 
 
 def diagram_check(n: int, sample_count: int, seed: int) -> dict:
@@ -293,18 +213,60 @@ def _harmonicity_claim() -> list[ClaimAuditEntry]:
                    0.0, trace_worst, 1e-12)]
 
 
-def _fiber_claims(field_name, levels, samples, seed) -> list[ClaimAuditEntry]:
-    reports = [fiber_checks(k, field_name, samples, _sub_seed(seed, 7, k, field_name))
-               for k in levels]
+def _fiber_certificate(map_: QuadMap) -> dict:
+    """The fiber claims of one level, read from the coefficients.
+
+    Invariance: a real form has F(-x) = F(x); a complex map's realified S_k
+    commutes with the complex structure J, which is what keeps every form
+    fixed under the phases cos t + J sin t, and the residual is max |S_k J - J S_k|.
+
+    Separation: for x, y on the level sphere, F(x) - F(y) has the entries
+    <B_k, P> = Re tr(B_k P) with B_k the trace-free parts of the A_k and
+    P = xx* - yy*, and |P|^2 = D^2 (2 r^2 - D^2 / 2) at orbit distance D.  When
+    the K components are as many as the trace-free forms, |F(x) - F(y)|^2 is at
+    least the least eigenvalue of the Gram matrix G_kl = Re tr(B_k B_l) times
+    |P|^2, and by Weyl that eigenvalue is at least mean(diag G) - |G - mean I|_F.
+    The bound grows with D on [0, sqrt(2) r], so no orbits more than 1e-3 r
+    apart come closer in the image than the floor it gives there.
+    """
+    m, k, n1 = map_.stack.shape[0], map_.component_count, map_.domain_dim
+    # K equals the dimension of the trace-free symmetric (real) or Hermitian (complex)
+    # matrices, or a positive Gram matrix does not make F injective on the quotient
+    forms = n1 * (n1 + 1) // 2 - 1 if map_.field == "real" else n1 * n1 - 1
+    if k != forms:
+        raise StructuralError(f"level {map_.n} has {k} components for {forms} trace-free forms")
+    if map_.field == "real":
+        invariance = 0.0
+    else:
+        s, h = map_.stack.reshape(m, m, k), m // 2
+        sj = np.concatenate([s[:, h:], -s[:, :h]], axis=1)
+        js = np.concatenate([-s[h:], s[:h]])
+        invariance = float(np.max(np.abs(sj - js)))
+    # rows (i, j) of S_k[i, j]; the realified trace-free part is S_k - tr(S_k) I / M,
+    # and tr(S_k S_l) = (M / (n+1)) Re tr(A_k A_l)
+    flat = map_.stack.reshape(m * m, k).copy()
+    flat[::m + 1] -= flat[::m + 1].sum(axis=0) / m
+    gram = (flat.T @ flat) * (n1 / m)
+    mean = float(np.trace(gram)) / k
+    lower = mean - float(np.linalg.norm(gram - mean * np.eye(k)))
+    r = constants.radius(map_.n)
+    delta = 1e-3 * r
+    floor = math.sqrt(max(lower, 0.0)) * delta * math.sqrt(2.0 * r * r - delta * delta / 2.0)
+    return {"invariance_residual": invariance, "gram_mean": mean, "lambda_lower": lower,
+            "separation_floor": floor}
+
+
+def _fiber_claims(field_name, levels) -> list[ClaimAuditEntry]:
+    certificates = [_fiber_certificate(construct.build(k, field_name)) for k in levels]
+    floors = [cert["separation_floor"] for cert in certificates]
     return [
         _entry(f"fiber_invariance_{field_name}",
                "the image is constant along quotient fibers",
-               0.0, max(rep["invariance_residual"] for rep in reports), 1e-12),
+               0.0, max(cert["invariance_residual"] for cert in certificates), 1e-12),
         _entry(f"fiber_separation_{field_name}",
                "separated orbits have separated images (collision count)",
-               0.0, float(sum(rep["collisions"] for rep in reports)), 0.0,
-               details={"min_image_distance": min(rep["min_image_distance"]
-                                                  for rep in reports)}),
+               0.0, float(sum(floor <= SEPARATION_FLOOR for floor in floors)), 0.0,
+               details={"min_image_distance": min(floors)}),
     ]
 
 
@@ -326,8 +288,7 @@ def _diagram_claims(levels, samples, seed) -> list[ClaimAuditEntry]:
     ]
 
 
-def _geometry_claims(level_range, minimality_levels, seed,
-                     homothety_tol) -> list[ClaimAuditEntry]:
+def _geometry_claims(level_range, seed, homothety_tol) -> list[ClaimAuditEntry]:
     sweeps = {(field_name, k): _geometry_sweep(k, field_name,
                                                _sub_seed(seed, 23, k, field_name))
               for field_name, levels in level_range.items() for k in levels}
@@ -344,12 +305,12 @@ def _geometry_claims(level_range, minimality_levels, seed,
         "differential has full rank on tangent/horizontal spaces",
         MIN_SINGULAR_VALUE, min(sweeps[(field_name, k)]["singular_value_floor"] for k in levels),
         0.0, mode="at_least") for field_name, levels in level_range.items()]
-    if minimality_levels:
+    curved = [sweep["h_norm_max"] for (_, k), sweep in sweeps.items() if k >= 2]
+    if curved:
         entries.append(_entry(
             "minimality",
             "the mean curvature vector of every image vanishes",
-            0.0, max(sweeps[key]["h_norm_max"] for key in minimality_levels),
-            POINTWISE_TOL))
+            0.0, max(curved), POINTWISE_TOL))
     if ("real", 2) in sweeps:
         entries.append(_entry(
             "isometry_pullback_level2",
@@ -434,9 +395,6 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
     check_arguments(n_max_real, n_max_complex, samples, homothety_tol)
 
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
-    minimality_levels = [(field_name, k)
-                         for field_name, levels in level_range.items()
-                         for k in levels if 2 <= k <= LEVEL_CAPS["minimality"][field_name]]
     # (claim ids, family, arguments): the ids are what a failing family reports
     families = [
         (["radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
@@ -445,14 +403,14 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
           for f, levels in level_range.items()),
         (["harmonicity"], _harmonicity_claim, ()),
         *(([f"fiber_invariance_{f}", f"fiber_separation_{f}"],
-           _fiber_claims, (f, levels, samples, seed))
+           _fiber_claims, (f, levels))
           for f, levels in level_range.items()),
         (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
           "unit_image"], _diagram_claims, (level_range["complex"], samples, seed)),
         (["homothety"] + [f"local_injectivity_{f}" for f in level_range]
-         + ["minimality"] * bool(minimality_levels)
+         + ["minimality"] * (max(n_max_real, n_max_complex) >= 2)
          + ["isometry_pullback_level2"] * (n_max_real >= 2),
-         _geometry_claims, (level_range, minimality_levels, seed, homothety_tol)),
+         _geometry_claims, (level_range, seed, homothety_tol)),
     ]
     if n_max_real >= 2:
         families.append((["veronese_scalar_curvature", "veronese_alpha_norm_sq",

@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=4,
                           help=f"highest level to audit (real capped at {caps['real']}, "
                                f"complex at {caps['complex']})")
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=int, default=1000,
+                          help="samples of the level-2 and level-3 integral gates; the "
+                               "diagram check draws min(samples, 200) points per level")
     p_verify.add_argument("--seed", type=int, default=0, help=seed_help)
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="tolerance for the homothety-constancy claim")

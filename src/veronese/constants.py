@@ -19,7 +19,6 @@ FIELDS = ("real", "complex")
 LEVEL_CAPS = {
     "build": {"real": MAX_LEVEL, "complex": 8},   # N_12 = 89, M_8 = 79 coordinates
     "audit": {"real": 6, "complex": 4},           # verify --n-max, diagram_check
-    "minimality": {"real": 5, "complex": 3},      # audited |H| = 0 levels
 }
 
 

@@ -61,16 +61,6 @@ def quotient_volume_factor(n: int, field: str, scale: float) -> float:
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
-def fiber_actions(field: str) -> np.ndarray:
-    """The fiber actions that invariance is spot-checked under, as one array:
-    -1 (real), or the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
-    if field == "real":
-        return np.array([-1.0])
-    if field == "complex":
-        return np.exp(1j * (2.0 * math.pi * np.arange(1, 17) / 17.0))
-    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-
-
 def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     """Global invariants of the level-n quotient under both metric readings,
     and the pointwise geometry at the canonical point.

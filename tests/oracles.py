@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from veronese import constants
+from veronese import constants, construct
 from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases
@@ -22,6 +22,7 @@ from veronese.quadmap import QuadMap, chunks, evaluate
 from veronese.sampling import generator, quotient_samples, sphere_points
 
 SEPARATION_DELTA = 1e-3  # orbits farther apart than this times r count as separated
+PAIR_SEED_STRIDE = 0x9E3779B9  # fiber_checks draws x and y from seed + 1 and 2 strides
 
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 
@@ -349,9 +350,93 @@ def reference_sphere_points(dim, count, seed, radius=1.0):
     return radius * x / nrm
 
 
+def fiber_actions(field: str) -> np.ndarray:
+    """The fiber actions that invariance is spot-checked under, as one array:
+    -1 (real), or the 16 phases exp(2 pi i j / 17), j = 1..16 (complex)."""
+    if field == "real":
+        return np.array([-1.0])
+    if field == "complex":
+        return np.exp(1j * (2.0 * math.pi * np.arange(1, 17) / 17.0))
+    raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+
+
+def orbit_distance(x: np.ndarray, y: np.ndarray, field_name: str) -> np.ndarray:
+    """Distance between fiber orbits, rowwise over two batches of real rows
+    (the rows [Re z, Im z] of complex points for the phase quotient).
+
+    Antipodal quotient: min(|x - y|, |x + y|).  Phase quotient: |x - e^{it} y|
+    at the nearest phase, t = arg <x, y> with <x, y> = sum x_i conj(y_i).  The
+    difference is taken before its norm, so a near pair keeps its relative
+    precision, where the closed form sqrt(|x|^2 + |y|^2 - 2 |<x, y>|) cancels.
+    """
+    if field_name == "real":
+        return np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+    if field_name != "complex":
+        raise ValueError(f"field must be 'real' or 'complex', got {field_name!r}")
+    c = x.shape[1] // 2
+    z, w = x[:, :c] + 1j * x[:, c:], y[:, :c] + 1j * y[:, c:]
+    phase = np.exp(1j * np.angle(np.einsum("pi,pi->p", z, np.conj(w))))
+    return np.linalg.norm(z - phase[:, None] * w, axis=1)
+
+
+def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
+    """The fiber claims of one level by sampled search, the oracle of the audit's
+    coefficient certificate.
+
+    (a) the image is constant along fibers: the largest change of the images of
+        min(pair_count, 200) quotient samples under each of fiber_actions;
+    (b) orbits separated by more than delta = 1e-3 r stay separated in the
+        image: pair_count pairs x, y drawn as real rows from seed + 1 and 2
+        strides, each image difference taken as the polarized product
+        (x - y)^T S_k (x + y), one block of pairs at a time; a collision is an
+        image distance at most SEPARATION_FLOOR.
+    """
+    if pair_count < 1:
+        raise ValueError("pair_count must be at least 1")
+    map_ = construct.build(n, field_name)
+    r = constants.radius(n)
+
+    inv_points = quotient_samples(n, field_name, min(pair_count, 200), seed)
+    base_vals = evaluate(map_, inv_points)
+    invariance = 0.0
+    for g in fiber_actions(field_name):
+        moved = evaluate(map_, g * inv_points)
+        invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
+
+    x_draw = generator(seed + PAIR_SEED_STRIDE)
+    y_draw = generator(seed + 2 * PAIR_SEED_STRIDE)
+    m, k = map_.stack.shape[0], map_.component_count
+    delta = SEPARATION_DELTA * r
+    pairs_tested = collisions = 0
+    nearest = math.inf
+    for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
+        count = part.stop - part.start
+        x = sphere_points(m, count, x_draw, radius=r)
+        y = sphere_points(m, count, y_draw, radius=r)
+        separated = orbit_distance(x, y, field_name) > delta
+        prod = ((x + y) @ map_.stack).reshape(count, m, k)
+        diff = ((x - y)[:, None] @ prod)[:, 0]
+        # the image distances of the separated pairs; inf marks the others
+        sep_dist = np.where(separated, np.linalg.norm(diff, axis=1), math.inf)
+        pairs_tested += int(np.count_nonzero(separated))
+        collisions += int(np.count_nonzero(sep_dist <= SEPARATION_FLOOR))
+        nearest = min(nearest, float(np.min(sep_dist)))
+
+    return {
+        "n": n,
+        "field": field_name,
+        "invariance_residual": invariance,
+        "pairs_tested": pairs_tested,
+        "orbit_separation": delta,
+        "collisions": collisions,
+        "min_image_distance": nearest,
+    }
+
+
 def complex_orbit_distance(z, w):
     """sqrt(|z|^2 + |w|^2 - 2 |<z, w>|) rowwise, by complex einsums over complex
-    points: the oracle of orbit_distance's phase branch, which takes real rows."""
+    points: the closed form of orbit_distance's phase branch, which takes real
+    rows and the difference at the nearest phase."""
     nz = np.einsum("pi,pi->p", np.conj(z), z).real
     nw = np.einsum("pi,pi->p", np.conj(w), w).real
     cross = np.abs(np.einsum("pi,pi->p", np.conj(z), w))

@@ -18,8 +18,8 @@ from veronese.quadmap import (evaluate, harmonicity_traces,
                               norm_identity_residual, real_restriction)
 from veronese.sampling import complex_sphere_points
 
-from oracles import (laplace_residual, pullback_factor, sampled_norm_identity_residual,
-                     smallest_singular_value)
+from oracles import (fiber_checks, laplace_residual, pullback_factor,
+                     sampled_norm_identity_residual, smallest_singular_value)
 
 
 class Criterion:
@@ -84,7 +84,14 @@ def test_criterion_04_fiber_structure():
     with Criterion("04 fiber-structure", budget_seconds=10.0) as c:
         for field, cap in (("real", 4), ("complex", 3)):
             for n in range(1, cap + 1):
-                rep = audit.fiber_checks(n, field, 10_000, seed=2000 + n)
+                # the coefficient certificate the audit reads, then the sampled search
+                cert = audit._fiber_certificate(build(n, field))
+                c.check(cert["invariance_residual"] < 1e-12,
+                        f"{field} level {n} certified invariance "
+                        f"{cert['invariance_residual']:.2e}")
+                c.check(cert["separation_floor"] > audit.SEPARATION_FLOOR,
+                        f"{field} level {n} separation floor {cert['separation_floor']:.2e}")
+                rep = fiber_checks(n, field, 10_000, seed=2000 + n)
                 c.check(rep["invariance_residual"] < 1e-12,
                         f"{field} level {n} invariance {rep['invariance_residual']:.2e}")
                 c.check(rep["collisions"] == 0,

@@ -5,15 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from veronese import audit, constants, construct, geometry, measure, quadmap, sampling
+from veronese import audit, cli, constants, construct, geometry, measure, quadmap, sampling
 from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
-                            fiber_checks, hard_failures, orbit_distance,
-                            run_claim_audit)
+                            hard_failures, run_claim_audit)
 from veronese.construct import build
 from veronese.quadmap import evaluate
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
-from oracles import (SEPARATION_DELTA, complex_orbit_distance, dense_fiber_separation,
+from oracles import (PAIR_SEED_STRIDE, SEPARATION_DELTA, complex_orbit_distance,
+                     dense_fiber_separation, fiber_checks, orbit_distance,
                      per_action_invariance, smallest_singular_value)
 
 
@@ -102,8 +102,8 @@ def test_fiber_separation_matches_dense_pair_images(field_name, n):
     seed = 90 + n
     rep = fiber_checks(n, field_name, 5000, seed)
     pairs, collisions, nearest = dense_fiber_separation(
-        build(n, field_name), 5000, generator(seed + audit._SEED_STRIDE),
-        generator(seed + 2 * audit._SEED_STRIDE))
+        build(n, field_name), 5000, generator(seed + PAIR_SEED_STRIDE),
+        generator(seed + 2 * PAIR_SEED_STRIDE))
     assert rep["orbit_separation"] == SEPARATION_DELTA * constants.radius(n)
     assert (rep["pairs_tested"], rep["collisions"]) == (pairs, collisions)
     assert rep["min_image_distance"] == pytest.approx(nearest, rel=1e-12)
@@ -123,6 +123,131 @@ def test_fiber_separation_level3_large():
     rep = fiber_checks(3, "real", 10_000, seed=4)
     assert rep["collisions"] == 0
     assert rep["min_image_distance"] > 1e-9
+
+
+AUDITED = [(field_name, n) for field_name, cap in constants.LEVEL_CAPS["audit"].items()
+           for n in range(1, cap + 1)]
+
+
+@pytest.mark.parametrize("field_name, n", AUDITED)
+def test_the_sampled_search_agrees_with_the_certificate(field_name, n):
+    cert = audit._fiber_certificate(build(n, field_name))
+    rep = fiber_checks(n, field_name, 2000, audit._sub_seed(0, 7, n, field_name))
+    assert rep["collisions"] == 0
+    assert rep["min_image_distance"] >= cert["separation_floor"] > audit.SEPARATION_FLOOR
+    assert rep["invariance_residual"] <= 1e-12
+    assert cert["invariance_residual"] == 0.0
+    # the Gram matrix is c I with c = (n+1) / (n r^4), the squared scale of the congruence
+    c = (n + 1) / (n * float(constants.radius_pow4(n)))
+    assert cert["gram_mean"] == pytest.approx(c, rel=1e-14)
+    assert 0.0 < cert["lambda_lower"] <= cert["gram_mean"]
+
+
+def _pairs(n, field_name, count, angle, seed):
+    """count points x of the level sphere and y at the angle from x along a random
+    great circle orthogonal to the fiber of x, each then moved by a random fiber
+    action (a sign, or a phase); angle None draws y independently."""
+    r = constants.radius(n)
+    rng = generator(seed)
+    x = measure.quotient_samples(n, field_name, count, rng)
+    if angle is None:
+        return x, measure.quotient_samples(n, field_name, count, rng)
+    v = measure.quotient_samples(n, field_name, count, rng)
+    v -= x * (np.sum(np.conj(x) * v, axis=1, keepdims=True) / r**2)
+    y = math.cos(angle) * x + math.sin(angle) * r * v / np.linalg.norm(v, axis=1, keepdims=True)
+    if field_name == "real":
+        return x, y * rng.choice([-1.0, 1.0], size=(count, 1))
+    return x, y * np.exp(2j * math.pi * rng.random((count, 1)))
+
+
+@pytest.mark.parametrize("angle", [1e-3, None], ids=["near", "far"])
+@pytest.mark.parametrize("field_name, n", AUDITED)
+def test_the_distance_law(field_name, n, angle):
+    # |F(x) - F(y)|^2 = c D^2 (2 r^2 - D^2 / 2) at orbit distance D, and the
+    # certificate's lower eigenvalue bound keeps it from below
+    map_ = build(n, field_name)
+    cert = audit._fiber_certificate(map_)
+    r = constants.radius(n)
+    x, y = _pairs(n, field_name, 500, angle, seed=300 + n)
+    dist = orbit_distance(map_.real_rows(x), map_.real_rows(y), field_name)
+    if angle is not None:  # the chord of the angle, D about 1e-3 r
+        assert np.max(np.abs(dist / (2.0 * r * math.sin(angle / 2.0)) - 1.0)) <= 1e-9
+    image_sq = np.sum((evaluate(map_, x) - evaluate(map_, y)) ** 2, axis=1)
+    law = dist**2 * (2.0 * r * r - dist**2 / 2.0)
+    assert np.max(np.abs(image_sq / (cert["gram_mean"] * law) - 1.0)) <= 1e-9
+    assert np.all(image_sq >= cert["lambda_lower"] * law * (1.0 - 1e-9))
+
+
+def _replace_build(monkeypatch, change):
+    """construct.build with change applied to every map's coefficient stack.  Every
+    audited level is built first: the builder recurses through the module's build,
+    and an uncached level would be built on a changed one and cached."""
+    original = construct.build
+    for field_name, n in AUDITED:
+        original(n, field_name)
+
+    def changed(n, field_name):
+        return quadmap.QuadMap(n, change(original(n, field_name).components))
+
+    monkeypatch.setattr(construct, "build", changed)
+
+
+def test_a_duplicated_component_fails_fiber_separation(monkeypatch, capsys):
+    # the first component replaced by the second: as many components as forms, but
+    # a singular Gram matrix, so nothing bounds the image distance from below
+    _replace_build(monkeypatch, lambda comps: np.concatenate([comps[1:2], comps[1:]]))
+    for field_name in ("real", "complex"):
+        assert audit._fiber_certificate(construct.build(2, field_name))["lambda_lower"] <= 0.0
+    code = cli.main(["verify", "--n-max", "2", "--samples", "50", "--format", "json"])
+    entries = {e["claim_id"]: e for e in json.loads(capsys.readouterr().out)}
+    assert code == 1
+    for field_name in ("real", "complex"):
+        separation = entries[f"fiber_separation_{field_name}"]
+        assert separation["verdict"] == MISMATCH
+        assert separation["measured"] == 2.0  # both levels
+        assert separation["details"]["min_image_distance"] == 0.0
+        assert entries[f"fiber_invariance_{field_name}"]["verdict"] == MATCH
+
+
+def test_a_dropped_component_errors_both_fiber_claims(monkeypatch):
+    # fewer components than trace-free forms: a positive Gram matrix proves nothing
+    _replace_build(monkeypatch, lambda comps: comps[:-1])
+    entries = {e.claim_id: e for e in run_claim_audit(2, 2, seed=0, samples=20)}
+    for field_name, forms in (("real", 2), ("complex", 3)):  # at level 1
+        for claim in ("invariance", "separation"):
+            entry = entries[f"fiber_{claim}_{field_name}"]
+            assert entry.verdict == ERROR
+            assert entry.details["error"] == (
+                f"level 1 has {forms - 1} components for {forms} trace-free forms")
+
+
+def test_the_fiber_claims_draw_nothing(monkeypatch):
+    draws = []
+
+    def counted(*args, _draw=sampling.sphere_points, **kwargs):
+        draws.append(args)
+        return _draw(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sphere_points", counted)
+    for field_name, cap in constants.LEVEL_CAPS["audit"].items():
+        audit._fiber_claims(field_name, range(1, cap + 1))
+    assert draws == []
+    fiber_ids = {f"fiber_{claim}_{field_name}" for claim in ("invariance", "separation")
+                 for field_name in ("real", "complex")}
+    readings = [[e for e in run_claim_audit(6, 4, seed=seed, samples=samples)
+                 if e.claim_id in fiber_ids]
+                for samples in (1, 20_000) for seed in (0, 11)]
+    assert len(readings[0]) == 4
+    assert all(entries == readings[0] for entries in readings)
+
+
+def test_minimality_reads_every_audited_level_from_2():
+    entries = {e.claim_id: e for e in run_claim_audit(6, 4, seed=3, samples=20)}
+    sweeps = [audit._geometry_sweep(n, field_name, audit._sub_seed(3, 23, n, field_name))
+              for field_name, n in AUDITED if n >= 2]
+    assert entries["minimality"].measured == max(sweep["h_norm_max"] for sweep in sweeps)
+    # a complex level 2 alone is a curved level too
+    assert "minimality" in {e.claim_id for e in run_claim_audit(1, 2, seed=0, samples=20)}
 
 
 @pytest.mark.parametrize("field_name, n", [("real", n) for n in range(1, 7)]
@@ -367,8 +492,7 @@ def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):
     assert {e.claim_id for e in hard_failures(entries.values())} == errors
 
 
-SAMPLERS = [(sampling, "sphere_points"), (sampling, "complex_sphere_points"),
-            (audit, "sphere_points")]
+SAMPLERS = [(sampling, "sphere_points"), (sampling, "complex_sphere_points")]
 
 
 def _philox_key(seed) -> int:

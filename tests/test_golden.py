@@ -17,20 +17,20 @@ from veronese.cli import main
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "20ae98f5c247c2d207f3047921fc4c67b5c0545f3219ea272c820d0d402261d5",
+        "e167e19c7b43cb49e3f8907b3bcedaea17113fdd223f6ca5d0a9d9f59cefb91c",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "d928fdaee72f80810372fdc3815a2229f510218b68658a6d8b18fbcac2ffbf8d",
+        "49e389e89d0df1d52031119bb4b3f119baa12fb41417f52c8264a216c09dddfe",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "d02c118b8c75bb75f136dfa9fed2e809864d0626b3f8f1eab51e07f4c3fb9b6d",
+        "5231de0cfe744a4feb5295b69eb3485fe7e302f514d1378216245d42a58debf5",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "a448f828dde4b459af132a18a6aaca30c8f573401499754f504a0637c11d74a3",
+        "a8e68f18930259008495087783077b2716a916ffac20b29d6143b4ceb5b15945",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "c9107b0e355c787d183ef0552e5a4307f6cc6a2c3b25cdab5bfa6b58f190fe16",
+        "1d54b19265bba1e125d143c58b56cfe347338d6fa7403929fbe0a5fd2c168613",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "c5c7b130dd34499346a0f7a6ae1905aa3b97bc0a17bfbb880dc5669d50a3242e",
+        "96658c8a728f6eb21a2876c8915cbb766b7c967b8031d7c55af548f93057c90a",
     # real levels 5 and 6, where the samplers draw rows of 6 and 7 coordinates
     "verify --n-max 6 --samples 2000 --seed 5 --format json":
-        "6e213543306c2f141063cc4b30534c1052e92badaa8bce2a377eb4a710a8f87d",
+        "9486951fe536489df091a9ab579802d7adfaf39d6edab0b7b559fe74dca9b3ed",
     "report --field real --n 2 --samples 500 --metric image":
         "dbd9e78f32611f11961f5bb80659806093df8e2e32eff29b5d0fb0e3b4fc713f",
     "report --field real --n 2 --samples 500 --metric domain":

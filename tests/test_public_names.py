@@ -4,6 +4,7 @@ every exported name loads from its module on first use."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -77,3 +78,10 @@ def test_a_submodule_imports_by_name():
 
     assert geometry is sys.modules["veronese.geometry"]
     assert geometry.curvature_field is veronese.curvature_field
+
+
+def test_the_readme_lists_every_exported_name():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    start = text.index("The package exports ")
+    listed = re.findall(r"`(\w+)`", text[start:text.index("each loaded from", start)])
+    assert listed == veronese.__all__
