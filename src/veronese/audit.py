@@ -432,7 +432,3 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
 def hard_failures(entries) -> list[ClaimAuditEntry]:
     """Entries that fail outright, MISMATCH or ERROR; SCALE_DEPENDENT claims never count."""
     return [e for e in entries if e.verdict in (MISMATCH, ERROR)]
-
-
-def audit_to_dicts(entries) -> list[dict]:
-    return [e.to_dict() for e in entries]

@@ -107,10 +107,8 @@ def _fmt(x: float) -> str:
 
 
 def _render_entries(entries, fmt: str, stream) -> None:
-    from . import audit
-
     if fmt == "json":
-        stream.write(json.dumps(audit.audit_to_dicts(entries), indent=2) + "\n")
+        stream.write(json.dumps([e.to_dict() for e in entries], indent=2) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")

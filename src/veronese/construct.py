@@ -60,20 +60,20 @@ def build(n: int, field: str) -> QuadMap:
     are, so the base keeps the -0.0 real part of the literal -1j at
     entry (1, 1, 0).  The inductive step conjugates the new variable in its
     cross terms, and that convention is kept verbatim at every level.
+    Levels 2..n are iterated from the base here, so only level n is cached.
     """
     if field not in FIELDS:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     check_level(n, LEVEL_CAPS["build"][field])
     split = CROSS_SPLIT[field]
-    if n == 1:
-        comps = _step(np.zeros((0, 1, 1), dtype=np.array(split).dtype), 1.0, split, 1.0)
-    else:
-        a_sq, b_sq = step_constants(n)
+    comps = _step(np.zeros((0, 1, 1), dtype=np.array(split).dtype), 1.0, split, 1.0)
+    for k in range(2, n + 1):
+        a_sq, b_sq = step_constants(k)
         a, b = math.sqrt(float(a_sq)), math.sqrt(float(b_sq))
-        inv = 1.0 / math.sqrt(n + 1.0)
+        inv = 1.0 / math.sqrt(k + 1.0)
         half_cross = 0.5 * a * inv
         cross = [(lower * half_cross, upper * half_cross) for lower, upper in split]
-        comps = _step(build(n - 1, field).components, inv, cross, b * inv)
+        comps = _step(comps, inv, cross, b * inv)
     comps.setflags(write=False)
     built = QuadMap(n=n, components=comps)
     assert built.component_count == ambient_dims(n)[FIELDS.index(field)] + 1

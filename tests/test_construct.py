@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from veronese import construct
 from veronese.constants import (LEVEL_CAPS, ambient_dims, radius, radius_pow4,
                                 step_constants)
 from veronese.construct import build, hopf
-from veronese.quadmap import evaluate, real_restriction
+from veronese.quadmap import QuadMap, evaluate, real_restriction
 from veronese.sampling import complex_sphere_points, quotient_samples, sphere_points
 
 
@@ -129,6 +130,21 @@ def test_level_caps():
 def test_builders_memoize():
     assert build(3, "real") is build(3, "real")
     assert not build(3, "real").components.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_patched_build_leaves_no_level_in_the_cache(field, monkeypatch):
+    # a level asked for through a patched construct.build must still be built from
+    # the base, so no changed lower level is cached under the real builder
+    expected = [build(k, field).components.copy() for k in (1, 2, 3)]
+    construct.build.cache_clear()
+    original = construct.build
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "build",
+                      lambda n, f: QuadMap(n=n, components=2.0 * original(n, f).components))
+        construct.build(3, field)
+    for k, comps in zip((1, 2, 3), expected):
+        assert np.array_equal(construct.build(k, field).components, comps)
 
 
 @pytest.mark.parametrize("field,n", [("real", n) for n in range(2, 13)]
