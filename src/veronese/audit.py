@@ -13,7 +13,7 @@ into ERROR entries, which fail like MISMATCH, and the audit goes on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,37 +60,28 @@ class ClaimAuditEntry:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The entry as strict-JSON values: a non-finite number becomes None."""
-        out = {
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "expected": _json_number(self.expected),
-            "measured": _json_number(self.measured),
-            "abs_deviation": _json_number(self.abs_deviation),
-            "verdict": self.verdict,
-            "tolerance": _json_number(self.tolerance),
-        }
+        """The entry as strict-JSON values, in field order; empty details are left out."""
+        out = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
         if self.details:
-            out["details"] = {k: (_json_number(v) if isinstance(v, (int, float)) else v)
-                              for k, v in self.details.items()}
+            out["details"] = {k: _json_value(v) for k, v in self.details.items()}
+        else:
+            del out["details"]
         return out
 
 
-def _json_number(value) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
+def _json_value(value):
+    """A number as a float, None where it is not finite; anything else as it is."""
+    if isinstance(value, (int, float)):
+        value = float(value)
+        return value if math.isfinite(value) else None
+    return value
 
 
 def _entry(claim_id, statement, expected, measured, tolerance,
-           mode="equals", scale_dependent=False, details=None) -> ClaimAuditEntry:
+           at_least=False, scale_dependent=False, details=None) -> ClaimAuditEntry:
     expected = float(expected)
     measured = float(measured)
-    if mode == "equals":
-        dev = abs(measured - expected)
-    elif mode == "at_least":
-        dev = max(0.0, expected - measured)
-    else:
-        raise ValueError(f"unknown comparison mode {mode!r}")
+    dev = max(0.0, expected - measured) if at_least else abs(measured - expected)
     if scale_dependent:
         verdict = SCALE_DEPENDENT
     else:
@@ -118,8 +109,7 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
     x = quotient_samples(n, "real", sample_count, seed)
     vals_c = evaluate(cmap, x.astype(complex))
     vals_r = evaluate(rmap, x)
-    sig_cols = [sigma[j] for j in range(len(sigma))]
-    restriction_residual = float(np.max(np.abs(vals_c[:, sig_cols] - vals_r)))
+    restriction_residual = float(np.max(np.abs(vals_c[:, list(sigma.values())] - vals_r)))
     zero_residual = float(np.max(np.abs(vals_c[:, zero_set]))) if zero_set else 0.0
 
     z = quotient_samples(n, "complex", sample_count, seed + _SEED_STRIDE)
@@ -129,14 +119,8 @@ def diagram_check(n: int, sample_count: int, seed: int) -> dict:
         float(np.max(np.abs(np.linalg.norm(vals_cz, axis=1) - 1.0))),
     )
 
-    out = {
-        "n": n,
-        "sigma": sigma,
-        "zero_set": zero_set,
-        "restriction_residual": restriction_residual,
-        "zero_residual": zero_residual,
-        "unit_image_residual": unit_residual,
-    }
+    out = {"restriction_residual": restriction_residual, "zero_residual": zero_residual,
+           "unit_image_residual": unit_residual}
     if n == 1:
         zu = quotient_samples(1, "complex", sample_count, seed + 2 * _SEED_STRIDE)
         out["hopf_residual"] = float(
@@ -304,7 +288,7 @@ def _geometry_claims(level_range, seed, homothety_tol) -> list[ClaimAuditEntry]:
         f"local_injectivity_{field_name}",
         "differential has full rank on tangent/horizontal spaces",
         MIN_SINGULAR_VALUE, min(sweeps[(field_name, k)]["singular_value_floor"] for k in levels),
-        0.0, mode="at_least") for field_name, levels in level_range.items()]
+        0.0, at_least=True) for field_name, levels in level_range.items()]
     curved = [sweep["h_norm_max"] for (_, k), sweep in sweeps.items() if k >= 2]
     if curved:
         entries.append(_entry(

@@ -15,6 +15,7 @@ import csv
 import functools
 import gc
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -102,8 +103,9 @@ def _error(message) -> None:
         print(f"error: {message}", file=sys.stderr)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(value):
+    """A table cell: a float in 12 significant digits, anything else as it is."""
+    return f"{value:.12g}" if isinstance(value, float) else value
 
 
 def _render_entries(entries, fmt: str, stream) -> None:
@@ -130,8 +132,7 @@ def _render_entries(entries, fmt: str, stream) -> None:
             f"{e.abs_deviation:>10.2e}  {e.verdict}\n"
         )
         for key, value in sorted(e.details.items()):
-            val = _fmt(value) if isinstance(value, float) else value
-            stream.write(f"{'':<{width}}    {key} = {val}\n")
+            stream.write(f"{'':<{width}}    {key} = {_fmt(value)}\n")
 
 
 def _render_mapping(pairs, fmt: str, stream) -> None:
@@ -142,12 +143,11 @@ def _render_mapping(pairs, fmt: str, stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["quantity", "value"])
         for key, value in pairs:
-            writer.writerow([key, _fmt(value) if isinstance(value, float) else value])
+            writer.writerow([key, _fmt(value)])
         return
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
-        val = _fmt(value) if isinstance(value, float) else value
-        stream.write(f"{key:<{width}}  {val}\n")
+        stream.write(f"{key:<{width}}  {_fmt(value)}\n")
 
 
 def _cmd_emit(args) -> int:
@@ -162,6 +162,8 @@ def _cmd_verify(args) -> int:
 
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     caps = LEVEL_CAPS["audit"]
     n_max = min(args.n_max, caps["real"]), min(args.n_max, caps["complex"])
     audit.check_arguments(*n_max, args.samples, args.tol)

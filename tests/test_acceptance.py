@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from veronese import audit, constants, geometry, measure
+from veronese import audit, constants, geometry, measure, sampling
 from veronese.audit import SCALE_DEPENDENT, run_claim_audit
 from veronese.cli import main as cli_main
 from veronese.constants import ambient_dims, radius_pow4
@@ -96,7 +96,7 @@ def test_criterion_04_fiber_structure():
                         f"{field} level {n} invariance {rep['invariance_residual']:.2e}")
                 c.check(rep["collisions"] == 0,
                         f"{field} level {n} has {rep['collisions']} collisions")
-                pts = measure.quotient_samples(n, field, 50, seed=2100 + n)
+                pts = sampling.quotient_samples(n, field, 50, seed=2100 + n)
                 smallest = smallest_singular_value(build(n, field), pts)
                 c.check(smallest > 1e-8, f"{field} level {n} singular value {smallest:.2e}")
 
@@ -116,7 +116,7 @@ def test_criterion_06_homothety():
     with Criterion("06 homothety") as c:
         for field, cap in (("real", 6), ("complex", 4)):
             for n in range(1, cap + 1):
-                pts = measure.quotient_samples(n, field, 20, seed=4000 + n)
+                pts = sampling.quotient_samples(n, field, 20, seed=4000 + n)
                 lams, anis = pullback_factor(build(n, field), pts)
                 for lam, an in zip(lams, anis):
                     c.check(an / lam < 1e-8,
@@ -143,7 +143,7 @@ def test_criterion_07_minimality():
     with Criterion("07 minimality", budget_seconds=30.0) as c:
         for field, cap in (("real", 5), ("complex", 3)):
             for n in range(1, cap + 1):
-                pts = measure.quotient_samples(n, field, 20, seed=5000 + n)
+                pts = sampling.quotient_samples(n, field, 20, seed=5000 + n)
                 h_max = float(np.max(
                     geometry.curvature_field(build(n, field), pts)["mean_curvature_norm"]))
                 c.check(h_max < 1e-6, f"{field} level {n} |H| {h_max:.2e}")
@@ -152,7 +152,7 @@ def test_criterion_07_minimality():
 def test_criterion_08_gauss_consistency():
     with Criterion("08 gauss-consistency") as c:
         for n in range(2, 6):
-            pts = measure.quotient_samples(n, "real", 20, seed=6000 + n)
+            pts = sampling.quotient_samples(n, "real", 20, seed=6000 + n)
             geo = geometry.curvature_field(build(n, "real"), pts)
             rho_sq = geo["lambda"] * constants.radius(n) ** 2
             gap = float(np.max(np.abs(geo["scalar_curvature_gauss"]
@@ -196,7 +196,7 @@ def test_criterion_11_laplace_eigenvalue():
     with Criterion("11 laplace-eigenvalue") as c:
         for field in ("real", "complex"):
             for n in range(1, 4):
-                for p in measure.quotient_samples(n, field, 5, seed=8000 + n):
+                for p in sampling.quotient_samples(n, field, 5, seed=8000 + n):
                     res = laplace_residual(build(n, field), p)
                     c.check(res < 1e-4, f"{field} level {n} residual {res:.2e}")
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from veronese import audit, cli, constants, construct, geometry, measure, quadmap, sampling
+from veronese import audit, cli, constants, construct, geometry, quadmap, sampling
 from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             hard_failures, run_claim_audit)
 from veronese.construct import build
@@ -62,8 +62,8 @@ def test_orbit_distance_complex_phase_insensitive():
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_orbit_distance_real_rows_match_complex_einsums(n):
-    z = measure.quotient_samples(n, "complex", 1000, seed=60 + n)
-    w = measure.quotient_samples(n, "complex", 1000, seed=70 + n)
+    z = sampling.quotient_samples(n, "complex", 1000, seed=60 + n)
+    w = sampling.quotient_samples(n, "complex", 1000, seed=70 + n)
     rows = orbit_distance(_rows(z), _rows(w), "complex")
     dense = complex_orbit_distance(z, w)
     # the squared distance is |x|^2 + |y|^2 - 2 |<x, y>|, summed in another order;
@@ -149,10 +149,10 @@ def _pairs(n, field_name, count, angle, seed):
     action (a sign, or a phase); angle None draws y independently."""
     r = constants.radius(n)
     rng = generator(seed)
-    x = measure.quotient_samples(n, field_name, count, rng)
+    x = sampling.quotient_samples(n, field_name, count, rng)
     if angle is None:
-        return x, measure.quotient_samples(n, field_name, count, rng)
-    v = measure.quotient_samples(n, field_name, count, rng)
+        return x, sampling.quotient_samples(n, field_name, count, rng)
+    v = sampling.quotient_samples(n, field_name, count, rng)
     v -= x * (np.sum(np.conj(x) * v, axis=1, keepdims=True) / r**2)
     y = math.cos(angle) * x + math.sin(angle) * r * v / np.linalg.norm(v, axis=1, keepdims=True)
     if field_name == "real":
@@ -256,7 +256,7 @@ def test_singular_value_floor_bounds_the_svd(field_name, n):
     # from one ulp above to 2.4e-15 relative below
     seed = audit._sub_seed(0, 23, n, field_name)
     floor = audit._geometry_sweep(n, field_name, seed)["singular_value_floor"]
-    points = measure.quotient_samples(n, field_name, 20, seed)
+    points = sampling.quotient_samples(n, field_name, 20, seed)
     smallest = smallest_singular_value(build(n, field_name), points)
     assert smallest * (1.0 - 1e-14) <= floor <= smallest + np.spacing(smallest)
 
@@ -469,6 +469,27 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
         else:
             assert entry == healthy[claim_id]
     assert {e.claim_id for e in hard_failures(entries.values())} == errors
+
+
+def test_an_anisotropy_past_lambda_over_d_fails_local_injectivity(monkeypatch):
+    original = geometry.curvature_field
+
+    def anisotropic(map_, points):
+        # past lambda / d, Weyl's bound leaves no singular value floor above zero
+        geo = original(map_, points)
+        return {**geo, "anisotropy": 2.0 * geo["lambda"] / map_.quotient_dim}
+
+    healthy = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    monkeypatch.setattr(geometry, "curvature_field", anisotropic)
+    entries = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    injectivity = {"local_injectivity_real", "local_injectivity_complex"}
+    for claim_id in injectivity:
+        assert (healthy[claim_id].verdict, healthy[claim_id].abs_deviation) == (MATCH, 0.0)
+        assert entries[claim_id].verdict == MISMATCH
+        assert entries[claim_id].measured == 0.0
+        assert entries[claim_id].abs_deviation == audit.MIN_SINGULAR_VALUE
+    assert {e.claim_id for e in hard_failures(entries.values())} == injectivity | {"homothety"}
+    assert cli.main(["verify", "--n-max", "3", "--samples", "50"]) == 1
 
 
 def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):

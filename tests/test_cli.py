@@ -293,6 +293,15 @@ def test_verify_and_report_reject_their_arguments_before_writing(argv, tmp_path,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_a_tolerance_that_is_not_finite_and_non_negative_names_its_flag(tol, shown, tmp_path,
+                                                                        capsys):
+    target = tmp_path / "out.txt"
+    assert main(["verify", "--n-max", "2", "--tol", tol, "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: --tol must be finite and non-negative, got {shown}\n"
+    assert not target.exists()
+
+
 @pytest.fixture
 def scaled_level2_map(monkeypatch):
     # the level-2 map scaled by 1.001 no longer lands on the unit sphere

@@ -11,9 +11,8 @@ from veronese import constants, geometry, quadmap
 from veronese.construct import build
 from veronese.geometry import (curvature_field, second_fundamental_form,
                                tangent_bases)
-from veronese.measure import quotient_samples
 from veronese.quadmap import QuadMap, StructuralError, evaluate
-from veronese.sampling import sphere_points
+from veronese.sampling import quotient_samples, sphere_points
 
 from oracles import (dense_curvature, exact_canonical_curvature, fd_pullback, jacobian,
                      laplace_residual, pullback_factor, tangent_images)

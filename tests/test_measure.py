@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from veronese import constants, geometry, measure, quadmap
+from veronese import constants, geometry, measure, quadmap, sampling
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
@@ -51,7 +51,7 @@ def test_curvature_integrands_are_fiber_invariant():
     # the integrands global_invariants averages are functions on the quotient
     for field, n in (("real", 2), ("real", 3), ("complex", 1), ("complex", 2)):
         m = build(n, field)
-        pts = measure.quotient_samples(n, field, 8, seed=30 + n)
+        pts = sampling.quotient_samples(n, field, 8, seed=30 + n)
         ref = curvature_field(m, pts)
         for g in fiber_actions(field):
             moved = curvature_field(m, g * pts)
@@ -118,7 +118,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         global_invariants(2, "real", 0, seed=0)
     with pytest.raises(ValueError):
-        measure.quotient_samples(2, "quaternionic", 10, seed=0)
+        sampling.quotient_samples(2, "quaternionic", 10, seed=0)
     with pytest.raises(ValueError):
         fiber_actions("quaternionic")
 
@@ -126,9 +126,9 @@ def test_bad_arguments():
 BLOCK_DRAWS = {
     "sphere_points": lambda count, seed: sphere_points(7, count, seed, radius=1.3),
     "complex_sphere_points": lambda count, seed: complex_sphere_points(5, count, seed),
-    "quotient_samples_real": lambda count, seed: measure.quotient_samples(12, "real", count, seed),
+    "quotient_samples_real": lambda count, seed: sampling.quotient_samples(12, "real", count, seed),
     "quotient_samples_complex":
-        lambda count, seed: measure.quotient_samples(8, "complex", count, seed),
+        lambda count, seed: sampling.quotient_samples(8, "complex", count, seed),
 }
 
 
@@ -151,11 +151,11 @@ def test_sphere_points_match_the_reference_bit_for_bit(dim):
 
 
 def test_quotient_samples_deterministic():
-    a = measure.quotient_samples(2, "real", 64, seed=21)
-    b = measure.quotient_samples(2, "real", 64, seed=21)
+    a = sampling.quotient_samples(2, "real", 64, seed=21)
+    b = sampling.quotient_samples(2, "real", 64, seed=21)
     assert np.array_equal(a, b)
     r = np.linalg.norm(a, axis=1)
-    assert np.max(np.abs(r - measure.constants.radius(2))) < 1e-12
+    assert np.max(np.abs(r - constants.radius(2))) < 1e-12
 
 
 def test_per_metric_readings_equal_separate_calls():
@@ -166,7 +166,7 @@ def test_per_metric_readings_equal_separate_calls():
     image, domain = both["image"], both["domain"]
     m = build(2, "real")
     lam = float(curvature_field(m, geometry.canonical_point(m)[None])["lambda"][0])
-    geo = curvature_field(m, measure.quotient_samples(2, "real", 500, 17))
+    geo = curvature_field(m, sampling.quotient_samples(2, "real", 500, 17))
     scalar, h_norm = float(geo["scalar_curvature_gauss"][0]), float(geo["mean_curvature_norm"][0])
     assert domain["lambda_bar"] == image["lambda_bar"] == lam
     for reading, t in ((image, 1.0), (domain, 1.0 / lam)):

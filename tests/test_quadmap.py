@@ -11,11 +11,10 @@ from numpy.testing import assert_allclose
 
 from veronese import constants, quadmap
 from veronese.construct import build
-from veronese.measure import quotient_samples
 from veronese.quadmap import (QuadMap, StructuralError, evaluate,
                               harmonicity_traces, norm_identity_residual,
                               real_restriction, row_sum, to_json)
-from veronese.sampling import complex_sphere_points, sphere_points
+from veronese.sampling import complex_sphere_points, quotient_samples, sphere_points
 
 from oracles import (dense_evaluate, exact_norm_identity_deviation, exact_quartic_residual,
                      fd_jacobian, jacobian, json_payload, per_point_evaluate,
