@@ -4,16 +4,14 @@ geometry, and export image point clouds.
 Exit codes: 0 on success (SCALE_DEPENDENT audit entries are reported but
 non-fatal), 1 on a hard invariant failure, a map that breaks the
 structure the construction guarantees, or a reader that closes stdout
-early, 2 on usage errors.  Identical
+early, 2 on usage errors and failed writes.  Identical
 configurations (seed included) produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import gc
 import json
 import math
 import os
@@ -22,11 +20,10 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-# audit and measure (which loads geometry) are imported by verify and report only
+# audit, measure (which loads geometry), sampling and csv are loaded by the commands using them
 from . import constants, construct
 from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import StructuralError, chunks, evaluate, to_json
-from .sampling import generator, quotient_samples
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,21 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _output(path: str):
-    """The stream of --out ("-" is stdout), flushed or closed on leaving.  A path
-    that cannot be opened, written or closed is a usage error; a closed pipe is
-    left to run()."""
+    """The stream of --out: stdout for "-", whose failures run() maps, or a file
+    closed on leaving, whose failed open, write or close is a usage error."""
+    if path == "-":
+        yield sys.stdout
+        return
     try:
-        if path == "-":
-            yield sys.stdout
-            sys.stdout.flush()
-            return
         with open(path, "w", newline="") as handle:
             yield handle
-    except BrokenPipeError:
-        raise
     except OSError as exc:
-        if path == "-":  # point stdout at devnull so the flush at exit does not raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -113,6 +104,7 @@ def _render_entries(entries, fmt: str, stream) -> None:
         stream.write(json.dumps([e.to_dict() for e in entries], indent=2) + "\n")
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["claim_id", "expected", "measured", "abs_deviation",
                          "tolerance", "verdict", "statement"])
@@ -140,6 +132,7 @@ def _render_mapping(pairs, fmt: str, stream) -> None:
         stream.write(json.dumps(dict(pairs), indent=2) + "\n")
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["quantity", "value"])
         for key, value in pairs:
@@ -303,6 +296,8 @@ def _format_rows(block: np.ndarray) -> str:
 
 
 def _cmd_cloud(args) -> int:
+    from .sampling import generator, quotient_samples
+
     map_ = construct.build(args.n, args.field)
     k = map_.component_count
     rng = generator(args.seed)
@@ -323,6 +318,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code; a failed stdout write raises OSError."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -345,18 +341,18 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry point (`python -m veronese.cli` and the `veronese`
-    script): main, then exit without the shutdown collection."""
+    script): main, stdout and stderr flushed, then os._exit: no interpreter teardown."""
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout
         code = 1
-    # the objects left from import move to the permanent generation, which the
-    # collections at exit skip; the OS reclaims them with the process
-    gc.freeze()
-    sys.exit(code)
+    except OSError as exc:
+        _error(f"cannot write -: {exc.strerror}")
+        code = 2
+    with suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 import csv
 import errno
-import gc
 import importlib
 import io
 import json
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veronese import construct, geometry, quadmap
+from veronese import cli, construct, geometry, quadmap
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -437,24 +436,31 @@ def test_every_command_line_exits_0_1_or_2(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+# os._exit raises SystemExit here, so the exit code and the loaded modules can be printed
 LOADED_MODULES = """
-import runpy, sys
+import os, runpy, sys
+def exit_(code):
+    raise SystemExit(code)
+os._exit = exit_
 try:
     runpy.run_module("veronese.cli", run_name="__main__")
 except SystemExit as exc:
-    print(exc.code, *sorted(name for name in sys.modules if name.startswith("veronese.")))
+    print(exc.code, *sorted(name for name in sys.modules
+                            if name.startswith("veronese.") or name == "csv"))
 """
 
 
 @pytest.mark.parametrize("argv,needed,unused", [
     (["emit", "--field", "real", "--n", "12"], {"veronese.construct"},
-     {"veronese.audit", "veronese.geometry", "veronese.measure"}),
-    (["report", "--field", "real", "--n", "2", "--samples", "20"],
-     {"veronese.measure", "veronese.geometry"}, {"veronese.audit"}),
+     {"veronese.audit", "veronese.geometry", "veronese.measure", "veronese.sampling", "csv"}),
+    (["report", "--field", "real", "--n", "2", "--samples", "20", "--format", "json"],
+     {"veronese.measure", "veronese.geometry"}, {"veronese.audit", "csv"}),
+    (["report", "--field", "real", "--n", "2", "--samples", "20", "--format", "csv"],
+     {"veronese.measure", "csv"}, {"veronese.audit"}),
     (["cloud", "--field", "complex", "--n", "2", "--samples", "20"],
      {"veronese.sampling", "veronese.quadmap"},
-     {"veronese.audit", "veronese.geometry", "veronese.measure"}),
-], ids=["emit", "report", "cloud"])
+     {"veronese.audit", "veronese.geometry", "veronese.measure", "csv"}),
+], ids=["emit", "report", "report-csv", "cloud"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, unused, tmp_path):
     proc = _python(["-c", LOADED_MODULES, *argv, "--out", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
@@ -470,10 +476,10 @@ def test_a_command_loads_only_the_modules_it_runs(argv, needed, unused, tmp_path
     ["verify", "--n-max", "0"],
 ], ids=["emit", "verify", "usage-error"])
 def test_a_process_prints_what_main_returns(argv, monkeypatch):
-    def no_freeze():
-        raise AssertionError("main must not touch the collector")
+    def no_exit(code):
+        raise AssertionError("main must not end the process")
 
-    monkeypatch.setattr(gc, "freeze", no_freeze)
+    monkeypatch.setattr(os, "_exit", no_exit)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -510,20 +516,41 @@ WRITE_COMMANDS = [
 ]
 
 
+def _to_full(argv, unbuffered: bool) -> tuple[int, str]:
+    """Exit code and stderr of a process whose stdout is /dev/full, where every
+    write fails with ENOSPC.  Its stdout is block-buffered unless `unbuffered`
+    sets PYTHONUNBUFFERED=1, whatever the caller's environment holds."""
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "veronese.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", WRITE_COMMANDS, ids=lambda argv: argv[0])
-@pytest.mark.parametrize("target", ["out", "stdout"])
-def test_a_failed_write_is_a_usage_error_without_a_traceback(argv, target):
-    # every write to /dev/full fails with ENOSPC
-    with open("/dev/full", "w") as full:
-        if target == "out":
-            argv = argv + ["--out", "/dev/full"]
-        proc = subprocess.run([sys.executable, "-m", "veronese.cli", *argv],
-                              env=_python_env(), stdout=full, stderr=subprocess.PIPE,
-                              text=True, timeout=120)
+# unbuffered, a write fails inside the command; block-buffered, most fail in the flush
+# of run() (an id that names no buffering is an unbuffered run)
+@pytest.mark.parametrize("target,unbuffered", [
+    ("out", True), ("stdout", True), ("out", False), ("stdout", False),
+], ids=["out", "stdout", "buffered-out", "buffered-stdout"])
+def test_a_failed_write_is_a_usage_error_without_a_traceback(argv, target, unbuffered):
+    if target == "out":
+        argv = argv + ["--out", "/dev/full"]
     path = "/dev/full" if target == "out" else "-"
-    assert (proc.returncode, proc.stderr) == (
+    assert _to_full(argv, unbuffered) == (
         2, f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["help", "verify-help"])
+def test_help_that_cannot_be_written_is_a_usage_error(argv):
+    # block-buffered only: unbuffered, argparse drops its failed write and exits 0
+    assert _to_full(argv, unbuffered=False) == (
+        2, f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
@@ -543,6 +570,28 @@ def test_a_usage_error_exits_2_when_stderr_cannot_be_written(argv, tmp_path):
 class FullStream(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class UnflushableStream(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_family_is_reported_before_a_failed_flush(scaled_level2_map, monkeypatch):
+    # run() flushes stdout once main has written the ERROR entries' lines
+    def exit_(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["veronese", "verify", "--n-max", "2", "--samples", "50"])
+    err = io.StringIO()
+    with redirect_stdout(UnflushableStream()), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 2
+    assert err.getvalue() == (
+        "error: image points are off the unit sphere (worst deviation 1.000e-03)\n"
+        f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.mark.parametrize("argv", [
