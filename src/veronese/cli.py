@@ -26,8 +26,13 @@ from .constants import FIELDS, LEVEL_CAPS
 from .quadmap import StructuralError, chunks, evaluate, to_json
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write; run() maps it
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="veronese",
         description="Quadratic sphere embeddings of projective spaces: "
                     "construction, verification, and reports.",

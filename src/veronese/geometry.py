@@ -118,25 +118,27 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     the unit sphere; the map(x) term lies along the image point, which that
     projection removes, so it is never formed.
 
-    work is None, or a pair of flat float arrays of at least p d M K and
-    p d d K doubles that the products are computed in (curvature_blocks keeps
-    one pair for all its blocks); alpha is then a view of the second.
+    work is None, or a triple of flat float arrays of at least p d M K, p (d+1) (K+M)
+    and p d d K doubles that the kernel computes in (curvature_blocks keeps one for all
+    its blocks): the stack products; the image point (row 0) over [T | B], made
+    [Q^T | B'] in place, whose first K columns are the normal frame; and alpha.
     """
     bases = map_.real_rows(tangent_bases(map_, points))
     x = map_.real_rows(map_.domain_points(points))
-    dx = x @ map_.stack
     (p, d, m), k = bases.shape, map_.component_count
-    tangent = 2.0 * (bases @ dx.reshape(p, m, k))
+    spare, rows, acc = work if work is not None else _work(map_, p)
+    dx = np.matmul(x, map_.stack, out=spare[:p * m * k].reshape(p, m * k)).reshape(p, m, k)
+    rows = rows[:p * (d + 1) * (k + m)].reshape(p, d + 1, k + m)
+    images = np.matmul(x[:, None], dx, out=rows[:, :1, :k])[:, 0]   # x^T S_k x, as evaluate
+    dx *= 2.0  # exact, so B (2 dx) is 2 (B dx) bit for bit
+    tangent = np.matmul(bases, dx, out=rows[:, 1:, :k])
+    rows[:, 1:, k:] = bases
     gram = tangent @ tangent.transpose(0, 2, 1)
     lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    rows = np.concatenate([tangent, bases], axis=2)
-    del tangent, bases  # curvature_point_bytes counts them once, as [T | B]
-    images = (x[:, None] @ dx.reshape(p, m, k))[:, 0]   # x^T S_k x, as evaluate
     worst = float(np.max(np.abs(np.sqrt(row_sum(images * images)) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
-        raise StructuralError(f"image points are off the unit sphere "
-                              f"(worst deviation {worst:.3e})")
+        raise StructuralError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
 
     try:
         chol = np.linalg.cholesky(gram)
@@ -145,19 +147,17 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     pivots = np.diagonal(chol, axis1=1, axis2=2)
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
         raise StructuralError("image tangent space is rank deficient")
-    # [Q^T | B'] = L^-1 [T | B], by forward substitution
+    # [Q^T | B'] = L^-1 [T | B], by forward substitution in place
+    frame, rows = rows[:, :, :k], rows[:, 1:]
     for i, row in enumerate(rows.transpose(1, 0, 2)):
         if i:  # row 0 has nothing to subtract
             row -= (chol[:, i, None, :i] @ rows[:, :i])[:, 0]
         row /= chol[:, i, i, None]
 
-    frame = np.concatenate([images[:, None], rows[:, :, :k]], axis=1)
-    rows = rows[:, :, k:]
-    spare, acc = work if work is not None else _work(map_, p)
-    acc = acc[:p * d * d * k].reshape(p, d, d, k)
     # acc[a, b, k] = 2 B'_a^T S_k B'_b
-    prod = np.matmul(rows, map_.stack, out=spare[:p * d * m * k].reshape(p, d, m * k))
-    np.matmul(rows[:, None], prod.reshape(p, d, m, k), out=acc)
+    prod = np.matmul(rows[:, :, k:], map_.stack, out=spare[:p * d * m * k].reshape(p, d, m * k))
+    acc = acc[:p * d * d * k].reshape(p, d, d, k)
+    np.matmul(rows[:, None, :, k:], prod.reshape(p, d, m, k), out=acc)
     acc *= 2.0
     flat = acc.reshape(p, d * d, k)
     flat -= np.matmul(flat @ frame.transpose(0, 2, 1), frame,
@@ -165,28 +165,29 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     return acc, lam, anis
 
 
-def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The work of second_fundamental_form for count points: room for the
-    (d, M*K) products, and for the (d, d, K) accelerations."""
+def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The work of second_fundamental_form for count points: room for the (d, M*K)
+    products, the (d+1, K+M) rows and the (d, d, K) accelerations."""
     d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
-    return np.empty(count * d * m * k), np.empty(count * d * d * k)
+    return tuple(np.empty(count * size) for size in (d * m * k, (d + 1) * (k + m), d * d * k))
 
 
 def curvature_point_bytes(map_: QuadMap) -> int:
     """Working memory per point of a curvature_field chunk, in bytes, eight per
-    double of: the work arrays of the (d, M*K) products and the (d, d, K)
-    accelerations, d K (M+d); beside them, at the kernel's peak (the normal
-    projection), the stack product, image and frame, K (M + d + 2); the rows
-    [Q^T | B'], d (K + M); the projection's (d, d, d+1) product, the Gram
-    matrix and its Cholesky factor, d d (d+3); the point's real row, M; and a
-    few scalars."""
+    double.  The kernel's peak (the normal projection) holds the work arrays,
+    d K (M+d) + (d+1) (K+M); the tangent basis, d M; the projection's (d, d, d+1)
+    product, the Gram matrix and its Cholesky factor, d d (d+3); the point's real
+    row, M; and a few scalars.  The count is K (M+d+1) - M (d+1) above that: it
+    still counts the stack product and the frame outside the work arrays, so that
+    the chunks keep their lengths, as the exact count would lengthen the top-level
+    ones to five (complex n=8) and eight (real n=12) points and raise report's peak RSS."""
     d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
 
 
 def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[dict]:
     """The curvature_field of each block of points in turn.  The kernel computes
-    in one pair of work arrays for all the blocks, so the allocator neither
+    in one triple of work arrays for all the blocks, so the allocator neither
     gives that memory back nor faults it in again between blocks."""
     d = map_.quotient_dim
     work, room = None, 0
@@ -195,8 +196,7 @@ def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[di
             work, room = _work(map_, len(block)), len(block)
         a, lam, anis = second_fundamental_form(map_, block, work)
         # a row reduction, not a BLAS dot, whose split depends on the thread count
-        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1))
-        a2 = a2.sum(axis=1)
+        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1)).sum(1)
         # the trace of alpha, (p, K), then its norm; no name holds it across the yield
         hn = row_sum(np.diagonal(a, axis1=1, axis2=2))
         hn = np.sqrt(row_sum(hn * hn))

@@ -546,10 +546,14 @@ def test_a_failed_write_is_a_usage_error_without_a_traceback(argv, target, unbuf
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["help", "verify-help"])
-def test_help_that_cannot_be_written_is_a_usage_error(argv):
-    # block-buffered only: unbuffered, argparse drops its failed write and exits 0
-    assert _to_full(argv, unbuffered=False) == (
+# block-buffered, the help text fails in the flush of run(); unbuffered, in its own
+# write, which argparse's print_help would drop (exiting 0 with nothing written)
+@pytest.mark.parametrize("argv,unbuffered", [
+    (["--help"], False), (["verify", "--help"], False),
+    (["--help"], True), (["verify", "--help"], True),
+], ids=["help", "verify-help", "unbuffered-help", "unbuffered-verify-help"])
+def test_help_that_cannot_be_written_is_a_usage_error(argv, unbuffered):
+    assert _to_full(argv, unbuffered) == (
         2, f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n")
 
 

@@ -319,6 +319,27 @@ def test_a_budget_sized_chunk_stays_within_chunk_bytes(field, cap):
         finally:
             tracemalloc.stop()
         assert peak <= quadmap.CHUNK_BYTES, (n, len(pts), peak)
+        # and the count is not so loose that chunks run short: measured 0.69-0.92
+        # of the budget from level 2 up (level 1 has too small a kernel to fill it)
+        if n > 1:
+            assert peak >= quadmap.CHUNK_BYTES // 2, (n, len(pts), peak)
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_the_kernel_reads_no_work_entry_it_did_not_write(field, cap):
+    # work filled with NaN, one triple sized for the call and one for more points:
+    # any entry read before it is written would turn a result into NaN
+    for n in range(1, cap + 1):
+        m = build(n, field)
+        pts = quotient_samples(n, field, 5, seed=190 + n)
+        expected = second_fundamental_form(m, pts)
+        for room in (len(pts), 3 * len(pts)):
+            work = geometry._work(m, room)
+            for array in work:
+                array.fill(np.nan)
+            got = second_fundamental_form(m, pts, work)
+            for key, a, b in zip(("alpha", "lambda", "anisotropy"), got, expected):
+                assert np.array_equal(a, b), (n, room, key)
 
 
 @pytest.mark.parametrize("field,n", [("real", n) for n in range(1, 13)]

@@ -1,4 +1,5 @@
-"""Golden command-line outputs: sha256 digests of stdout, byte for byte.
+"""Golden outputs: sha256 digests of command-line stdout, byte for byte, and
+of the curvature kernel's per-point arrays at every audited level.
 
 The digests were captured with numpy 2.4.6 (Python 3.11.7, x86-64,
 OpenBLAS).  Another numpy or BLAS build may legitimately move the last
@@ -14,6 +15,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from veronese.cli import main
+from veronese.construct import build
+from veronese.geometry import curvature_field
+from veronese.sampling import quotient_samples
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
@@ -99,3 +103,29 @@ def test_golden_output(command):
         code = main(command.split())
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[command]
+
+
+# the five curvature_field arrays, in key order, at 50 points (seed 300 + n) of
+# each audited level, where the verify digests above read only a first sample and
+# aggregates; captured with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64)
+KERNEL_GOLDEN = {
+    ("real", 1): "e6abffb3f13d2cea7a8b00cbcefd5e5366dac2414c0249f5e40c4e6eb6228c91",
+    ("real", 2): "9ab7d725f7852a1b1bcd12b8390831c1bc9e69d9996229edde387a2454d27176",
+    ("real", 3): "c895e2bd24ad7c168cca82aaa98aca3e588602ed2ff91b2f991c657dd94d94cb",
+    ("real", 4): "f9e527b5758cee0b9f69388798fb9bbc96a3313a61ba49179208bae3211527dd",
+    ("real", 5): "124181ca162450cb04dfd131d634eb4de016bf51e576f7dd52a5f4f055e2bf51",
+    ("real", 6): "0984f9c6ace88225bd3afc77dc901006ebc3953385966eb0402b71d0b3090834",
+    ("complex", 1): "50d1432a216bbad3d8d18545e1c3df41af2396a5b2dfd3b00db8251c06be4d5c",
+    ("complex", 2): "dd5718a95610bd583e6642ab9ac7b13a574a57102ddc721340c5ee10f701d798",
+    ("complex", 3): "df6e3204081a8a63a04e11a4b5e407a4837de783ffae97bd45990ba55c03642c",
+    ("complex", 4): "e1f50b4c0b643bacd40c19def2005793ca9992058f2708df64b9e5b108cedf5d",
+}
+
+
+@pytest.mark.parametrize("field,n", sorted(KERNEL_GOLDEN))
+def test_golden_curvature_field(field, n):
+    geo = curvature_field(build(n, field), quotient_samples(n, field, 50, seed=300 + n))
+    digest = hashlib.sha256()
+    for key in sorted(geo):
+        digest.update(geo[key].tobytes())
+    assert digest.hexdigest() == KERNEL_GOLDEN[field, n]
