@@ -52,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"highest level to audit (real capped at {caps['real']}, "
                                f"complex at {caps['complex']})")
     p_verify.add_argument("--samples", type=int, default=1000,
-                          help="samples of the level-2 and level-3 integral gates; the "
-                               "diagram check draws min(samples, 200) points per level")
+                          help="samples of the level-2 and level-3 integral gates")
     p_verify.add_argument("--seed", type=int, default=0, help=seed_help)
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="tolerance for the homothety-constancy claim")
@@ -63,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="geometry report and global invariants for one level")
     p_report.add_argument("--field", choices=FIELDS, required=True)
     p_report.add_argument("--n", type=int, required=True)
-    p_report.add_argument("--samples", type=int, default=1000)
+    p_report.add_argument("--samples", type=int, default=1000,
+                          help="samples of the integrals and their constancy gate")
     p_report.add_argument("--seed", type=int, default=0, help=seed_help)
     p_report.add_argument("--metric", choices=["image", "domain"], default="image")
     p_report.add_argument("--format", choices=["table", "json", "csv"], default="table")
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cloud = sub.add_parser("cloud", help="sample the quotient and export image points as CSV")
     p_cloud.add_argument("--field", choices=FIELDS, required=True)
     p_cloud.add_argument("--n", type=int, required=True)
-    p_cloud.add_argument("--samples", type=int, default=1000)
+    p_cloud.add_argument("--samples", type=int, default=1000,
+                         help="number of image points to write")
     p_cloud.add_argument("--seed", type=int, default=0, help=seed_help)
     p_cloud.add_argument("--out", default="-")
 

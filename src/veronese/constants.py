@@ -18,7 +18,7 @@ FIELDS = ("real", "complex")
 # Highest level, per field, that each part of the package handles.
 LEVEL_CAPS = {
     "build": {"real": MAX_LEVEL, "complex": 8},   # N_12 = 89, M_8 = 79 coordinates
-    "audit": {"real": 6, "complex": 4},           # verify --n-max, diagram_check
+    "audit": {"real": 6, "complex": 4},           # verify --n-max; complex: diagram_check
 }
 
 

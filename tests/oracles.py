@@ -18,11 +18,13 @@ from veronese import constants, construct
 from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases
-from veronese.quadmap import QuadMap, chunks, evaluate
+from veronese.quadmap import QuadMap, chunks, evaluate, real_restriction
 from veronese.sampling import generator, quotient_samples, sphere_points
 
 SEPARATION_DELTA = 1e-3  # orbits farther apart than this times r count as separated
-PAIR_SEED_STRIDE = 0x9E3779B9  # fiber_checks draws x and y from seed + 1 and 2 strides
+# fiber_checks and sampled_diagram_check draw their second and third point sets
+# from seed + 1 and 2 strides
+PAIR_SEED_STRIDE = 0x9E3779B9
 
 LAPLACE_STEP = 1e-3      # second-difference step; scheme error is O(h^2)
 
@@ -306,13 +308,16 @@ def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) 
 
 
 def exact_quartic_residual(map_: QuadMap) -> Fraction:
-    """r^4 times the largest entry of the symmetrized quartic tensor
-    sum_k S_k (x) S_k - I (x) I / r^4, in exact rational arithmetic.
+    """The square of r^4 times the Frobenius norm of the symmetrized quartic
+    tensor sum_k S_k (x) S_k - I (x) I / r^4, in exact rational arithmetic:
+    compare it squared, or take one final float of it.
 
     S_k is the realified form of A_k, built here from the exact rationals the
     stored doubles denote, so the only residue measured is coefficient
     rounding.  The symmetrization averages the full tensor over all 24
-    orderings of its four indices, not the three pairings the package uses.
+    orderings of its four indices, not the three pairings the package uses;
+    the squared norm sums, over the sorted index combinations, the number of
+    distinct orderings of each times the square of its symmetrized entry.
     """
     r4 = radius_pow4(map_.n)
     n1 = map_.domain_dim
@@ -333,11 +338,12 @@ def exact_quartic_residual(map_: QuadMap) -> Fraction:
         if i == j and l == q:
             val -= 1 / r4
         tensor[idx] = val
-    worst = Fraction(0)
+    norm_sq = Fraction(0)
     for idx in itertools.combinations_with_replacement(range(m), 4):
         perms = set(itertools.permutations(idx))
-        worst = max(worst, abs(sum(tensor[p] for p in perms) / len(perms)))
-    return r4 * worst
+        entry = sum(tensor[p] for p in perms) / len(perms)
+        norm_sq += len(perms) * entry * entry
+    return r4 * r4 * norm_sq
 
 
 def reference_sphere_points(dim, count, seed, radius=1.0):
@@ -431,6 +437,50 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         "collisions": collisions,
         "min_image_distance": nearest,
     }
+
+
+# the tolerance of the audit claim that reads each diagram_check key
+DIAGRAM_TOLERANCES = {"restriction_residual": 1e-13, "zero_residual": 1e-15,
+                      "unit_image_residual": 1e-12, "hopf_residual": 1e-14}
+
+
+def sampled_diagram_check(n: int, sample_count: int, seed: int) -> dict:
+    """The diagram readings of one level on sampled points, the oracle of the
+    audit's coefficient bounds, with the same keys as audit.diagram_check.
+
+    (a) on real points drawn from seed, the complex map reproduces the real map
+        through the restriction indexing, and the paired imaginary components
+        vanish;
+    (b) at level 1, on complex points drawn from seed + 2 strides, the complex
+        map equals the closed-form Hopf map;
+    (c) the real points and complex points drawn from seed + 1 stride land on
+        the unit sphere.
+    """
+    cmap = construct.build(n, "complex")
+    rmap = construct.build(n, "real")
+    sigma, zero_set = real_restriction(cmap, rmap)
+
+    x = quotient_samples(n, "real", sample_count, seed)
+    vals_c = evaluate(cmap, x.astype(complex))
+    vals_r = evaluate(rmap, x)
+    restriction_residual = float(np.max(np.abs(vals_c[:, list(sigma.values())] - vals_r)))
+    zero_residual = float(np.max(np.abs(vals_c[:, zero_set]))) if zero_set else 0.0
+
+    z = quotient_samples(n, "complex", sample_count, seed + PAIR_SEED_STRIDE)
+    vals_cz = evaluate(cmap, z)
+    unit_residual = max(
+        float(np.max(np.abs(np.linalg.norm(vals_r, axis=1) - 1.0))),
+        float(np.max(np.abs(np.linalg.norm(vals_cz, axis=1) - 1.0))),
+    )
+
+    out = {"restriction_residual": restriction_residual, "zero_residual": zero_residual,
+           "unit_image_residual": unit_residual}
+    if n == 1:
+        zu = quotient_samples(1, "complex", sample_count, seed + 2 * PAIR_SEED_STRIDE)
+        out["hopf_residual"] = float(
+            np.max(np.abs(construct.hopf(zu) - evaluate(cmap, zu)))
+        )
+    return out
 
 
 def complex_orbit_distance(z, w):

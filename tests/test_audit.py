@@ -12,9 +12,10 @@ from veronese.construct import build
 from veronese.quadmap import evaluate
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
-from oracles import (PAIR_SEED_STRIDE, SEPARATION_DELTA, complex_orbit_distance,
-                     dense_fiber_separation, fiber_checks, orbit_distance,
-                     per_action_invariance, smallest_singular_value)
+from oracles import (DIAGRAM_TOLERANCES, PAIR_SEED_STRIDE, SEPARATION_DELTA,
+                     complex_orbit_distance, dense_fiber_separation, fiber_checks,
+                     orbit_distance, per_action_invariance, sampled_diagram_check,
+                     smallest_singular_value)
 
 
 def test_orbit_distance_real():
@@ -178,12 +179,16 @@ def test_the_distance_law(field_name, n, angle):
     assert np.all(image_sq >= cert["lambda_lower"] * law * (1.0 - 1e-9))
 
 
-def _replace_build(monkeypatch, change):
-    """construct.build with change applied to every map's coefficient stack."""
+def _replace_build(monkeypatch, change, field=None, level=None):
+    """construct.build with change applied to the coefficient stack of every map,
+    or of the maps of one field, or of one level of it."""
     original = construct.build
 
     def changed(n, field_name):
-        return quadmap.QuadMap(n, change(original(n, field_name).components))
+        map_ = original(n, field_name)
+        if field in (None, field_name) and level in (None, n):
+            return quadmap.QuadMap(n, change(map_.components.copy()))
+        return map_
 
     monkeypatch.setattr(construct, "build", changed)
 
@@ -217,7 +222,12 @@ def test_a_dropped_component_errors_both_fiber_claims(monkeypatch):
                 f"level 1 has {forms - 1} components for {forms} trace-free forms")
 
 
-def test_the_fiber_claims_draw_nothing(monkeypatch):
+DIAGRAM_IDS = {"diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
+               "unit_image"}
+
+
+def test_the_fiber_claims_draw_nothing(monkeypatch, kernel_blocks):
+    # nor do the diagram claims: verify draws only for the curvature kernel
     draws = []
 
     def counted(*args, _draw=sampling.sphere_points, **kwargs):
@@ -227,14 +237,19 @@ def test_the_fiber_claims_draw_nothing(monkeypatch):
     monkeypatch.setattr(sampling, "sphere_points", counted)
     for field_name, cap in constants.LEVEL_CAPS["audit"].items():
         audit._fiber_claims(field_name, range(1, cap + 1))
+    audit._diagram_claims(range(1, constants.LEVEL_CAPS["audit"]["complex"] + 1))
     assert draws == []
     fiber_ids = {f"fiber_{claim}_{field_name}" for claim in ("invariance", "separation")
                  for field_name in ("real", "complex")}
-    readings = [[e for e in run_claim_audit(6, 4, seed=seed, samples=samples)
-                 if e.claim_id in fiber_ids]
+    readings = [run_claim_audit(6, 4, seed=seed, samples=samples)
                 for samples in (1, 20_000) for seed in (0, 11)]
-    assert len(readings[0]) == 4
-    assert all(entries == readings[0] for entries in readings)
+    for ids in (fiber_ids, DIAGRAM_IDS):
+        entries = [[e for e in reading if e.claim_id in ids] for reading in readings]
+        assert len(entries[0]) == 4
+        assert all(entry == entries[0] for entry in entries)
+    # every drawn point goes through the kernel, which also reads the undrawn
+    # canonical points of real levels 2 and 3 once per audit
+    assert sum(args[1] for args in draws) == sum(kernel_blocks) - 2 * len(readings)
 
 
 def test_minimality_reads_every_audited_level_from_2():
@@ -263,17 +278,59 @@ def test_singular_value_floor_bounds_the_svd(field_name, n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_diagram_check_levels(n):
-    rep = diagram_check(n, 100, seed=10 + n)
-    assert rep["restriction_residual"] < 1e-13
-    assert rep["zero_residual"] < 1e-15
-    assert rep["unit_image_residual"] < 1e-12
-    if n == 1:
-        assert rep["hopf_residual"] < 1e-14
+    # each coefficient bound holds for the sampled reading, up to its evaluation rounding
+    bounds = diagram_check(n)
+    sampled = sampled_diagram_check(n, 100, seed=10 + n)
+    assert bounds.keys() == sampled.keys()
+    assert ("hopf_residual" in bounds) == (n == 1)
+    for key, bound in bounds.items():
+        assert sampled[key] <= bound + 1e-15, key
+        assert max(sampled[key], bound) <= DIAGRAM_TOLERANCES[key], key
 
 
 def test_diagram_check_level_cap():
     with pytest.raises(ValueError):
-        diagram_check(5, 10, seed=0)
+        diagram_check(5)
+
+
+def _add_identity(index, size):
+    """A change that adds size times I to component index."""
+    def change(comps):
+        comps[index] += size * np.eye(comps.shape[1])
+        return comps
+    return change
+
+
+@pytest.mark.parametrize("change, level, failing", [
+    # the bound reads r_2^2 |1e-12 I|_F = 1.5e-12 sqrt(3); the trace moves by 3e-12, and
+    # the norm identity breaks as well
+    (_add_identity(0, 1e-12), 2, {"diagram_real_restriction": 1.5 * 1e-12 * math.sqrt(3),
+                                  "harmonicity": None, "norm_identity_complex": None,
+                                  "unit_image": None}),
+    # component 1 is in the zero set, and 1e-13 I moves nothing else past its tolerance
+    (_add_identity(1, 1e-13), 2, {"diagram_zero_components": 1.5 * 1e-13 * math.sqrt(3)}),
+    # a congruent reordering, which real_restriction's counts let through
+    (lambda comps: comps[::-1], 2, {"diagram_real_restriction": None}),
+    # the Hopf stack off by a scale; the geometry sweep then raises on the image norm
+    (lambda comps: comps * (1.0 + 1e-9), 1, {"diagram_real_restriction": None,
+                                             "hopf_factorization": None,
+                                             "norm_identity_complex": None, "unit_image": None}),
+], ids=["restriction", "zero-set", "reversed", "hopf-scale"])
+def test_a_changed_complex_map_fails_its_diagram_claims(monkeypatch, change, level, failing):
+    _replace_build(monkeypatch, change, field="complex", level=level)
+    entries = {e.claim_id: e for e in run_claim_audit(4, 4, seed=0, samples=50)}
+    mismatched = {e.claim_id for e in entries.values() if e.verdict == MISMATCH}
+    assert mismatched == failing.keys()
+    for claim_id, measured in failing.items():
+        if measured is not None:
+            assert entries[claim_id].measured == pytest.approx(measured, rel=1e-3)
+    errors = {e.claim_id for e in entries.values() if e.verdict == ERROR}
+    assert errors.isdisjoint(DIAGRAM_IDS)
+    if level == 1:
+        assert all(entries[claim_id].details["error"].startswith(
+            "image points are off the unit sphere") for claim_id in errors)
+    else:
+        assert errors == set()
 
 
 def test_claim_audit_is_deterministic():
@@ -350,7 +407,7 @@ def test_audit_caps():
         with pytest.raises(ValueError, match="level must be an integer"):
             run_claim_audit(2, level, seed=0, samples=10)
         with pytest.raises(ValueError, match="level must be an integer"):
-            diagram_check(level, 10, seed=0)
+            diagram_check(level)
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="homothety_tol"):
             run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=tol)

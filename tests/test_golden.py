@@ -21,20 +21,20 @@ from veronese.sampling import quotient_samples
 
 GOLDEN = {
     "verify --n-max 4 --samples 500 --seed 0 --format table":
-        "e167e19c7b43cb49e3f8907b3bcedaea17113fdd223f6ca5d0a9d9f59cefb91c",
+        "1482798c16dcb65d78281968fbf6d50bfbf3545ccf483687fd13496436679f6d",
     "verify --n-max 4 --samples 500 --seed 0 --format json":
-        "49e389e89d0df1d52031119bb4b3f119baa12fb41417f52c8264a216c09dddfe",
+        "29902524ed955f1ced6c09ff2ce6007be4baebc153ca3a7b1ab19a5f584b3f15",
     "verify --n-max 4 --samples 500 --seed 0 --format csv":
-        "5231de0cfe744a4feb5295b69eb3485fe7e302f514d1378216245d42a58debf5",
+        "33a339928226b32505c1e15fec62269986eb098f7dfda0018a5bb5b595aedc5a",
     "verify --n-max 4 --samples 500 --seed 11 --format table":
-        "a8e68f18930259008495087783077b2716a916ffac20b29d6143b4ceb5b15945",
+        "d1878ae9e55999b2f3dbbdd3f35f5bbfd8435e975ba72fc9067cf49021f23c4f",
     "verify --n-max 4 --samples 500 --seed 11 --format json":
-        "1d54b19265bba1e125d143c58b56cfe347338d6fa7403929fbe0a5fd2c168613",
+        "a813da226b903c2a968919d5ef232e7266a8ef584adf5b99b9b72000d49b306a",
     "verify --n-max 4 --samples 500 --seed 11 --format csv":
-        "96658c8a728f6eb21a2876c8915cbb766b7c967b8031d7c55af548f93057c90a",
+        "ad2184c0326c671c6024769b945e10253af46ef3855ebe18c8d9cc2d90c1594b",
     # real levels 5 and 6, where the samplers draw rows of 6 and 7 coordinates
     "verify --n-max 6 --samples 2000 --seed 5 --format json":
-        "9486951fe536489df091a9ab579802d7adfaf39d6edab0b7b559fe74dca9b3ed",
+        "9acd945352a158ea2a8ae1be994be83b3fddcecbafaaf19db370fe12e0f20bc3",
     "report --field real --n 2 --samples 500 --metric image":
         "dbd9e78f32611f11961f5bb80659806093df8e2e32eff29b5d0fb0e3b4fc713f",
     "report --field real --n 2 --samples 500 --metric domain":
