@@ -20,8 +20,7 @@ _SOURCES = {
     "second_fundamental_form": "geometry", "tangent_bases": "geometry",
     "global_invariants": "measure", "sphere_volume": "measure",
     "QuadMap": "quadmap", "StructuralError": "quadmap", "evaluate": "quadmap",
-    "harmonicity_traces": "quadmap", "norm_identity_residual": "quadmap",
-    "real_restriction": "quadmap", "to_json": "quadmap",
+    "harmonicity_traces": "quadmap", "norm_identity_residual": "quadmap", "to_json": "quadmap",
     "ClaimAuditEntry": "audit", "diagram_check": "audit", "run_claim_audit": "audit",
 }
 

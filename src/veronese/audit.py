@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import constants, construct, geometry, measure
-from .constants import LEVEL_CAPS, check_level
-from .quadmap import (QuadMap, StructuralError, harmonicity_traces, norm_identity_residual,
-                      real_restriction)
+from .constants import LEVEL_CAPS, ambient_dims, check_level
+from .quadmap import QuadMap, StructuralError, harmonicity_traces, norm_identity_residual
 from .sampling import quotient_samples
 
 MATCH = "MATCH"
@@ -33,6 +32,7 @@ INTEGRAL_REL_TOL = 1e-3
 SEPARATION_FLOOR = 1e-9
 MIN_SINGULAR_VALUE = 1e-8
 SWEEP_POINTS = 20  # points of the geometry sweep at each level
+ZERO_COMPONENT_TOL = 1e-12  # smallest genuine coefficient across all levels is ~1e-3
 
 # every sub-seed comes from _sub_seed: seed + j * _SEED_STRIDE + level, plus a field
 # term for complex draws: the complex samplers draw from the same stream as the real
@@ -93,33 +93,41 @@ def _entry(claim_id, statement, expected, measured, tolerance,
 
 
 def diagram_check(n: int) -> dict:
-    """Consistency of the level-n complex map with the real one and the sphere,
-    read from the coefficients as bounds over the whole level sphere.
+    """Consistency of the level-n complex map with the real one, read from the
+    coefficients as bounds over the whole level sphere.
 
-    For a Hermitian D, |x* D x| <= r_n^2 |D|_F there, so
-    (a) on real points the complex map reproduces the real map through the
-        restriction indexing within r_n^2 max_j |Re A_sigma(j) - R_j|_F, and
-        the paired imaginary components vanish within r_n^2 |Re A_k|_F;
+    On real points a complex component reads its real part.  The zero set is
+    the components whose real part is within ZERO_COMPONENT_TOL times the
+    largest real or imaginary magnitude (at least 1; unlike the largest modulus
+    it cannot overflow); the others survive, and they and the real components
+    must each number ambient_dims(n)[0] + 1, or StructuralError.  As
+    |x* D x| <= r_n^2 |D|_F on the level sphere for a Hermitian D,
+    (a) on real points the complex map reproduces the real map within
+        r_n^2 max_j |Re A'_j - R_j|_F, A'_j the j-th survivor, and the zero
+        set vanishes within r_n^2 max_k |Re A_k|_F;
     (b) at level 1 the complex map is the closed-form Hopf map within
         r_1^2 max_k |A_k - H_k|_F, the H_k polarized from hopf at e0, e1,
-        e0 + e1 and e0 + i e1, which is exact for quadratic forms;
-    (c) both maps send the level sphere into the unit sphere within their
-        norm-identity certificates.
+        e0 + e1 and e0 + i e1, which is exact for quadratic forms.
     """
     check_level(n, LEVEL_CAPS["audit"]["complex"])
     cmap = construct.build(n, "complex")
     rmap = construct.build(n, "real")
-    sigma, zero_set = real_restriction(cmap, rmap)
-    r_sq = constants.radius(n) ** 2
     real_parts = cmap.components.real
+    re_mag = np.max(np.abs(real_parts), axis=(1, 2))
+    scale = max(1.0, float(np.max(re_mag)), float(np.max(np.abs(cmap.components.imag))))
+    vanishes = re_mag <= ZERO_COMPONENT_TOL * scale
+    expected = ambient_dims(n)[0] + 1
+    for what, count in (("nonvanishing components on real points", np.count_nonzero(~vanishes)),
+                        ("real map components", rmap.component_count)):
+        if count != expected:
+            raise StructuralError(f"found {count} {what}, expected {expected}")
+    r_sq = constants.radius(n) ** 2
 
     def bound(mats):
         return r_sq * float(np.max(np.linalg.norm(mats, axis=(1, 2)), initial=0.0))
 
-    out = {"restriction_residual": bound(real_parts[list(sigma.values())] - rmap.components),
-           "zero_residual": bound(real_parts[zero_set]),
-           "unit_image_residual": max(norm_identity_residual(cmap),
-                                      norm_identity_residual(rmap))}
+    out = {"restriction_residual": bound(real_parts[~vanishes] - rmap.components),
+           "zero_residual": bound(real_parts[vanishes])}
     if n == 1:
         q0, q1, q_sum, q_turn = construct.hopf(np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]))
         off = (q_sum - q0 - q1 - 1j * (q_turn - q0 - q1)) / 2.0
@@ -178,11 +186,21 @@ def _sequence_claims() -> list[ClaimAuditEntry]:
     ]
 
 
-def _norm_identity_claim(field_name, levels) -> list[ClaimAuditEntry]:
-    worst = max(norm_identity_residual(construct.build(k, field_name)) for k in levels)
-    return [_entry(f"norm_identity_{field_name}",
-                   "squared image norm equals squared domain norm squared over r^4",
-                   0.0, worst, 1e-12)]
+def _norm_identity_claims(level_range) -> list[ClaimAuditEntry]:
+    """norm_identity_residual once per map: each field's worst over its levels, and
+    unit_image, the worst of both maps at every complex level (real ones above the
+    real levels too), as the certificate bounds ||F(x)| - 1| on the level sphere."""
+    reach = {"real": range(1, max(map(len, level_range.values())) + 1),
+             "complex": level_range["complex"]}
+    residual = {(f, k): norm_identity_residual(construct.build(k, f))
+                for f, levels in reach.items() for k in levels}
+    entries = [_entry(f"norm_identity_{f}",
+                      "squared image norm equals squared domain norm squared over r^4",
+                      0.0, max(residual[(f, k)] for k in levels), 1e-12)
+               for f, levels in level_range.items()]
+    return entries + [_entry("unit_image", "on-sphere points map onto the unit sphere",
+                             0.0, max(residual[(f, k)] for f in reach
+                                      for k in level_range["complex"]), 1e-12)]
 
 
 def _harmonicity_claim() -> list[ClaimAuditEntry]:
@@ -265,9 +283,6 @@ def _diagram_claims(levels) -> list[ClaimAuditEntry]:
         _entry("hopf_factorization",
                "the level-1 complex map is the Hopf map of the unit 3-sphere",
                0.0, reports[0]["hopf_residual"], 1e-14),
-        _entry("unit_image",
-               "on-sphere points map onto the unit sphere",
-               0.0, max(rep["unit_image_residual"] for rep in reports), 1e-12),
     ]
 
 
@@ -353,10 +368,16 @@ def _error_entry(claim_id: str, exc: Exception) -> ClaimAuditEntry:
         tolerance=math.nan, details={"error": str(exc)})
 
 
-def check_arguments(n_max_real: int, n_max_complex: int, samples: int,
-                    homothety_tol: float) -> None:
-    """Raise ValueError for arguments that run_claim_audit rejects, without
-    running anything."""
+def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
+                    samples: int = 1000, homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
+    """Run every audited claim up to the requested levels; never aborts on MISMATCH.
+
+    A claim family whose measurement raises StructuralError or LinAlgError
+    yields an ERROR entry for each of its claims; the other families' entries
+    are kept.  Deterministic given (seed, samples); entries come back sorted
+    by claim id.  Raises ValueError for a level out of range, samples below 1 or
+    a homothety_tol that is negative or not finite, before running anything.
+    """
     caps = LEVEL_CAPS["audit"]
     check_level(n_max_real, caps["real"])
     check_level(n_max_complex, caps["complex"])
@@ -365,31 +386,19 @@ def check_arguments(n_max_real: int, n_max_complex: int, samples: int,
     if not 0.0 <= homothety_tol < math.inf:
         raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
 
-
-def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
-                    samples: int = 1000, homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
-    """Run every audited claim up to the requested levels; never aborts on MISMATCH.
-
-    A claim family whose measurement raises StructuralError or LinAlgError
-    yields an ERROR entry for each of its claims; the other families' entries
-    are kept.  Deterministic given (seed, samples); entries come back sorted
-    by claim id.
-    """
-    check_arguments(n_max_real, n_max_complex, samples, homothety_tol)
-
     level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
     # (claim ids, family, arguments): the ids are what a failing family reports
     families = [
         (["radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
           "coefficient_ratio"], _sequence_claims, ()),
-        *(([f"norm_identity_{f}"], _norm_identity_claim, (f, levels))
-          for f, levels in level_range.items()),
+        ([f"norm_identity_{f}" for f in level_range] + ["unit_image"],
+         _norm_identity_claims, (level_range,)),
         (["harmonicity"], _harmonicity_claim, ()),
         *(([f"fiber_invariance_{f}", f"fiber_separation_{f}"],
            _fiber_claims, (f, levels))
           for f, levels in level_range.items()),
-        (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
-          "unit_image"], _diagram_claims, (level_range["complex"],)),
+        (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization"],
+         _diagram_claims, (level_range["complex"],)),
         (["homothety"] + [f"local_injectivity_{f}" for f in level_range]
          + ["minimality"] * (max(n_max_real, n_max_complex) >= 2)
          + ["isometry_pullback_level2"] * (n_max_real >= 2),

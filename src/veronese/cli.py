@@ -165,7 +165,6 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     caps = LEVEL_CAPS["audit"]
     n_max = min(args.n_max, caps["real"]), min(args.n_max, caps["complex"])
-    audit.check_arguments(*n_max, args.samples, args.tol)
     with _output(args.out) as stream:
         entries = audit.run_claim_audit(*n_max, seed=args.seed, samples=args.samples,
                                         homothety_tol=args.tol)

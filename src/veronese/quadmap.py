@@ -21,10 +21,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .constants import ambient_dims, radius_pow4, rational_str
+from .constants import radius_pow4, rational_str
 
-ZERO_COMPONENT_TOL = 1e-12   # smallest genuine coefficient across all levels is ~1e-3
-HERMITIAN_TOL = 1e-14        # relative; real matrices must be exactly symmetric
+HERMITIAN_TOL = 1e-14  # relative; real matrices must be exactly symmetric
 # Working memory one batched kernel (evaluate, a curvature chunk, a block of
 # audit or cloud samples) may hold at once; each divides it by its own per-point
 # footprint.  2 MiB gives evaluate's one 2-D product with the stack per chunk
@@ -36,12 +35,6 @@ CHUNK_BYTES = 1 << 21
 
 class StructuralError(RuntimeError):
     """A built map violates structure the construction is supposed to guarantee."""
-
-
-def _scale(comps: np.ndarray) -> float:
-    """The largest real or imaginary magnitude of the coefficients, at least 1;
-    finite for finite coefficients, where the largest modulus can overflow."""
-    return max(1.0, float(np.max(np.abs(comps.real))), float(np.max(np.abs(comps.imag))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +57,10 @@ class QuadMap:
             raise ValueError("coefficients must be finite")
         adjoint = np.conj(np.swapaxes(comps, 1, 2))
         if np.iscomplexobj(comps):
-            if np.max(np.abs(comps - adjoint)) > HERMITIAN_TOL * _scale(comps):
+            # the largest real or imaginary magnitude, at least 1, stays finite for finite
+            # coefficients where the largest modulus can overflow
+            scale = max(1.0, float(np.max(np.abs(comps.real))), float(np.max(np.abs(comps.imag))))
+            if np.max(np.abs(comps - adjoint)) > HERMITIAN_TOL * scale:
                 raise ValueError("coefficient matrices must be Hermitian")
         elif not np.array_equal(comps, adjoint):
             raise ValueError("coefficient matrices must be exactly symmetric")
@@ -184,39 +180,6 @@ def norm_identity_residual(map_: QuadMap) -> float:
     gram = (flat @ flat.T - np.outer(np.eye(m), np.eye(m)) / r4).reshape(m, m, m, m)
     sym = (gram + gram.transpose(0, 2, 1, 3) + gram.transpose(0, 3, 2, 1)) / 3.0
     return r4 * float(np.linalg.norm(sym))
-
-
-def real_restriction(cmap: QuadMap, rmap: QuadMap):
-    """Match the complex map against its restriction to real vectors.
-
-    On real input the imaginary-part components vanish identically (their
-    coefficient matrices have zero real part) and the surviving components,
-    in stored order, must reproduce the real map rmap of the same level.
-    Returns (sigma, zero_set): sigma maps real component index j to the
-    j-th complex component that survives on real points, zero_set lists the
-    components that vanish there.  Counts that do not fit the construction
-    raise StructuralError; the matched forms themselves are compared by the
-    audit's diagram claims.
-    """
-    comps = cmap.components
-    scale = _scale(comps)
-    re_mag = np.max(np.abs(comps.real), axis=(1, 2))
-    zero_set = [int(k) for k in np.flatnonzero(re_mag <= ZERO_COMPONENT_TOL * scale)]
-    survivors = [int(k) for k in np.flatnonzero(re_mag > ZERO_COMPONENT_TOL * scale)]
-
-    expected_real = ambient_dims(cmap.n)[0] + 1
-    if len(survivors) != expected_real:
-        raise StructuralError(
-            f"found {len(survivors)} nonvanishing components on real points, "
-            f"expected {expected_real}"
-        )
-    sigma = {j: k for j, k in enumerate(survivors)}
-
-    if rmap.n != cmap.n:
-        raise ValueError("real and complex maps must be at the same level")
-    if rmap.component_count != expected_real:
-        raise StructuralError("real map has unexpected component count")
-    return sigma, zero_set
 
 
 def to_json(map_: QuadMap) -> str:

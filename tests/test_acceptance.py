@@ -102,10 +102,12 @@ def test_criterion_04_fiber_structure():
 
 def test_criterion_05_diagram():
     # the coefficient bounds the audit reads, each against the sampled reading it
-    # bounds (up to evaluation rounding) and the tolerance of its claim
+    # bounds (up to evaluation rounding) and the tolerance of its claim; the unit
+    # image is bounded by the norm-identity certificates of both maps
     with Criterion("05 diagram", budget_seconds=2.0) as c:
         for n in range(1, 5):
-            bounds = audit.diagram_check(n)
+            bounds = {**audit.diagram_check(n), "unit_image_residual": max(
+                norm_identity_residual(build(n, field)) for field in ("real", "complex"))}
             sampled = sampled_diagram_check(n, 100, seed=3000 + n)
             for key, bound in bounds.items():
                 c.check(sampled[key] <= bound + 1e-15,

@@ -9,13 +9,13 @@ from veronese import audit, cli, constants, construct, geometry, quadmap, sampli
 from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_check,
                             hard_failures, run_claim_audit)
 from veronese.construct import build
-from veronese.quadmap import evaluate
+from veronese.quadmap import evaluate, norm_identity_residual
 from veronese.sampling import complex_sphere_points, generator, sphere_points
 
 from oracles import (DIAGRAM_TOLERANCES, PAIR_SEED_STRIDE, SEPARATION_DELTA,
                      complex_orbit_distance, dense_fiber_separation, fiber_checks,
-                     orbit_distance, per_action_invariance, sampled_diagram_check,
-                     smallest_singular_value)
+                     orbit_distance, per_action_invariance, real_restriction_indices,
+                     sampled_diagram_check, smallest_singular_value)
 
 
 def test_orbit_distance_real():
@@ -222,12 +222,12 @@ def test_a_dropped_component_errors_both_fiber_claims(monkeypatch):
                 f"level 1 has {forms - 1} components for {forms} trace-free forms")
 
 
-DIAGRAM_IDS = {"diagram_real_restriction", "diagram_zero_components", "hopf_factorization",
-               "unit_image"}
+DIAGRAM_IDS = {"diagram_real_restriction", "diagram_zero_components", "hopf_factorization"}
+NORM_IDENTITY_IDS = {"norm_identity_real", "norm_identity_complex", "unit_image"}
 
 
 def test_the_fiber_claims_draw_nothing(monkeypatch, kernel_blocks):
-    # nor do the diagram claims: verify draws only for the curvature kernel
+    # nor do the diagram and norm-identity claims: verify draws only for the curvature kernel
     draws = []
 
     def counted(*args, _draw=sampling.sphere_points, **kwargs):
@@ -238,14 +238,16 @@ def test_the_fiber_claims_draw_nothing(monkeypatch, kernel_blocks):
     for field_name, cap in constants.LEVEL_CAPS["audit"].items():
         audit._fiber_claims(field_name, range(1, cap + 1))
     audit._diagram_claims(range(1, constants.LEVEL_CAPS["audit"]["complex"] + 1))
+    audit._norm_identity_claims({field_name: range(1, cap + 1) for field_name, cap
+                                 in constants.LEVEL_CAPS["audit"].items()})
     assert draws == []
     fiber_ids = {f"fiber_{claim}_{field_name}" for claim in ("invariance", "separation")
                  for field_name in ("real", "complex")}
     readings = [run_claim_audit(6, 4, seed=seed, samples=samples)
                 for samples in (1, 20_000) for seed in (0, 11)]
-    for ids in (fiber_ids, DIAGRAM_IDS):
+    for ids in (fiber_ids, DIAGRAM_IDS, NORM_IDENTITY_IDS):
         entries = [[e for e in reading if e.claim_id in ids] for reading in readings]
-        assert len(entries[0]) == 4
+        assert len(entries[0]) == len(ids)
         assert all(entry == entries[0] for entry in entries)
     # every drawn point goes through the kernel, which also reads the undrawn
     # canonical points of real levels 2 and 3 once per audit
@@ -278,8 +280,10 @@ def test_singular_value_floor_bounds_the_svd(field_name, n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_diagram_check_levels(n):
-    # each coefficient bound holds for the sampled reading, up to its evaluation rounding
-    bounds = diagram_check(n)
+    # each coefficient bound holds for the sampled reading, up to its evaluation rounding;
+    # the norm-identity certificates of both maps bound the sampled unit image
+    bounds = {**diagram_check(n), "unit_image_residual": max(
+        norm_identity_residual(build(n, field_name)) for field_name in ("real", "complex"))}
     sampled = sampled_diagram_check(n, 100, seed=10 + n)
     assert bounds.keys() == sampled.keys()
     assert ("hopf_residual" in bounds) == (n == 1)
@@ -301,6 +305,14 @@ def _add_identity(index, size):
     return change
 
 
+def _add_multiple(index, source, size):
+    """A change that adds size times component source to component index."""
+    def change(comps):
+        comps[index] += size * comps[source]
+        return comps
+    return change
+
+
 @pytest.mark.parametrize("change, level, failing", [
     # the bound reads r_2^2 |1e-12 I|_F = 1.5e-12 sqrt(3); the trace moves by 3e-12, and
     # the norm identity breaks as well
@@ -309,7 +321,7 @@ def _add_identity(index, size):
                                   "unit_image": None}),
     # component 1 is in the zero set, and 1e-13 I moves nothing else past its tolerance
     (_add_identity(1, 1e-13), 2, {"diagram_zero_components": 1.5 * 1e-13 * math.sqrt(3)}),
-    # a congruent reordering, which real_restriction's counts let through
+    # a congruent reordering, which the restriction's count guards let through
     (lambda comps: comps[::-1], 2, {"diagram_real_restriction": None}),
     # the Hopf stack off by a scale; the geometry sweep then raises on the image norm
     (lambda comps: comps * (1.0 + 1e-9), 1, {"diagram_real_restriction": None,
@@ -331,6 +343,187 @@ def test_a_changed_complex_map_fails_its_diagram_claims(monkeypatch, change, lev
             "image points are off the unit sphere") for claim_id in errors)
     else:
         assert errors == set()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_diagram_check_sorts_the_components_as_the_oracle(n, monkeypatch):
+    # 1e-13 I added to the real part of one component stays below the zero-component
+    # tolerance, and moves the zero-set bound if and only if the oracle, which sorts
+    # by an exactly zero real part, puts that component in the zero set
+    # (the restriction bound reads (a + 1e-13) - a on the diagonal, within 1e-3 of 1e-13)
+    zero_set = real_restriction_indices(build(n, "complex"))[1]
+    size = constants.radius(n) ** 2 * 1e-13 * math.sqrt(n + 1)
+    for k in range(build(n, "complex").component_count):
+        _replace_build(monkeypatch, _add_identity(k, 1e-13), field="complex", level=n)
+        bounds = diagram_check(n)
+        monkeypatch.undo()
+        moved, still = (("zero_residual", "restriction_residual") if k in zero_set
+                        else ("restriction_residual", "zero_residual"))
+        assert bounds[still] == 0.0, k
+        assert bounds[moved] == pytest.approx(size, rel=1e-2), k
+
+
+def test_the_restriction_scale_cannot_overflow(monkeypatch):
+    # the modulus of 1.7e308 + 1.7e308j overflows; the scale that sorts the components
+    # takes real and imaginary magnitudes, so on real points the first and last
+    # components survive and none is lost to the scale
+    big = 1.7e308 * np.array([[[0, 1 + 1j], [1 - 1j, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]])
+    maps = {"complex": quadmap.QuadMap(1, big), "real": quadmap.QuadMap(1, big[[0, 2]].real)}
+    monkeypatch.setattr(construct, "build", lambda n, field_name: maps[field_name])
+    with np.errstate(over="ignore"):  # the Hopf bound of such a map is infinite
+        bounds = diagram_check(1)
+    assert (bounds["restriction_residual"], bounds["zero_residual"]) == (0.0, 0.0)
+    assert math.isinf(bounds["hopf_residual"])
+
+
+@pytest.mark.parametrize("field_name, change, message", [
+    # a zero-set component given a real part: six components survive on real points
+    ("complex", _add_multiple(1, 0, 1.0),
+     "found 6 nonvanishing components on real points, expected 5"),
+    ("real", lambda comps: comps[:-1], "found 4 real map components, expected 5"),
+], ids=["survivors", "real-count"])
+def test_a_count_that_misses_errors_the_diagram_claims(field_name, change, message,
+                                                      monkeypatch):
+    _replace_build(monkeypatch, change, field=field_name, level=2)
+    entries = {e.claim_id: e for e in run_claim_audit(2, 2, seed=0, samples=20)}
+    errors = {claim_id for claim_id, e in entries.items() if e.verdict == ERROR}
+    assert DIAGRAM_IDS <= errors
+    assert {entries[claim_id].details["error"] for claim_id in DIAGRAM_IDS} == {message}
+    # the norm-identity family reads no component indices, so it still measures
+    assert errors.isdisjoint(NORM_IDENTITY_IDS)
+
+
+def test_each_map_s_norm_identity_is_certified_once(monkeypatch):
+    calls = []
+
+    def counted(map_, _residual=norm_identity_residual):
+        calls.append((map_.field, map_.n))
+        return _residual(map_)
+
+    monkeypatch.setattr(audit, "norm_identity_residual", counted)
+    run_claim_audit(6, 4, seed=0, samples=20)
+    assert len(calls) == len(set(calls)) == 10
+    calls.clear()
+    # the complex levels reach past the real ones: unit_image reads real level 2 too
+    entries = run_claim_audit(1, 2, seed=0, samples=20)
+    assert sorted(calls) == [("complex", 1), ("complex", 2), ("real", 1), ("real", 2)]
+    assert hard_failures(entries) == []
+
+
+def _rotate(comps):
+    """Components 0 and 1 rotated by 30 degrees in the plane they span."""
+    turn = math.pi / 6.0
+    comps[:2] = np.tensordot([[math.cos(turn), -math.sin(turn)],
+                              [math.sin(turn), math.cos(turn)]], comps[:2], axes=1)
+    return comps
+
+
+def _multiply(index, factor):
+    """A change that multiplies component index by factor."""
+    def change(comps):
+        comps[index] *= factor
+        return comps
+    return change
+
+
+# name: (level, change).  The first three are congruent: the image moves by an
+# orthogonal map of the ambient space, so only claims that read component indices
+# can tell them from the built map
+MUTANTS = {
+    "reversed": (3, lambda comps: comps[::-1]),
+    "rotated": (3, _rotate),
+    "negated": (3, _multiply(2, -1.0)),
+    "scaled-0": (3, _multiply(0, 1.0 + 1e-9)),
+    "mixed": (3, _add_multiple(0, 1, 1e-6)),
+    "duplicated": (2, lambda comps: np.concatenate([comps[1:2], comps[1:]])),
+    "dropped": (2, lambda comps: comps[:-1]),
+    "scaled": (2, lambda comps: comps * 1.001),
+    "identity": (2, _add_identity(0, 1e-12)),
+}
+CONGRUENT = {"reversed", "rotated", "negated"}
+SEQUENCE_IDS = {"radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
+                "coefficient_ratio"}
+# claims no map of the type can fail by its reading: the sequences read no map, a real
+# map is even, and a complex map's realified stack commutes with J exactly
+NEVER_MISMATCHED = SEQUENCE_IDS | {"fiber_invariance_real", "fiber_invariance_complex"}
+
+
+def _verdicts(ids, verdict):
+    return dict.fromkeys(ids, verdict)
+
+
+# the kernel raises on image points off the unit sphere, which the geometry family
+# reads at every audited level, and the level-2 and level-3 integrals at theirs
+_OFF_SPHERE = _verdicts(["homothety", "isometry_pullback_level2", "local_injectivity_real",
+                         "local_injectivity_complex", "minimality"], ERROR)
+_LEVEL2_INTEGRALS = _verdicts(["veronese_scalar_curvature", "veronese_alpha_norm_sq",
+                               "pi_functional_level2", "gauss_bonnet_level2"], ERROR)
+_DIAGRAM_ERROR = _verdicts(DIAGRAM_IDS, ERROR)
+_RESTRICTION = {"diagram_real_restriction": MISMATCH}
+
+
+def _norm_identity(field_name):
+    return {f"norm_identity_{field_name}": MISMATCH, "unit_image": MISMATCH}
+
+
+# (mutant, field, failing entries of verify --n-max 4 --samples 50); every row exits 1.
+# One level's StructuralError in the diagram family voids its three claims, hopf included
+MUTATION_MATRIX = [
+    ("reversed", "real", _RESTRICTION),
+    ("reversed", "complex", _RESTRICTION),
+    ("rotated", "real", _RESTRICTION),
+    ("rotated", "complex", _DIAGRAM_ERROR),  # a zero-set component gets a real part
+    ("negated", "real", _RESTRICTION),
+    ("negated", "complex", _RESTRICTION),
+    ("scaled-0", "real", {**_RESTRICTION, **_norm_identity("real"), **_OFF_SPHERE,
+                          "sigma_quotient_level3": ERROR}),
+    ("scaled-0", "complex", {**_RESTRICTION, **_norm_identity("complex"), **_OFF_SPHERE}),
+    ("mixed", "real", {**_RESTRICTION, **_norm_identity("real"), **_OFF_SPHERE,
+                       "sigma_quotient_level3": ERROR}),
+    # component 1 is in the zero set, so the real parts do not move
+    ("mixed", "complex", {**_norm_identity("complex"), **_OFF_SPHERE}),
+    ("duplicated", "real", {**_RESTRICTION, **_norm_identity("real"), **_OFF_SPHERE,
+                            **_LEVEL2_INTEGRALS, "fiber_separation_real": MISMATCH}),
+    ("duplicated", "complex", {**_DIAGRAM_ERROR, **_norm_identity("complex"), **_OFF_SPHERE,
+                               "fiber_separation_complex": MISMATCH}),
+    ("dropped", "real", {**_DIAGRAM_ERROR, **_norm_identity("real"), **_OFF_SPHERE,
+                         **_LEVEL2_INTEGRALS, "fiber_invariance_real": ERROR,
+                         "fiber_separation_real": ERROR}),
+    ("dropped", "complex", {**_DIAGRAM_ERROR, **_norm_identity("complex"), **_OFF_SPHERE,
+                            "fiber_invariance_complex": ERROR,
+                            "fiber_separation_complex": ERROR}),
+    ("scaled", "real", {**_RESTRICTION, **_norm_identity("real"), **_OFF_SPHERE,
+                        **_LEVEL2_INTEGRALS}),
+    ("scaled", "complex", {**_RESTRICTION, **_norm_identity("complex"), **_OFF_SPHERE}),
+    ("identity", "real", {**_RESTRICTION, **_norm_identity("real"), "harmonicity": MISMATCH}),
+    ("identity", "complex", {**_RESTRICTION, **_norm_identity("complex"),
+                             "harmonicity": MISMATCH}),
+]
+
+
+@pytest.mark.parametrize("mutant, field_name, failing", MUTATION_MATRIX,
+                         ids=[f"{mutant}-{field_name}" for mutant, field_name, _ in
+                              MUTATION_MATRIX])
+def test_the_mutation_matrix(mutant, field_name, failing, monkeypatch, capsys):
+    level, change = MUTANTS[mutant]
+    _replace_build(monkeypatch, change, field=field_name, level=level)
+    code = cli.main(["verify", "--n-max", "4", "--samples", "50", "--format", "json"])
+    entries = json.loads(capsys.readouterr().out)
+    assert {e["claim_id"]: e["verdict"] for e in entries
+            if e["verdict"] in (MISMATCH, ERROR)} == failing
+    assert code == 1
+    if mutant in CONGRUENT:
+        assert failing.keys() <= DIAGRAM_IDS
+
+
+def test_every_claim_fails_on_some_mutant():
+    ids = {e.claim_id for e in run_claim_audit(4, 4, seed=0, samples=20)}
+    assert {mutant for mutant, _, _ in MUTATION_MATRIX} == MUTANTS.keys()
+    failed = {claim_id for _, _, failing in MUTATION_MATRIX for claim_id in failing}
+    assert ids - failed == SEQUENCE_IDS
+    # fiber invariance fails only when its family's count guard raises
+    assert all(failing.get(claim_id) in (None, ERROR) for _, _, failing in MUTATION_MATRIX
+               for claim_id in NEVER_MISMATCHED)
 
 
 def test_claim_audit_is_deterministic():
@@ -444,13 +637,13 @@ def test_level2_curvature_field_computed_once(kernel_blocks):
 def test_norm_identity_entries_do_not_depend_on_samples_or_seed():
     # the certificate is read from the coefficients; nothing is drawn
     readings = [[e for e in run_claim_audit(6, 4, seed=seed, samples=samples)
-                 if e.claim_id in ("norm_identity_real", "norm_identity_complex")]
+                 if e.claim_id in NORM_IDENTITY_IDS]
                 for samples in (1, 20_000) for seed in (0, 11)]
-    assert len(readings[0]) == 2
+    assert len(readings[0]) == 3
     assert all(entries == readings[0] for entries in readings)
 
 
-FAMILIES = ("_sequence_claims", "_norm_identity_claim", "_harmonicity_claim", "_fiber_claims",
+FAMILIES = ("_sequence_claims", "_norm_identity_claims", "_harmonicity_claim", "_fiber_claims",
             "_diagram_claims", "_geometry_claims", "_level2_claims", "_level3_claims")
 
 
@@ -505,6 +698,30 @@ def test_a_family_that_raises_errors_exactly_its_own_claims(n_max_real, n_max_co
             assert entry.details["error"].startswith("no level-")
             assert math.isnan(entry.measured)
     assert len(hard_failures(entries)) == len(entries) - len(sequences)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("n_max_real, n_max_complex", [(1, 1), (1, 2), (2, 1), (6, 4)])
+def test_the_ids_of_a_raising_family_are_the_ids_it_returns(n_max_real, n_max_complex, name,
+                                                            monkeypatch):
+    # the claim ids that run_claim_audit lists for a family, which it reports as ERROR
+    # when the family raises, are those the family returns when it runs
+    returned = set()
+
+    def recorded(*args, _family=getattr(audit, name)):
+        entries = _family(*args)
+        returned.update(e.claim_id for e in entries)
+        return entries
+
+    monkeypatch.setattr(audit, name, recorded)
+    run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+
+    def broken(*args):
+        raise quadmap.StructuralError(f"{name} broken")
+
+    monkeypatch.setattr(audit, name, broken)
+    entries = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+    assert {e.claim_id for e in entries if e.verdict == ERROR} == returned
 
 
 def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
