@@ -300,6 +300,12 @@ def _format_rows(block: np.ndarray) -> str:
     return fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
+# Working memory of a cloud block per image value: the draw, evaluate and
+# _format_rows peak at 238.3-238.7 bytes a value (tracemalloc, budget-sized
+# blocks at every level)
+CLOUD_VALUE_BYTES = 240
+
+
 def _cmd_cloud(args) -> int:
     from .sampling import generator, quotient_samples
 
@@ -307,8 +313,7 @@ def _cmd_cloud(args) -> int:
     k = map_.component_count
     rng = generator(args.seed)
     with _output(args.out) as stream:
-        # sampling, evaluate and _format_rows peak at about 225 bytes a value (tracemalloc)
-        for part in chunks(args.samples, 232 * k):
+        for part in chunks(args.samples, CLOUD_VALUE_BYTES * k):
             pts = quotient_samples(args.n, args.field, part.stop - part.start, rng)
             stream.write(_format_rows(evaluate(map_, pts)))
     return 0

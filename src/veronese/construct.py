@@ -11,6 +11,7 @@ image.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +34,7 @@ def _step(prev: np.ndarray, scale: float, cross, balance: float) -> np.ndarray:
 
     Keeps the previous matrices times scale, appends the split components
     of every cross term with the given entries, and ends with the balance
-    component diag(balance, ..., balance, -n balance).
+    component diag(balance, ..., balance, -n balance), in a read-only stack.
     """
     kp, n = prev.shape[0], prev.shape[1]
     m = n + 1
@@ -46,12 +47,12 @@ def _step(prev: np.ndarray, scale: float, cross, balance: float) -> np.ndarray:
     diag = np.full(m, balance, dtype=prev.dtype)
     diag[n] = -n * balance
     comps[-1] = np.diag(diag)
+    comps.setflags(write=False)
     return comps
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0
-def build(n: int, field: str) -> QuadMap:
-    """Level-n map over the real or complex field.
+def stacks(n: int, field: str) -> Iterator[np.ndarray]:
+    """The read-only coefficient stacks of levels 1..n, from one pass of the step.
 
     The base level is the step applied to an empty previous map with cross
     and balance coefficients 1, which gives (2 x0 x1, x0^2 - x1^2) over the
@@ -59,14 +60,17 @@ def build(n: int, field: str) -> QuadMap:
     complex numbers.  A unit coefficient leaves the split entries as they
     are, so the base keeps the -0.0 real part of the literal -1j at
     entry (1, 1, 0).  The inductive step conjugates the new variable in its
-    cross terms, and that convention is kept verbatim at every level.
-    Levels 2..n are iterated from the base here, so only level n is cached.
+    cross terms, and that convention is kept verbatim at every level.  Each
+    stack is made from the one before it, so a caller that keeps none of them
+    holds one level at a time.  Raises ValueError at the first draw for a
+    field or level out of range.
     """
     if field not in FIELDS:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     check_level(n, LEVEL_CAPS["build"][field])
     split = CROSS_SPLIT[field]
     comps = _step(np.zeros((0, 1, 1), dtype=np.array(split).dtype), 1.0, split, 1.0)
+    yield comps
     for k in range(2, n + 1):
         a_sq, b_sq = step_constants(k)
         a, b = math.sqrt(float(a_sq)), math.sqrt(float(b_sq))
@@ -74,7 +78,17 @@ def build(n: int, field: str) -> QuadMap:
         half_cross = 0.5 * a * inv
         cross = [(lower * half_cross, upper * half_cross) for lower, upper in split]
         comps = _step(comps, inv, cross, b * inv)
-    comps.setflags(write=False)
+        yield comps
+
+
+# _levels is bound here, not looked up in the module at each call: a patched
+# construct.stacks must not put its levels in this cache
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0
+def build(n: int, field: str, *, _levels=stacks) -> QuadMap:
+    """Level-n map over the real or complex field: the last stack of one pass of
+    stacks(n, field).  Only level n is cached."""
+    for comps in _levels(n, field):
+        pass
     built = QuadMap(n=n, components=comps)
     assert built.component_count == ambient_dims(n)[FIELDS.index(field)] + 1
     return built

@@ -516,6 +516,52 @@ def test_the_mutation_matrix(mutant, field_name, failing, monkeypatch, capsys):
         assert failing.keys() <= DIAGRAM_IDS
 
 
+@pytest.mark.parametrize("field_name, level", [("real", 9), ("complex", 7)])
+def test_a_level_above_the_audit_fails_harmonicity_alone(field_name, level, monkeypatch,
+                                                         capsys):
+    # harmonicity reads the levels above --n-max from construct.stacks; no other
+    # family reads them, and build's cache is immune to the patch
+    original = construct.stacks
+
+    def changed(n, field):
+        for k, comps in enumerate(original(n, field), 1):
+            yield (_add_identity(0, 1e-12)(comps.copy()) if (field, k) == (field_name, level)
+                   else comps)
+
+    monkeypatch.setattr(construct, "stacks", changed)
+    code = cli.main(["verify", "--n-max", "4", "--samples", "50", "--format", "json"])
+    entries = json.loads(capsys.readouterr().out)
+    assert {e["claim_id"]: e["verdict"] for e in entries
+            if e["verdict"] in (MISMATCH, ERROR)} == {"harmonicity": MISMATCH}
+    assert code == 1
+
+
+def test_the_audit_keeps_only_the_maps_it_audits(monkeypatch):
+    # cold, build's cache ends with the ten audited maps, and the audit holds little
+    # more than their arrays once it returns; harmonicity reads real 7-12 and
+    # complex 5-8 from one pass of the step per field, 51 steps in all
+    run_claim_audit(6, 4, samples=20)  # warm-up
+    construct.build.cache_clear()
+    steps = []
+    original = construct._step
+    monkeypatch.setattr(construct, "_step", lambda *args: steps.append(1) or original(*args))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_claim_audit(6, 4, samples=20)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 21 + 10 + 12 + 8
+    audited = [(f, k) for f, n_max in (("real", 6), ("complex", 4)) for k in range(1, n_max + 1)]
+    info = construct.build.cache_info()
+    assert info.currsize == len(audited)
+    maps = [build(k, f) for f, k in audited]
+    assert construct.build.cache_info().hits == info.hits + len(audited)  # all cached
+    arrays = sum(m.components.nbytes + m.stack.nbytes for m in maps)
+    assert held <= arrays + 32 * 1024, (held, arrays)
+
+
 def test_every_claim_fails_on_some_mutant():
     ids = {e.claim_id for e in run_claim_audit(4, 4, seed=0, samples=20)}
     assert {mutant for mutant, _, _ in MUTATION_MATRIX} == MUTANTS.keys()

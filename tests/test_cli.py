@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veronese import cli, construct, geometry, quadmap
+from veronese import cli, construct, geometry, quadmap, sampling
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -127,6 +128,30 @@ def test_cloud_does_not_depend_on_block_length(field, n, monkeypatch):
         code, rows = run_cli(argv)
     assert code == 0
     assert rows == whole
+
+
+@pytest.mark.parametrize("field,n", [("real", 1), ("real", 12), ("complex", 1), ("complex", 8)])
+def test_a_budget_sized_cloud_block_stays_within_chunk_bytes(field, n):
+    # the tracemalloc peak of one block of cloud (draw, evaluate, format) on as many
+    # rows as a block holds, after a warm-up block; at least half the budget, so
+    # that the per-value figure does not overstate the block by much either
+    map_ = construct.build(n, field)
+    length = quadmap.CHUNK_BYTES // (cli.CLOUD_VALUE_BYTES * map_.component_count)
+    rng = sampling.generator(5)
+
+    def block(rows):
+        return cli._format_rows(quadmap.evaluate(map_, sampling.quotient_samples(
+            n, field, rows, rng)))
+
+    block(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        block(length)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert quadmap.CHUNK_BYTES // 2 <= peak <= quadmap.CHUNK_BYTES, (length, peak)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -136,17 +136,42 @@ def test_builders_memoize():
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_a_patched_build_leaves_no_level_in_the_cache(field, monkeypatch):
-    # a level asked for through a patched construct.build must still be built from
-    # the base, so no changed lower level is cached under the real builder
+    # a level asked for through a patched construct.build, or while construct.stacks
+    # is patched, must still be built from the base by the real pass, so no changed
+    # level is cached under the real builder
     expected = [build(k, field).components.copy() for k in (1, 2, 3)]
-    construct.build.cache_clear()
-    original = construct.build
-    with monkeypatch.context() as patch:
-        patch.setattr(construct, "build",
-                      lambda n, f: QuadMap(n=n, components=2.0 * original(n, f).components))
-        construct.build(3, field)
-    for k, comps in zip((1, 2, 3), expected):
-        assert np.array_equal(construct.build(k, field).components, comps)
+    original_build, original_stacks = construct.build, construct.stacks
+    doubled = {
+        "build": lambda n, f: QuadMap(n=n, components=2.0 * original_build(n, f).components),
+        "stacks": lambda n, f: (2.0 * comps for comps in original_stacks(n, f)),
+    }
+    for name, patched in doubled.items():
+        construct.build.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, name, patched)
+            construct.build(3, field)
+        for k, comps in zip((1, 2, 3), expected):
+            assert np.array_equal(construct.build(k, field).components, comps), (name, k)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_each_stack_of_the_pass_is_the_built_level_bit_for_bit(field):
+    cap = LEVEL_CAPS["build"][field]
+    levels = list(construct.stacks(cap, field))
+    assert len(levels) == cap
+    for k, comps in enumerate(levels, 1):
+        built = build(k, field).components
+        assert comps.dtype == built.dtype and comps.shape == built.shape
+        assert comps.tobytes() == built.tobytes(), k
+        assert not comps.flags.writeable
+
+
+def test_stacks_checks_its_arguments_at_the_first_draw():
+    for n, field in ((0, "real"), (13, "real"), (9, "complex"), (2.0, "real"),
+                     (2, "quaternionic")):
+        levels = construct.stacks(n, field)
+        with pytest.raises(ValueError):
+            next(levels)
 
 
 @pytest.mark.parametrize("field,n", [("real", n) for n in range(2, 13)]
