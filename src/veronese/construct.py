@@ -81,13 +81,16 @@ def stacks(n: int, field: str) -> Iterator[np.ndarray]:
         yield comps
 
 
-# _levels is bound here, not looked up in the module at each call: a patched
-# construct.stacks must not put its levels in this cache
+# build iterates this binding, not the module's stacks: a patched
+# construct.stacks must not put its levels in build's cache
+_one_pass = stacks
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0
-def build(n: int, field: str, *, _levels=stacks) -> QuadMap:
+def build(n: int, field: str) -> QuadMap:
     """Level-n map over the real or complex field: the last stack of one pass of
     stacks(n, field).  Only level n is cached."""
-    for comps in _levels(n, field):
+    for comps in _one_pass(n, field):
         pass
     built = QuadMap(n=n, components=comps)
     assert built.component_count == ambient_dims(n)[FIELDS.index(field)] + 1
