@@ -301,20 +301,20 @@ def _format_rows(block: np.ndarray) -> str:
 
 
 # Working memory of a cloud block per image value: the draw, evaluate and
-# _format_rows peak at 238.3-238.7 bytes a value (tracemalloc, budget-sized
-# blocks at every level)
+# _format_rows peak at 238.3-238.4 bytes a value (tracemalloc, budget-sized
+# blocks at every level), in _format_rows; the draw holds about 40 bytes a normal
 CLOUD_VALUE_BYTES = 240
 
 
 def _cmd_cloud(args) -> int:
-    from .sampling import generator, quotient_samples
+    from .sampling import quotient_samples
 
     map_ = construct.build(args.n, args.field)
     k = map_.component_count
-    rng = generator(args.seed)
     with _output(args.out) as stream:
         for part in chunks(args.samples, CLOUD_VALUE_BYTES * k):
-            pts = quotient_samples(args.n, args.field, part.stop - part.start, rng)
+            pts = quotient_samples(args.n, args.field, part.stop - part.start, args.seed,
+                                   part.start)
             stream.write(_format_rows(evaluate(map_, pts)))
     return 0
 
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", 0) not in range(2**64):  # the Philox key space
+        if getattr(args, "seed", 0) not in range(2**64):  # the key space: a stream reads 64 bits
             raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
         if getattr(args, "samples", 1) < 1:
             raise ValueError("--samples must be positive")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants, construct, geometry
 from .quadmap import StructuralError, chunks
-from .sampling import generator, quotient_samples
+from .sampling import quotient_samples
 
 # An integrand whose spread over the samples is at most this fraction of
 # max(1, |first value|) is a constant: its integral is the closed-form volume
@@ -100,10 +100,11 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     metrics = {"image": 1.0, "domain": 1.0 / lam}
     ts = np.array(list(metrics.values()))[:, None]  # t of each metric, as a column
 
-    rng = generator(seed)
-    # per point: the curvature kernel and the point's real row
+    # per point: the curvature kernel and the point's real row (the draw's
+    # temporaries, about 40 bytes a normal, are gone before the kernel runs)
     parts = chunks(sample_count, geometry.curvature_point_bytes(map_) + 8 * map_.stack.shape[0])
-    blocks = (quotient_samples(n, field, part.stop - part.start, rng) for part in parts)
+    blocks = (quotient_samples(n, field, part.stop - part.start, seed, part.start)
+              for part in parts)
     first, low, high = None, np.inf, -np.inf
     for geo in geometry.curvature_blocks(map_, blocks):
         # rows: the scalar curvature under each metric, then |alpha|^2 under each

@@ -19,7 +19,7 @@ from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases
 from veronese.quadmap import QuadMap, chunks, evaluate
-from veronese.sampling import generator, quotient_samples, sphere_points
+from veronese.sampling import quotient_samples, sphere_points
 
 SEPARATION_DELTA = 1e-3  # orbits farther apart than this times r count as separated
 # fiber_checks and sampled_diagram_check draw their second and third point sets
@@ -287,7 +287,7 @@ def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) 
     The quartic vanishes everywhere exactly when it vanishes on one sphere
     around the origin; the points are drawn uniformly from the sphere of
     radius 2 (real or complex according to the map), off the domain sphere,
-    one block at a time from one generator.  A small residual is a
+    one block of the seed's rows at a time.  A small residual is a
     probabilistic certificate of the identity that norm_identity_residual
     reads from the coefficients.
     """
@@ -295,10 +295,9 @@ def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) 
         raise ValueError("sample_count must be at least 1")
     r4 = float(radius_pow4(map_.n))
     m, k, cdim = map_.stack.shape[0], map_.component_count, map_.domain_dim
-    rng = generator(seed)
     worst = 0.0
     for part in chunks(sample_count, 8 * (m * k + 3 * k + 6 * m + 8)):
-        x = sphere_points(m, part.stop - part.start, rng, radius=2.0)
+        x = sphere_points(m, part.stop - part.start, seed, radius=2.0, start=part.start)
         pts = x[:, :cdim] + 1j * x[:, cdim:] if map_.field == "complex" else x
         sq = np.einsum("pi,pi->p", np.conj(pts), pts).real
         vals = evaluate(map_, pts)
@@ -346,14 +345,60 @@ def exact_quartic_residual(map_: QuadMap) -> Fraction:
     return r4 * r4 * norm_sq
 
 
-def reference_sphere_points(dim, count, seed, radius=1.0):
-    """Normalized Gaussian rows through np.linalg.norm and a fresh array: the
-    oracle that sphere_points, which reduces and divides in place, must match
-    bit for bit."""
-    x = generator(seed).standard_normal((count, dim))
+def normalized_rows(x, radius=1.0):
+    """Rows scaled to the given norm through np.linalg.norm and a fresh array:
+    the oracle that sphere_points, which reduces and divides in place, must
+    match bit for bit on the same normals."""
     nrm = np.linalg.norm(x, axis=1, keepdims=True)
     nrm[nrm == 0.0] = 1.0
     return radius * x / nrm
+
+
+def reference_sphere_points(dim, count, seed, radius=1.0):
+    """The sphere points of the Philox draw that sampling used before its own
+    stream: standard_normal rows of np.random.Generator(np.random.Philox(key=seed)),
+    normalized.  The pinned curvature-kernel digests were taken on these points."""
+    x = np.random.Generator(np.random.Philox(key=seed)).standard_normal((count, dim))
+    return normalized_rows(x, radius)
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    """The SplitMix64 finalizer of a 64-bit word, in Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def splitmix64_words(key, first, count):
+    """Words first .. first + count - 1 of a key's stream in Python ints: the
+    finalizer of the state finalizer(key) + (j + 1) GAMMA mod 2^64."""
+    base = splitmix64_finalizer(key % 2**64)
+    return [splitmix64_finalizer((base + (j + 1) * GAMMA) % 2**64)
+            for j in range(first, first + count)]
+
+
+def box_muller_normals(key, first, count):
+    """Normals first .. first + count - 1 of a key's stream in Python floats,
+    through math.log1p, math.cos and math.sin.  Pair k reads words 2k and 2k+1;
+    the top 53 bits of each, as a two's-complement a, give the uniform
+    v = (a + 2^52) / 2^53 in [0, 1).  R = sqrt(-2 log1p(-v)) of the first word,
+    phi = pi (v - 1/2) / 2 of the second, and the pair is (R cos phi, R sin phi)
+    turned by as many quarter turns as bits 0-1 of the first word count."""
+    lo = first - first % 2
+    words = splitmix64_words(key, lo, first + count - lo + 1)
+    out = []
+    for k in range(0, len(words) - 1, 2):
+        a, b = ((w >> 11) - (w >> 63 << 53) for w in words[k:k + 2])
+        radius = math.sqrt(-2.0 * math.log1p(-(a + 2**52) / 2**53))
+        phi = math.pi / 2 * (b / 2**53)
+        x, y = radius * math.cos(phi), radius * math.sin(phi)
+        for _ in range(words[k] & 3):
+            x, y = -y, x
+        out += [x, y]
+    return out[first - lo:first - lo + count]
 
 
 def fiber_actions(field: str) -> np.ndarray:
@@ -409,16 +454,14 @@ def fiber_checks(n: int, field_name: str, pair_count: int, seed: int) -> dict:
         moved = evaluate(map_, g * inv_points)
         invariance = max(invariance, float(np.max(np.abs(moved - base_vals))))
 
-    x_draw = generator(seed + PAIR_SEED_STRIDE)
-    y_draw = generator(seed + 2 * PAIR_SEED_STRIDE)
     m, k = map_.stack.shape[0], map_.component_count
     delta = SEPARATION_DELTA * r
     pairs_tested = collisions = 0
     nearest = math.inf
     for part in chunks(pair_count, 8 * (m * k + 4 * k + 6 * m + 8)):
         count = part.stop - part.start
-        x = sphere_points(m, count, x_draw, radius=r)
-        y = sphere_points(m, count, y_draw, radius=r)
+        x = sphere_points(m, count, seed + PAIR_SEED_STRIDE, radius=r, start=part.start)
+        y = sphere_points(m, count, seed + 2 * PAIR_SEED_STRIDE, radius=r, start=part.start)
         separated = orbit_distance(x, y, field_name) > delta
         prod = ((x + y) @ map_.stack).reshape(count, m, k)
         diff = ((x - y)[:, None] @ prod)[:, 0]

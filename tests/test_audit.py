@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -10,12 +11,12 @@ from veronese.audit import (ERROR, MATCH, MISMATCH, SCALE_DEPENDENT, diagram_che
                             hard_failures, run_claim_audit)
 from veronese.construct import build
 from veronese.quadmap import evaluate, norm_identity_residual
-from veronese.sampling import complex_sphere_points, generator, sphere_points
+from veronese.sampling import complex_sphere_points, sphere_points
 
-from oracles import (DIAGRAM_TOLERANCES, PAIR_SEED_STRIDE, SEPARATION_DELTA,
+from oracles import (DIAGRAM_TOLERANCES, GAMMA, PAIR_SEED_STRIDE, SEPARATION_DELTA,
                      complex_orbit_distance, dense_fiber_separation, fiber_checks,
                      orbit_distance, per_action_invariance, real_restriction_indices,
-                     sampled_diagram_check, smallest_singular_value)
+                     sampled_diagram_check, smallest_singular_value, splitmix64_finalizer)
 
 
 def test_orbit_distance_real():
@@ -103,8 +104,7 @@ def test_fiber_separation_matches_dense_pair_images(field_name, n):
     seed = 90 + n
     rep = fiber_checks(n, field_name, 5000, seed)
     pairs, collisions, nearest = dense_fiber_separation(
-        build(n, field_name), 5000, generator(seed + PAIR_SEED_STRIDE),
-        generator(seed + 2 * PAIR_SEED_STRIDE))
+        build(n, field_name), 5000, seed + PAIR_SEED_STRIDE, seed + 2 * PAIR_SEED_STRIDE)
     assert rep["orbit_separation"] == SEPARATION_DELTA * constants.radius(n)
     assert (rep["pairs_tested"], rep["collisions"]) == (pairs, collisions)
     assert rep["min_image_distance"] == pytest.approx(nearest, rel=1e-12)
@@ -147,13 +147,14 @@ def test_the_sampled_search_agrees_with_the_certificate(field_name, n):
 def _pairs(n, field_name, count, angle, seed):
     """count points x of the level sphere and y at the angle from x along a random
     great circle orthogonal to the fiber of x, each then moved by a random fiber
-    action (a sign, or a phase); angle None draws y independently."""
+    action (a sign, or a phase); angle None draws y independently.  x, then y
+    or v, are rows 0 .. count - 1 and count .. 2 count - 1 of the seed's stream."""
     r = constants.radius(n)
-    rng = generator(seed)
-    x = sampling.quotient_samples(n, field_name, count, rng)
+    rng = np.random.default_rng(seed)
+    x = sampling.quotient_samples(n, field_name, count, seed)
     if angle is None:
-        return x, sampling.quotient_samples(n, field_name, count, rng)
-    v = sampling.quotient_samples(n, field_name, count, rng)
+        return x, sampling.quotient_samples(n, field_name, count, seed, count)
+    v = sampling.quotient_samples(n, field_name, count, seed, count)
     v -= x * (np.sum(np.conj(x) * v, axis=1, keepdims=True) / r**2)
     y = math.cos(angle) * x + math.sin(angle) * r * v / np.linalg.norm(v, axis=1, keepdims=True)
     if field_name == "real":
@@ -832,50 +833,73 @@ def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):
 SAMPLERS = [(sampling, "sphere_points"), (sampling, "complex_sphere_points")]
 
 
-def _philox_key(seed) -> int:
-    if isinstance(seed, np.random.Generator):
-        return int(seed.bit_generator.state["state"]["key"][0])
-    return seed % 2**64
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 def test_point_families_draw_distinct_points(seed, monkeypatch):
     # no two draws share a key, whatever their samplers (the complex samplers
     # draw from the same stream as the real ones, so a real draw keyed like a
     # complex one would reuse its normals), and no sampler returns one point
     # set twice (the complex level-1 geometry sweep used to repeat the first
-    # Hopf points); the blocks drawn from one generator are one draw, and only the
-    # outermost sampler of a call counts (complex_sphere_points calls sphere_points)
-    draws = []  # [sampler, seed or generator, blocks]
+    # Hopf points); the blocks of one key whose rows go on where the last block
+    # ended are one draw, and only the outermost sampler of a call counts
+    # (complex_sphere_points calls sphere_points)
+    draws = []  # [sampler, key, first row, end row, blocks]
     depth = [0]  # recorded samplers running
 
-    def keep(name, key, points):
+    def keep(name, key, start, points):
         for draw in draws:
-            if isinstance(key, np.random.Generator) and draw[1] is key:
-                draw[2].append(points)
+            if draw[1] == key and draw[3] == start:
+                draw[3] += len(points)
+                draw[4].append(points)
                 return
-        draws.append([name, key, [points]])
+        draws.append([name, key, start, start + len(points), [points]])
 
     for module, name in SAMPLERS:
-        def record(dim, count, key, radius=1.0, _name=name, _draw=getattr(module, name)):
+        def record(dim, count, key, radius=1.0, start=0, _name=name,
+                   _draw=getattr(module, name)):
             depth[0] += 1
             try:
-                points = _draw(dim, count, key, radius=radius)
+                points = _draw(dim, count, key, radius=radius, start=start)
             finally:
                 depth[0] -= 1
             if not depth[0]:
-                keep(_name, key, points)
+                keep(_name, key % 2**64, start, points)
             return points
         monkeypatch.setattr(module, name, record)
 
     run_claim_audit(n_max_real=2, n_max_complex=2, seed=seed, samples=30)
-    assert {name for name, _, _ in draws} == {name for _, name in SAMPLERS}
-    keys = [_philox_key(key) for _, key, _ in draws]
+    assert {draw[0] for draw in draws} == {name for _, name in SAMPLERS}
+    assert all(draw[2] == 0 for draw in draws)
+    keys = [draw[1] for draw in draws]
     assert len(set(keys)) == len(keys)
-    points = [np.concatenate(blocks) for _, _, blocks in draws]
-    for i, (name, _, _) in enumerate(draws):
+    points = [np.concatenate(draw[4]) for draw in draws]
+    for i, name in enumerate(draw[0] for draw in draws):
         for j in range(i + 1, len(draws)):
             a, b = points[i], points[j]
             rows = min(len(a), len(b))
             if draws[j][0] == name and a.shape[1] == b.shape[1]:
                 assert not np.array_equal(a[:rows], b[:rows])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_the_audit_streams_share_no_word(seed, monkeypatch):
+    # word j of key s is the finalizer of the state finalizer(s) + (j + 1) GAMMA, a
+    # bijection, so two keys' words over index ranges [a1, b1) and [a2, b2) meet
+    # exactly when j2 - j1 = (finalizer(s1) - finalizer(s2)) / GAMMA mod 2^64 for some
+    # j1, j2 in them; checked for every pair of keys the full release audit draws
+    ranges = {}  # key -> [first word, end word]
+
+    def words(key, first, pairs, _words=sampling._pair_words):
+        lo, hi = ranges.setdefault(key % 2**64, [2 * first, 2 * (first + pairs)])
+        ranges[key % 2**64] = [min(lo, 2 * first), max(hi, 2 * (first + pairs))]
+        return _words(key, first, pairs)
+
+    monkeypatch.setattr(sampling, "_pair_words", words)
+    run_claim_audit(6, 4, seed=seed, samples=20_000)
+    # ten geometry sweeps and the two integral gates
+    assert len(ranges) == 12
+    assert sorted(hi - lo for lo, hi in ranges.values())[-2:] == [60_000, 80_000]
+    inverse = pow(GAMMA, -1, 2**64)
+    for (s1, (a1, b1)), (s2, (a2, b2)) in itertools.combinations(ranges.items(), 2):
+        offset = (splitmix64_finalizer(s1) - splitmix64_finalizer(s2)) * inverse % 2**64
+        offset -= 2**64 * (offset >= 2**63)  # j2 - j1, as the nearest integer to 0
+        assert not a2 - b1 < offset < b2 - a1, (s1, s2)

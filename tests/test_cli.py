@@ -137,17 +137,15 @@ def test_a_budget_sized_cloud_block_stays_within_chunk_bytes(field, n):
     # that the per-value figure does not overstate the block by much either
     map_ = construct.build(n, field)
     length = quadmap.CHUNK_BYTES // (cli.CLOUD_VALUE_BYTES * map_.component_count)
-    rng = sampling.generator(5)
-
-    def block(rows):
+    def block(rows, start):
         return cli._format_rows(quadmap.evaluate(map_, sampling.quotient_samples(
-            n, field, rows, rng)))
+            n, field, rows, 5, start)))
 
-    block(1)
+    block(1, 0)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        block(length)
+        block(length, 1)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -252,7 +250,7 @@ def test_usage_errors_exit_2():
     ["cloud", "--field", "real", "--n", "1", "--samples", "10"],
 ], ids=["verify", "report", "cloud"])
 def test_a_seed_outside_the_philox_key_space_is_a_usage_error(argv, capsys):
-    # the generator keys Philox with 64 bits, so -1 and 2**64 would alias 2**64 - 1 and 0
+    # a stream reads the low 64 bits of its key, so -1 and 2**64 would alias 2**64 - 1 and 0
     for seed in (-1, 2**64):
         assert main(argv + ["--seed", str(seed)]) == 2
         out, err = capsys.readouterr()

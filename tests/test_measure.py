@@ -8,9 +8,9 @@ from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
 from veronese.quadmap import StructuralError
-from veronese.sampling import complex_sphere_points, generator, sphere_points
+from veronese.sampling import complex_sphere_points, sphere_points
 
-from oracles import fiber_actions, reference_sphere_points
+from oracles import fiber_actions, normalized_rows
 
 
 def test_sphere_volume_values():
@@ -124,30 +124,38 @@ def test_bad_arguments():
 
 
 BLOCK_DRAWS = {
-    "sphere_points": lambda count, seed: sphere_points(7, count, seed, radius=1.3),
-    "complex_sphere_points": lambda count, seed: complex_sphere_points(5, count, seed),
-    "quotient_samples_real": lambda count, seed: sampling.quotient_samples(12, "real", count, seed),
-    "quotient_samples_complex":
-        lambda count, seed: sampling.quotient_samples(8, "complex", count, seed),
+    "sphere_points": lambda count, seed, start:
+        sphere_points(7, count, seed, radius=1.3, start=start),
+    "complex_sphere_points": lambda count, seed, start:
+        complex_sphere_points(5, count, seed, start=start),
+    "quotient_samples_real": lambda count, seed, start:
+        sampling.quotient_samples(12, "real", count, seed, start),
+    "quotient_samples_complex": lambda count, seed, start:
+        sampling.quotient_samples(8, "complex", count, seed, start),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_DRAWS))
 def test_block_draws_from_one_generator_equal_the_single_draw(name):
+    # blocks of one key's stream, each drawn from the row where the last ended
     draw, seed, total = BLOCK_DRAWS[name], 31, 5_000
-    rng = generator(seed)
-    assert generator(rng) is rng
     lengths = [1, 7, 4096, total - 4104]
-    blocks = [draw(length, rng) for length in lengths]
+    starts = np.cumsum([0] + lengths[:-1]).tolist()
+    blocks = [draw(length, seed, start) for length, start in zip(lengths, starts)]
     assert [len(b) for b in blocks] == lengths
-    assert np.array_equal(np.concatenate(blocks), draw(total, seed))
+    assert np.array_equal(np.concatenate(blocks), draw(total, seed, 0))
 
 
 @pytest.mark.parametrize("dim", [1, 4, 13, 18])
 def test_sphere_points_match_the_reference_bit_for_bit(dim):
+    # the in-place normalization against np.linalg.norm and a fresh array, on
+    # the same normals, at an even and an odd first normal
     for radius in (1.0, 0.37, constants.radius(12), 2.0):
-        assert np.array_equal(sphere_points(dim, 500, 40 + dim, radius=radius),
-                              reference_sphere_points(dim, 500, 40 + dim, radius=radius))
+        for start in (0, 3):
+            normals = sampling._normals(40 + dim, start * dim, 500 * dim).reshape(500, dim)
+            assert np.array_equal(
+                sphere_points(dim, 500, 40 + dim, radius=radius, start=start),
+                normalized_rows(normals, radius))
 
 
 def test_quotient_samples_deterministic():
