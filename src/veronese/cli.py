@@ -301,7 +301,7 @@ def _format_rows(block: np.ndarray) -> str:
 
 
 # Working memory of a cloud block per image value: the draw, evaluate and
-# _format_rows peak at 238.3-238.4 bytes a value (tracemalloc, budget-sized
+# _format_rows peak at 238.3-238.5 bytes a value (tracemalloc, budget-sized
 # blocks at every level), in _format_rows; the draw holds about 40 bytes a normal
 CLOUD_VALUE_BYTES = 240
 

@@ -10,8 +10,8 @@ word, read as a signed integer a in [-2^52, 2^52), give x = a / 2^53 in
 [-1/2, 1/2): word 2k gives the radius R = sqrt(-2 log(1/2 - x)), word 2k + 1
 the angle phi = pi x / 2 in [-pi/4, pi/4), and bits 0-1 of word 2k the number t
 of quarter turns, so that the normals are R cos(phi + t pi/2) and
-R sin(phi + t pi/2).  Keeping the angle within a quarter period keeps sin on
-one path of libm and cos phi = sqrt(1 - sin^2 phi) free of cancellation.
+R sin(phi + t pi/2).  Within a quarter period libm's sin needs no argument
+reduction, and cos phi = sqrt(1 - sin^2 phi) suffers no cancellation.
 
 A draw of count rows of dim coordinates from row start reads normals
 start dim .. (start + count) dim - 1, so no row depends on the block it is

@@ -6,9 +6,8 @@ OpenBLAS).  Another numpy or BLAS build may legitimately move the last
 bits of a float and with them a digest; the number of BLAS threads may
 not.  The samples come from the package's own counter-based stream, whose
 words are exact integer arithmetic on every build; like BLAS, though, the
-log, cos and sin that turn them into normals (the stream's oracle reads
-log1p, cos and sin) may move the last bit of a normal across numpy or libm
-builds.  Any change of the code that alters one of these outputs is a
+log and sin that turn them into normals (the stream's oracle reads log1p,
+cos and sin) may move the last bit of a normal across numpy or libm builds.  Any change of the code that alters one of these outputs is a
 behaviour change and must say so.
 """
 

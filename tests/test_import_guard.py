@@ -3,40 +3,18 @@ stream, so no run pays for numpy.random's import, nor for the OpenSSL hash
 module (_hashlib) that numpy.random's bit generators pull in through secrets."""
 
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from test_cli import LOADED_MODULES, _python
 from test_private_names import ROOT
 
-import veronese
-
-SRC = str(Path(veronese.__file__).resolve().parent.parent)
 MODULES = sorted((ROOT / "src" / "veronese").glob("*.py"))
-FORBIDDEN = ("numpy.random", "_hashlib")
-
-# os._exit ends a command's process; here it raises SystemExit, so that the
-# loaded modules can be printed after it
-LOADED = """
-import os, runpy, sys
-def exit_(code):
-    raise SystemExit(code)
-os._exit = exit_
-try:
-    runpy.run_module("veronese.cli", run_name="__main__")
-except SystemExit as exc:
-    print(exc.code, *[name for name in %r if name in sys.modules])
-""" % (FORBIDDEN,)
+FORBIDDEN = {"numpy.random", "_hashlib"}
 
 
-def _child(args) -> list[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+def _loaded(args) -> list[str]:
+    proc = _python(args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -48,15 +26,20 @@ def _child(args) -> list[str]:
     ["cloud", "--field", "real", "--n", "3", "--samples", "50"],
 ], ids=["emit", "verify", "report", "cloud"])
 def test_no_command_loads_numpy_random(argv, tmp_path):
-    assert _child(["-c", LOADED, *argv, "--out", str(tmp_path / "out")]) == ["0"]
+    code, *loaded = _loaded(["-c", LOADED_MODULES, *argv, "--out", str(tmp_path / "out")])
+    assert code == "0"
+    assert "numpy" in loaded
+    assert not FORBIDDEN & set(loaded)
 
 
 def test_the_exported_names_load_no_numpy_random():
     code = ("import sys, veronese\n"
             "for name in veronese._SOURCES:\n"
             "    getattr(veronese, name)\n"
-            f"print(len(veronese._SOURCES), *[m for m in {FORBIDDEN!r} if m in sys.modules])")
-    assert _child(["-c", code]) == [str(len(veronese._SOURCES))]
+            "print(len(veronese._SOURCES), *sorted(sys.modules))")
+    count, *loaded = _loaded(["-c", code])
+    assert int(count) > 0 and "veronese.audit" in loaded
+    assert not FORBIDDEN & set(loaded)
 
 
 def numpy_random_uses(source: str) -> list[str]:
