@@ -189,18 +189,16 @@ def _sequence_claims() -> list[ClaimAuditEntry]:
 
 def _norm_identity_claims(level_range) -> list[ClaimAuditEntry]:
     """norm_identity_residual once per map: each field's worst over its levels, and
-    unit_image, the worst of both maps at every complex level (real ones above the
-    real levels too), as the certificate bounds ||F(x)| - 1| on the level sphere."""
-    reach = {"real": range(1, max(map(len, level_range.values())) + 1),
-             "complex": level_range["complex"]}
+    unit_image, the worst of both maps at every complex level, as the certificate
+    bounds ||F(x)| - 1| on the level sphere."""
     residual = {(f, k): norm_identity_residual(construct.build(k, f))
-                for f, levels in reach.items() for k in levels}
+                for f, levels in level_range.items() for k in levels}
     entries = [_entry(f"norm_identity_{f}",
                       "squared image norm equals squared domain norm squared over r^4",
                       0.0, max(residual[(f, k)] for k in levels), 1e-12)
                for f, levels in level_range.items()]
     return entries + [_entry("unit_image", "on-sphere points map onto the unit sphere",
-                             0.0, max(residual[(f, k)] for f in reach
+                             0.0, max(residual[(f, k)] for f in level_range
                                       for k in level_range["complex"]), 1e-12)]
 
 
@@ -308,19 +306,18 @@ def _geometry_claims(level_range, seed, homothety_tol) -> list[ClaimAuditEntry]:
         "differential has full rank on tangent/horizontal spaces",
         MIN_SINGULAR_VALUE, min(sweeps[(field_name, k)]["singular_value_floor"] for k in levels),
         0.0, at_least=True) for field_name, levels in level_range.items()]
-    curved = [sweep["h_norm_max"] for (_, k), sweep in sweeps.items() if k >= 2]
-    if curved:
-        entries.append(_entry(
-            "minimality",
-            "the mean curvature vector of every image vanishes",
-            0.0, max(curved), POINTWISE_TOL))
-    if ("real", 2) in sweeps:
-        entries.append(_entry(
-            "isometry_pullback_level2",
-            "stated isometric normalization reads pullback factor 1; the measured "
-            "factor depends on the metric convention",
-            1.0, sweeps[("real", 2)]["lambda_mean"], POINTWISE_TOL, scale_dependent=True,
-            details={"jacobian_oracle": 2.0}))
+    if ("real", 2) in sweeps:  # the curved levels start at 2 in both fields
+        entries += [
+            _entry("minimality",
+                   "the mean curvature vector of every image vanishes",
+                   0.0, max(sweep["h_norm_max"] for (_, k), sweep in sweeps.items() if k >= 2),
+                   POINTWISE_TOL),
+            _entry("isometry_pullback_level2",
+                   "stated isometric normalization reads pullback factor 1; the measured "
+                   "factor depends on the metric convention",
+                   1.0, sweeps[("real", 2)]["lambda_mean"], POINTWISE_TOL,
+                   scale_dependent=True, details={"jacobian_oracle": 2.0}),
+        ]
     return entries
 
 
@@ -373,25 +370,26 @@ def _error_entry(claim_id: str, exc: Exception) -> ClaimAuditEntry:
         tolerance=math.nan, details={"error": str(exc)})
 
 
-def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
-                    samples: int = 1000, homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
-    """Run every audited claim up to the requested levels; never aborts on MISMATCH.
+def run_claim_audit(n_max: int = 6, *, seed: int = 0, samples: int = 1000,
+                    homothety_tol: float = 1e-8) -> list[ClaimAuditEntry]:
+    """Run every audited claim at the real levels 1..n_max and the complex levels
+    1..min(n_max, LEVEL_CAPS["audit"]["complex"]); never aborts on MISMATCH.
 
     A claim family whose measurement raises StructuralError or LinAlgError
     yields an ERROR entry for each of its claims; the other families' entries
     are kept.  Deterministic given (seed, samples); entries come back sorted
-    by claim id.  Raises ValueError for a level out of range, samples below 1 or
+    by claim id.  Raises ValueError for an n_max out of range, samples below 1 or
     a homothety_tol that is negative or not finite, before running anything.
     """
     caps = LEVEL_CAPS["audit"]
-    check_level(n_max_real, caps["real"])
-    check_level(n_max_complex, caps["complex"])
+    check_level(n_max, caps["real"])
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not 0.0 <= homothety_tol < math.inf:
         raise ValueError(f"homothety_tol must be finite and non-negative, got {homothety_tol!r}")
 
-    level_range = {"real": range(1, n_max_real + 1), "complex": range(1, n_max_complex + 1)}
+    level_range = {"real": range(1, n_max + 1),
+                   "complex": range(1, min(n_max, caps["complex"]) + 1)}
     # (claim ids, family, arguments): the ids are what a failing family reports
     families = [
         (["radius_closed_vs_recursive", "radius_level3", "ambient_dimension_sequences",
@@ -405,15 +403,14 @@ def run_claim_audit(n_max_real: int = 6, n_max_complex: int = 4, seed: int = 0,
         (["diagram_real_restriction", "diagram_zero_components", "hopf_factorization"],
          _diagram_claims, (level_range["complex"],)),
         (["homothety"] + [f"local_injectivity_{f}" for f in level_range]
-         + ["minimality"] * (max(n_max_real, n_max_complex) >= 2)
-         + ["isometry_pullback_level2"] * (n_max_real >= 2),
+         + ["minimality", "isometry_pullback_level2"] * (n_max >= 2),
          _geometry_claims, (level_range, seed, homothety_tol)),
     ]
-    if n_max_real >= 2:
+    if n_max >= 2:
         families.append((["veronese_scalar_curvature", "veronese_alpha_norm_sq",
                           "pi_functional_level2", "gauss_bonnet_level2"],
                          _level2_claims, (samples, seed)))
-    if n_max_real >= 3:
+    if n_max >= 3:
         families.append((["sigma_quotient_level3"], _level3_claims, (samples, seed)))
 
     entries = []

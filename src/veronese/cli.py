@@ -105,48 +105,15 @@ def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else value
 
 
-def _render_entries(entries, fmt: str, stream) -> None:
+def _render(fmt: str, stream, doc, rows, table: str) -> None:
+    """Write one command's output: doc as JSON, rows (header first) as CSV, or the table text."""
     if fmt == "json":
-        stream.write(json.dumps([e.to_dict() for e in entries], indent=2) + "\n")
-        return
-    if fmt == "csv":
+        stream.write(json.dumps(doc, indent=2) + "\n")
+    elif fmt == "csv":
         import csv
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["claim_id", "expected", "measured", "abs_deviation",
-                         "tolerance", "verdict", "statement"])
-        for e in entries:
-            writer.writerow([e.claim_id, _fmt(e.expected), _fmt(e.measured),
-                             _fmt(e.abs_deviation), _fmt(e.tolerance), e.verdict,
-                             e.statement])
-        return
-    width = max(len(e.claim_id) for e in entries)
-    header = (f"{'claim':<{width}}  {'expected':>14}  {'measured':>14}  "
-              f"{'deviation':>10}  verdict")
-    stream.write(header + "\n")
-    stream.write("-" * len(header) + "\n")
-    for e in entries:
-        stream.write(
-            f"{e.claim_id:<{width}}  {_fmt(e.expected):>14}  {_fmt(e.measured):>14}  "
-            f"{e.abs_deviation:>10.2e}  {e.verdict}\n"
-        )
-        for key, value in sorted(e.details.items()):
-            stream.write(f"{'':<{width}}    {key} = {_fmt(value)}\n")
-
-
-def _render_mapping(pairs, fmt: str, stream) -> None:
-    if fmt == "json":
-        stream.write(json.dumps(dict(pairs), indent=2) + "\n")
-        return
-    if fmt == "csv":
-        import csv
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        for key, value in pairs:
-            writer.writerow([key, _fmt(value)])
-        return
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        stream.write(f"{key:<{width}}  {_fmt(value)}\n")
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    else:
+        stream.write(table)
 
 
 def _cmd_emit(args) -> int:
@@ -163,16 +130,26 @@ def _cmd_verify(args) -> int:
         raise ValueError("--n-max must be at least 1")
     if not 0.0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
-    caps = LEVEL_CAPS["audit"]
-    n_max = min(args.n_max, caps["real"]), min(args.n_max, caps["complex"])
     with _output(args.out) as stream:
-        entries = audit.run_claim_audit(*n_max, seed=args.seed, samples=args.samples,
+        entries = audit.run_claim_audit(min(args.n_max, LEVEL_CAPS["audit"]["real"]),
+                                        seed=args.seed, samples=args.samples,
                                         homothety_tol=args.tol)
         failures = audit.hard_failures(entries)
-        _render_entries(entries, args.format, stream)
-        if args.format == "table":
-            stream.write(f"\n{len(entries)} claims audited, "
-                         f"{len(failures)} hard failure(s)\n")
+        width = max(len(e.claim_id) for e in entries)
+        header = (f"{'claim':<{width}}  {'expected':>14}  {'measured':>14}  "
+                  f"{'deviation':>10}  verdict")
+        table = [header, "-" * len(header)]
+        for e in entries:
+            table.append(f"{e.claim_id:<{width}}  {_fmt(e.expected):>14}  "
+                         f"{_fmt(e.measured):>14}  {e.abs_deviation:>10.2e}  {e.verdict}")
+            table += [f"{'':<{width}}    {key} = {_fmt(value)}"
+                      for key, value in sorted(e.details.items())]
+        table += ["", f"{len(entries)} claims audited, {len(failures)} hard failure(s)", ""]
+        rows = [["claim_id", "expected", "measured", "abs_deviation", "tolerance", "verdict",
+                 "statement"]]
+        rows += [[e.claim_id, _fmt(e.expected), _fmt(e.measured), _fmt(e.abs_deviation),
+                  _fmt(e.tolerance), e.verdict, e.statement] for e in entries]
+        _render(args.format, stream, [e.to_dict() for e in entries], rows, "\n".join(table))
     for message in dict.fromkeys(e.details["error"] for e in entries
                                  if e.verdict == audit.ERROR):
         _error(message)
@@ -189,7 +166,10 @@ def _cmd_report(args) -> int:
                  ("radius_pow4", constants.rational_str(constants.radius_pow4(args.n)))]
         pairs += sorted(both["canonical"].items())
         pairs += sorted(both[args.metric].items())
-        _render_mapping(pairs, args.format, stream)
+        width = max(len(k) for k, _ in pairs)
+        _render(args.format, stream, dict(pairs),
+                [["quantity", "value"], *([k, _fmt(v)] for k, v in pairs)],
+                "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in pairs))
     return 0
 
 

@@ -18,7 +18,9 @@ FIELDS = ("real", "complex")
 # Highest level, per field, that each part of the package handles.
 LEVEL_CAPS = {
     "build": {"real": MAX_LEVEL, "complex": 8},   # N_12 = 89, M_8 = 79 coordinates
-    "audit": {"real": 6, "complex": 4},           # verify --n-max; complex: diagram_check
+    # run_claim_audit(n_max), verify --n-max: real levels 1..n_max up to the real cap,
+    # complex levels up to min(n_max, the complex cap), which is diagram_check's
+    "audit": {"real": 6, "complex": 4},
 }
 
 

@@ -27,7 +27,7 @@ HERMITIAN_TOL = 1e-14  # relative; real matrices must be exactly symmetric
 # Working memory one batched kernel (evaluate, a curvature chunk, a block of
 # audit or cloud samples) may hold at once; each divides it by its own per-point
 # footprint.  2 MiB gives evaluate's one 2-D product with the stack per chunk
-# 160 (complex n=8) to 26,000 (real n=1) points, and still gives the top-level
+# 161 (complex n=8) to 18,724 (real n=1) points, and still gives the top-level
 # curvature chunks four (complex n=8) to seven (real n=12) points (shorter ones
 # spend their time in overhead).
 CHUNK_BYTES = 1 << 21

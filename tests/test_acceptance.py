@@ -136,7 +136,7 @@ def test_criterion_06_homothety():
                 lam_fd = float(np.trace(t @ t.T)) / basis.shape[0]
                 c.check(abs(lams[0] - lam_fd) < 1e-8,
                         f"{field} level {n} oracle gap {abs(lams[0] - lam_fd):.2e}")
-        entries = {e.claim_id: e for e in run_claim_audit(2, 1, seed=0, samples=200)}
+        entries = {e.claim_id: e for e in run_claim_audit(2, seed=0, samples=200)}
         iso = entries["isometry_pullback_level2"]
         c.check(iso.verdict == SCALE_DEPENDENT, "isometry claim not marked scale dependent")
         c.check(abs(iso.measured - 2.0) < 1e-8,
@@ -179,7 +179,7 @@ def test_criterion_09_scale_invariant_numbers():
 
 def test_criterion_10_normalization_dependent_numbers():
     with Criterion("10 normalization-dependent-numbers") as c:
-        entries = {e.claim_id: e for e in run_claim_audit(2, 1, seed=0, samples=2000)}
+        entries = {e.claim_id: e for e in run_claim_audit(2, seed=0, samples=2000)}
         for claim_id, image_val, domain_val, tol in (
                 ("veronese_scalar_curvature", 2 / 3, 4 / 3, 1e-6),
                 ("veronese_alpha_norm_sq", 4 / 3, 2 / 3, 1e-6),
@@ -217,6 +217,6 @@ def test_criterion_12_determinism():
                 c.check(code == 0, f"verify exit code {code}")
                 outputs.append(buf.getvalue())
             c.check(outputs[0] == outputs[1], f"{fmt} outputs differ between runs")
-        c.check(run_claim_audit(3, 2, seed=5, samples=300)
-                == run_claim_audit(3, 2, seed=5, samples=300),
+        c.check(run_claim_audit(3, seed=5, samples=300)
+                == run_claim_audit(3, seed=5, samples=300),
                 "audit entries differ between identical runs")

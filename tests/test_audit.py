@@ -214,7 +214,7 @@ def test_a_duplicated_component_fails_fiber_separation(monkeypatch, capsys):
 def test_a_dropped_component_errors_both_fiber_claims(monkeypatch):
     # fewer components than trace-free forms: a positive Gram matrix proves nothing
     _replace_build(monkeypatch, lambda comps: comps[:-1])
-    entries = {e.claim_id: e for e in run_claim_audit(2, 2, seed=0, samples=20)}
+    entries = {e.claim_id: e for e in run_claim_audit(2, seed=0, samples=20)}
     for field_name, forms in (("real", 2), ("complex", 3)):  # at level 1
         for claim in ("invariance", "separation"):
             entry = entries[f"fiber_{claim}_{field_name}"]
@@ -244,7 +244,7 @@ def test_the_fiber_claims_draw_nothing(monkeypatch, kernel_blocks):
     assert draws == []
     fiber_ids = {f"fiber_{claim}_{field_name}" for claim in ("invariance", "separation")
                  for field_name in ("real", "complex")}
-    readings = [run_claim_audit(6, 4, seed=seed, samples=samples)
+    readings = [run_claim_audit(6, seed=seed, samples=samples)
                 for samples in (1, 20_000) for seed in (0, 11)]
     for ids in (fiber_ids, DIAGRAM_IDS, NORM_IDENTITY_IDS):
         entries = [[e for e in reading if e.claim_id in ids] for reading in readings]
@@ -256,12 +256,10 @@ def test_the_fiber_claims_draw_nothing(monkeypatch, kernel_blocks):
 
 
 def test_minimality_reads_every_audited_level_from_2():
-    entries = {e.claim_id: e for e in run_claim_audit(6, 4, seed=3, samples=20)}
+    entries = {e.claim_id: e for e in run_claim_audit(6, seed=3, samples=20)}
     sweeps = [audit._geometry_sweep(n, field_name, audit._sub_seed(3, 23, n, field_name))
               for field_name, n in AUDITED if n >= 2]
     assert entries["minimality"].measured == max(sweep["h_norm_max"] for sweep in sweeps)
-    # a complex level 2 alone is a curved level too
-    assert "minimality" in {e.claim_id for e in run_claim_audit(1, 2, seed=0, samples=20)}
 
 
 @pytest.mark.parametrize("field_name, n", [("real", n) for n in range(1, 7)]
@@ -331,7 +329,7 @@ def _add_multiple(index, source, size):
 ], ids=["restriction", "zero-set", "reversed", "hopf-scale"])
 def test_a_changed_complex_map_fails_its_diagram_claims(monkeypatch, change, level, failing):
     _replace_build(monkeypatch, change, field="complex", level=level)
-    entries = {e.claim_id: e for e in run_claim_audit(4, 4, seed=0, samples=50)}
+    entries = {e.claim_id: e for e in run_claim_audit(4, seed=0, samples=50)}
     mismatched = {e.claim_id for e in entries.values() if e.verdict == MISMATCH}
     assert mismatched == failing.keys()
     for claim_id, measured in failing.items():
@@ -386,7 +384,7 @@ def test_the_restriction_scale_cannot_overflow(monkeypatch):
 def test_a_count_that_misses_errors_the_diagram_claims(field_name, change, message,
                                                       monkeypatch):
     _replace_build(monkeypatch, change, field=field_name, level=2)
-    entries = {e.claim_id: e for e in run_claim_audit(2, 2, seed=0, samples=20)}
+    entries = {e.claim_id: e for e in run_claim_audit(2, seed=0, samples=20)}
     errors = {claim_id for claim_id, e in entries.items() if e.verdict == ERROR}
     assert DIAGRAM_IDS <= errors
     assert {entries[claim_id].details["error"] for claim_id in DIAGRAM_IDS} == {message}
@@ -402,11 +400,12 @@ def test_each_map_s_norm_identity_is_certified_once(monkeypatch):
         return _residual(map_)
 
     monkeypatch.setattr(audit, "norm_identity_residual", counted)
-    run_claim_audit(6, 4, seed=0, samples=20)
+    run_claim_audit(6, seed=0, samples=20)
     assert len(calls) == len(set(calls)) == 10
+    assert set(calls) == set(AUDITED)
     calls.clear()
-    # the complex levels reach past the real ones: unit_image reads real level 2 too
-    entries = run_claim_audit(1, 2, seed=0, samples=20)
+    # unit_image reads both maps at every complex level
+    entries = run_claim_audit(2, seed=0, samples=20)
     assert sorted(calls) == [("complex", 1), ("complex", 2), ("real", 1), ("real", 2)]
     assert hard_failures(entries) == []
 
@@ -541,7 +540,7 @@ def test_the_audit_keeps_only_the_maps_it_audits(monkeypatch):
     # cold, build's cache ends with the ten audited maps, and the audit holds little
     # more than their arrays once it returns; harmonicity reads real 7-12 and
     # complex 5-8 from one pass of the step per field, 51 steps in all
-    run_claim_audit(6, 4, samples=20)  # warm-up
+    run_claim_audit(6, samples=20)  # warm-up
     construct.build.cache_clear()
     steps = []
     original = construct._step
@@ -549,7 +548,7 @@ def test_the_audit_keeps_only_the_maps_it_audits(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        run_claim_audit(6, 4, samples=20)
+        run_claim_audit(6, samples=20)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -564,7 +563,7 @@ def test_the_audit_keeps_only_the_maps_it_audits(monkeypatch):
 
 
 def test_every_claim_fails_on_some_mutant():
-    ids = {e.claim_id for e in run_claim_audit(4, 4, seed=0, samples=20)}
+    ids = {e.claim_id for e in run_claim_audit(4, seed=0, samples=20)}
     assert {mutant for mutant, _, _ in MUTATION_MATRIX} == MUTANTS.keys()
     failed = {claim_id for _, _, failing in MUTATION_MATRIX for claim_id in failing}
     assert ids - failed == SEQUENCE_IDS
@@ -574,15 +573,15 @@ def test_every_claim_fails_on_some_mutant():
 
 
 def test_claim_audit_is_deterministic():
-    a = run_claim_audit(3, 2, seed=7, samples=300)
-    b = run_claim_audit(3, 2, seed=7, samples=300)
+    a = run_claim_audit(3, seed=7, samples=300)
+    b = run_claim_audit(3, seed=7, samples=300)
     assert a == b
     ids = [e.claim_id for e in a]
     assert ids == sorted(ids)
 
 
 def test_claim_audit_verdicts():
-    entries = {e.claim_id: e for e in run_claim_audit(6, 4, seed=0, samples=500)}
+    entries = {e.claim_id: e for e in run_claim_audit(6, seed=0, samples=500)}
 
     assert entries["radius_level3"].verdict == MATCH
     assert entries["radius_level3"].measured == 8.0
@@ -619,7 +618,7 @@ def test_claim_audit_verdicts():
 
 
 def test_scale_dependent_claims_never_dropped_or_fatal():
-    entries = run_claim_audit(2, 1, seed=1, samples=200)
+    entries = run_claim_audit(2, seed=1, samples=200)
     verdicts = {e.claim_id: e.verdict for e in entries}
     assert verdicts["isometry_pullback_level2"] == SCALE_DEPENDENT
     assert verdicts["veronese_scalar_curvature"] == SCALE_DEPENDENT
@@ -627,7 +626,7 @@ def test_scale_dependent_claims_never_dropped_or_fatal():
 
 
 def test_match_iff_within_tolerance():
-    for e in run_claim_audit(2, 2, seed=3, samples=200):
+    for e in run_claim_audit(2, seed=3, samples=200):
         if e.verdict == SCALE_DEPENDENT:
             continue
         assert (e.verdict == MATCH) == (e.abs_deviation <= e.tolerance)
@@ -635,27 +634,26 @@ def test_match_iff_within_tolerance():
 
 
 def test_audit_caps():
+    for level in (0, 7):
+        with pytest.raises(ValueError, match="level must be in 1..6"):
+            run_claim_audit(level, seed=0, samples=10)
+    with pytest.raises(TypeError):  # one level: what follows it is keyword-only
+        run_claim_audit(6, 4)
     with pytest.raises(ValueError):
-        run_claim_audit(7, 4, seed=0, samples=10)
-    with pytest.raises(ValueError):
-        run_claim_audit(6, 5, seed=0, samples=10)
-    with pytest.raises(ValueError):
-        run_claim_audit(2, 2, seed=0, samples=0)
+        run_claim_audit(2, seed=0, samples=0)
     for level in (2.5, True):   # not integer levels
         with pytest.raises(ValueError, match="level must be an integer"):
-            run_claim_audit(level, 2, seed=0, samples=10)
-        with pytest.raises(ValueError, match="level must be an integer"):
-            run_claim_audit(2, level, seed=0, samples=10)
+            run_claim_audit(level, seed=0, samples=10)
         with pytest.raises(ValueError, match="level must be an integer"):
             diagram_check(level)
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="homothety_tol"):
-            run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=tol)
-    assert run_claim_audit(2, 2, seed=0, samples=10, homothety_tol=0.0)  # zero is a tolerance
+            run_claim_audit(2, seed=0, samples=10, homothety_tol=tol)
+    assert run_claim_audit(2, seed=0, samples=10, homothety_tol=0.0)  # zero is a tolerance
 
 
 def test_entries_serialize_to_json():
-    entries = run_claim_audit(2, 2, seed=2, samples=200)
+    entries = run_claim_audit(2, seed=2, samples=200)
     payload = json.dumps([e.to_dict() for e in entries])
     decoded = json.loads(payload)
     assert len(decoded) == len(entries)
@@ -675,7 +673,7 @@ def test_non_finite_numbers_serialize_as_null():
 
 
 def test_level2_curvature_field_computed_once(kernel_blocks):
-    run_claim_audit(6, 4, seed=0, samples=300)
+    run_claim_audit(6, seed=0, samples=300)
     # one 20-point sweep per audited level, then level 2 and level 3 once each:
     # the canonical point alone, then the samples (one block here)
     assert kernel_blocks == [20] * 10 + [1, 300] * 2
@@ -683,7 +681,7 @@ def test_level2_curvature_field_computed_once(kernel_blocks):
 
 def test_norm_identity_entries_do_not_depend_on_samples_or_seed():
     # the certificate is read from the coefficients; nothing is drawn
-    readings = [[e for e in run_claim_audit(6, 4, seed=seed, samples=samples)
+    readings = [[e for e in run_claim_audit(6, seed=seed, samples=samples)
                  if e.claim_id in NORM_IDENTITY_IDS]
                 for samples in (1, 20_000) for seed in (0, 11)]
     assert len(readings[0]) == 3
@@ -707,13 +705,13 @@ def test_claim_family_memory_does_not_grow_with_samples(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1] - start
                 peaks[_name] = max(peaks.get(_name, 0), peak)
         monkeypatch.setattr(audit, name, traced)
-    run_claim_audit(6, 4, samples=20)  # builds and caches every map first
+    run_claim_audit(6, samples=20)  # builds and caches every map first
     by_samples = {}
     tracemalloc.start()
     try:
         for samples in (2_000, 20_000):
             peaks.clear()
-            run_claim_audit(6, 4, samples=samples)
+            run_claim_audit(6, samples=samples)
             by_samples[samples] = dict(peaks)
     finally:
         tracemalloc.stop()
@@ -723,17 +721,21 @@ def test_claim_family_memory_does_not_grow_with_samples(monkeypatch):
             name, by_samples)
 
 
-@pytest.mark.parametrize("n_max_real, n_max_complex", [(1, 1), (2, 1), (3, 2), (6, 4)])
-def test_a_family_that_raises_errors_exactly_its_own_claims(n_max_real, n_max_complex,
-                                                            monkeypatch):
-    healthy = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+# every n_max verify can reach, by the real and complex levels each audits
+N_MAX = pytest.mark.parametrize("n_max", range(1, 7), ids=[
+    f"{n}-{min(n, constants.LEVEL_CAPS['audit']['complex'])}" for n in range(1, 7)])
+
+
+@N_MAX
+def test_a_family_that_raises_errors_exactly_its_own_claims(n_max, monkeypatch):
+    healthy = run_claim_audit(n_max, seed=0, samples=20)
 
     def broken(n, field):
         raise quadmap.StructuralError(f"no level-{n} {field} map")
 
     # every family but the exact sequences builds a map
     monkeypatch.setattr(construct, "build", broken)
-    entries = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+    entries = run_claim_audit(n_max, seed=0, samples=20)
     assert [e.claim_id for e in entries] == [e.claim_id for e in healthy]
     sequences = {"radius_closed_vs_recursive", "radius_level3",
                  "ambient_dimension_sequences", "coefficient_ratio"}
@@ -748,9 +750,8 @@ def test_a_family_that_raises_errors_exactly_its_own_claims(n_max_real, n_max_co
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("n_max_real, n_max_complex", [(1, 1), (1, 2), (2, 1), (6, 4)])
-def test_the_ids_of_a_raising_family_are_the_ids_it_returns(n_max_real, n_max_complex, name,
-                                                            monkeypatch):
+@N_MAX
+def test_the_ids_of_a_raising_family_are_the_ids_it_returns(n_max, name, monkeypatch):
     # the claim ids that run_claim_audit lists for a family, which it reports as ERROR
     # when the family raises, are those the family returns when it runs
     returned = set()
@@ -761,13 +762,13 @@ def test_the_ids_of_a_raising_family_are_the_ids_it_returns(n_max_real, n_max_co
         return entries
 
     monkeypatch.setattr(audit, name, recorded)
-    run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+    run_claim_audit(n_max, seed=0, samples=20)
 
     def broken(*args):
         raise quadmap.StructuralError(f"{name} broken")
 
     monkeypatch.setattr(audit, name, broken)
-    entries = run_claim_audit(n_max_real, n_max_complex, seed=0, samples=20)
+    entries = run_claim_audit(n_max, seed=0, samples=20)
     assert {e.claim_id for e in entries if e.verdict == ERROR} == returned
 
 
@@ -775,9 +776,9 @@ def test_a_linalg_error_fails_the_geometry_families_only(monkeypatch):
     def singular(map_, points):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    healthy = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    healthy = {e.claim_id: e for e in run_claim_audit(3, seed=4, samples=50)}
     monkeypatch.setattr(geometry, "curvature_field", singular)
-    entries = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    entries = {e.claim_id: e for e in run_claim_audit(3, seed=4, samples=50)}
     errors = {"homothety", "local_injectivity_real", "local_injectivity_complex",
               "minimality", "isometry_pullback_level2",
               "veronese_scalar_curvature", "veronese_alpha_norm_sq",
@@ -800,9 +801,9 @@ def test_an_anisotropy_past_lambda_over_d_fails_local_injectivity(monkeypatch):
         geo = original(map_, points)
         return {**geo, "anisotropy": 2.0 * geo["lambda"] / map_.quotient_dim}
 
-    healthy = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    healthy = {e.claim_id: e for e in run_claim_audit(3, seed=4, samples=50)}
     monkeypatch.setattr(geometry, "curvature_field", anisotropic)
-    entries = {e.claim_id: e for e in run_claim_audit(3, 2, seed=4, samples=50)}
+    entries = {e.claim_id: e for e in run_claim_audit(3, seed=4, samples=50)}
     injectivity = {"local_injectivity_real", "local_injectivity_complex"}
     for claim_id in injectivity:
         assert (healthy[claim_id].verdict, healthy[claim_id].abs_deviation) == (MATCH, 0.0)
@@ -814,9 +815,9 @@ def test_an_anisotropy_past_lambda_over_d_fails_local_injectivity(monkeypatch):
 
 
 def test_a_nonconstant_integrand_errors_exactly_the_integral_claims(request):
-    healthy = {e.claim_id: e for e in run_claim_audit(3, 2)}
+    healthy = {e.claim_id: e for e in run_claim_audit(3)}
     request.getfixturevalue("varying_scalar_curvature")
-    entries = {e.claim_id: e for e in run_claim_audit(3, 2)}
+    entries = {e.claim_id: e for e in run_claim_audit(3)}
     errors = {"veronese_scalar_curvature", "veronese_alpha_norm_sq", "pi_functional_level2",
               "gauss_bonnet_level2", "sigma_quotient_level3"}
     assert entries.keys() == healthy.keys()
@@ -866,7 +867,7 @@ def test_point_families_draw_distinct_points(seed, monkeypatch):
             return points
         monkeypatch.setattr(module, name, record)
 
-    run_claim_audit(n_max_real=2, n_max_complex=2, seed=seed, samples=30)
+    run_claim_audit(2, seed=seed, samples=30)
     assert {draw[0] for draw in draws} == {name for _, name in SAMPLERS}
     assert all(draw[2] == 0 for draw in draws)
     keys = [draw[1] for draw in draws]
@@ -894,7 +895,7 @@ def test_the_audit_streams_share_no_word(seed, monkeypatch):
         return _words(key, first, pairs)
 
     monkeypatch.setattr(sampling, "_pair_words", words)
-    run_claim_audit(6, 4, seed=seed, samples=20_000)
+    run_claim_audit(6, seed=seed, samples=20_000)
     # ten geometry sweeps and the two integral gates
     assert len(ranges) == 12
     assert sorted(hi - lo for lo, hi in ranges.values())[-2:] == [60_000, 80_000]

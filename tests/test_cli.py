@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from veronese import cli, construct, geometry, quadmap, sampling
+from veronese.audit import run_claim_audit
 from veronese.cli import main
 from veronese.quadmap import QuadMap
 
@@ -70,6 +71,16 @@ def test_verify_csv_format():
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:3] == ["claim_id", "expected", "measured"]
     assert len(rows) > 10
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_verify_writes_the_audit_at_its_level(n_max):
+    # --n-max is the audit's one level, capped at 6 (the audit caps the complex levels)
+    code, out = run_cli(["verify", "--n-max", str(n_max), "--samples", "40", "--seed", "3",
+                         "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == [e.to_dict() for e in
+                               run_claim_audit(min(n_max, 6), seed=3, samples=40)]
 
 
 def test_report_json():

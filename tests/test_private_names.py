@@ -43,8 +43,8 @@ def private_uses(source: str) -> list[str]:
 
 
 def test_detector_finds_private_uses():
-    assert private_uses("from veronese.cli import _render_entries") == [
-        "from veronese.cli import _render_entries"]
+    assert private_uses("from veronese.cli import _render") == [
+        "from veronese.cli import _render"]
     assert private_uses("from . import geometry\ngeometry._tangent_bases(p, r, f)") == [
         "geometry._tangent_bases"]
     assert private_uses("import veronese.cli\nveronese.cli._fmt(1.0)") == ["veronese.cli._fmt"]
