@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -43,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit = sub.add_parser("emit", help="write the coefficient matrices of one map as JSON")
     p_emit.add_argument("--field", choices=FIELDS, required=True)
     p_emit.add_argument("--n", type=int, required=True, help="level of the map")
-    p_emit.add_argument("--format", choices=["json"], default="json")
     p_emit.add_argument("--out", default="-")
 
     p_verify = sub.add_parser("verify", help="run the construction checks and the claim audit")
@@ -54,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=1000,
                           help="samples of the level-2 and level-3 integral gates")
     p_verify.add_argument("--seed", type=int, default=0, help=seed_help)
-    p_verify.add_argument("--tol", type=float, default=1e-8,
-                          help="tolerance for the homothety-constancy claim")
     p_verify.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p_verify.add_argument("--out", default="-")
 
@@ -63,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--field", choices=FIELDS, required=True)
     p_report.add_argument("--n", type=int, required=True)
     p_report.add_argument("--samples", type=int, default=1000,
-                          help="samples of the integrals and their constancy gate")
+                          help="samples of the integrals' constancy gate")
     p_report.add_argument("--seed", type=int, default=0, help=seed_help)
     p_report.add_argument("--metric", choices=["image", "domain"], default="image")
     p_report.add_argument("--format", choices=["table", "json", "csv"], default="table")
@@ -128,12 +124,9 @@ def _cmd_verify(args) -> int:
 
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     with _output(args.out) as stream:
         entries = audit.run_claim_audit(min(args.n_max, LEVEL_CAPS["audit"]["real"]),
-                                        seed=args.seed, samples=args.samples,
-                                        homothety_tol=args.tol)
+                                        seed=args.seed, samples=args.samples)
         failures = audit.hard_failures(entries)
         width = max(len(e.claim_id) for e in entries)
         header = (f"{'claim':<{width}}  {'expected':>14}  {'measured':>14}  "

@@ -138,15 +138,16 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
     worst = float(np.max(np.abs(np.sqrt(row_sum(images * images)) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
-        raise StructuralError(f"image points are off the unit sphere (worst deviation {worst:.3e})")
+        raise StructuralError(f"{map_.field} level {map_.n}: image points are off the unit "
+                              f"sphere (worst deviation {worst:.3e})")
 
     try:
         chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise StructuralError("image tangent space is rank deficient") from None
+    except np.linalg.LinAlgError:  # not positive definite: a zero pivot
+        chol = np.zeros_like(gram)
     pivots = np.diagonal(chol, axis1=1, axis2=2)
     if np.any(pivots.min(axis=1) <= RANK_TOL * pivots.max(axis=1)):
-        raise StructuralError("image tangent space is rank deficient")
+        raise StructuralError(f"{map_.field} level {map_.n}: image tangent space is rank deficient")
     # [Q^T | B'] = L^-1 [T | B], by forward substitution in place
     frame, rows = rows[:, :, :k], rows[:, 1:]
     for i, row in enumerate(rows.transpose(1, 0, 2)):

@@ -84,8 +84,8 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     integrands (scalar curvature and |alpha|^2 under both metrics).  Each
     integral is the closed-form volume times the first sample's value, which
     scalar_curvature_mean and alpha_norm_sq_mean hold; a spread wider than
-    CONSTANT_SPREAD_TOL raises StructuralError naming the metric and the
-    integrand.  No figure depends on the chunk length.
+    CONSTANT_SPREAD_TOL raises StructuralError naming the map, the metric and
+    the integrand.  No figure depends on the chunk length.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -118,8 +118,8 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     for name, value, spread in zip(names, first, (high - low).tolist()):
         bound = CONSTANT_SPREAD_TOL * max(1.0, abs(value))
         if not spread <= bound:
-            raise StructuralError(f"the {name} is not constant over the samples: "
-                                  f"spread {spread:.3e}, bound {bound:.3e}")
+            raise StructuralError(f"{field} level {n}: the {name} is not constant over the "
+                                  f"samples: spread {spread:.3e}, bound {bound:.3e}")
 
     readings = {"canonical": canonical}
     for (metric, t), scalar_value, alpha_value in zip(metrics.items(), first[:2], first[2:]):

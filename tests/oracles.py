@@ -580,6 +580,22 @@ def per_action_invariance(map_, point_count, seed):
     return invariance
 
 
+def realified_commutator(map_) -> float:
+    """max |S_k J - J S_k| over the realified stack, J the generator of the fiber
+    action on the real rows: [[0, -I], [I, 0]] for a complex map, -I (the sign)
+    for a real one.  S_k = [[Re A_k, -Im A_k], [Im A_k, Re A_k]] commutes with J
+    for every A_k, and each product with J only moves and negates entries, so the
+    residual is exactly 0.0 unless the stack breaks that layout."""
+    m, k = map_.stack.shape[0], map_.component_count
+    s = map_.stack.reshape(m, m, k).transpose(2, 0, 1)
+    if map_.field == "real":
+        j = -np.eye(m)
+    else:
+        zero, one = np.zeros((m // 2, m // 2)), np.eye(m // 2)
+        j = np.block([[zero, -one], [one, zero]])
+    return float(np.max(np.abs(s @ j - j @ s)))
+
+
 def printf_rows(block):
     """Rows of values as CSV text through one "%.17g" template per row, applied
     once to the block's values: the oracle of the cloud export's formatter."""

@@ -17,8 +17,8 @@ from veronese.construct import build
 from veronese.quadmap import evaluate, harmonicity_traces, norm_identity_residual
 
 from oracles import (DIAGRAM_TOLERANCES, fiber_checks, laplace_residual, pullback_factor,
-                     sampled_diagram_check, sampled_norm_identity_residual,
-                     smallest_singular_value)
+                     realified_commutator, sampled_diagram_check,
+                     sampled_norm_identity_residual, smallest_singular_value)
 
 
 class Criterion:
@@ -83,11 +83,12 @@ def test_criterion_04_fiber_structure():
     with Criterion("04 fiber-structure", budget_seconds=10.0) as c:
         for field, cap in (("real", 4), ("complex", 3)):
             for n in range(1, cap + 1):
-                # the coefficient certificate the audit reads, then the sampled search
+                # the coefficient certificate the audit reads and the exact commutator the
+                # audit reads as 0.0, then the sampled search
                 cert = audit._fiber_certificate(build(n, field))
-                c.check(cert["invariance_residual"] < 1e-12,
-                        f"{field} level {n} certified invariance "
-                        f"{cert['invariance_residual']:.2e}")
+                commutator = realified_commutator(build(n, field))
+                c.check(commutator < 1e-12,
+                        f"{field} level {n} realified commutator {commutator:.2e}")
                 c.check(cert["separation_floor"] > audit.SEPARATION_FLOOR,
                         f"{field} level {n} separation floor {cert['separation_floor']:.2e}")
                 rep = fiber_checks(n, field, 10_000, seed=2000 + n)

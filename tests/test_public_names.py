@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import veronese
+from veronese.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "veronese").glob("*.py"))
@@ -78,6 +79,17 @@ def test_a_submodule_imports_by_name():
 
     assert geometry is sys.modules["veronese.geometry"]
     assert geometry.curvature_field is veronese.curvature_field
+
+
+def test_the_readme_names_every_command_line_option():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command line"):].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) - {"--help"}
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    options = {option for sub in commands.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == options - {"--help"}
 
 
 def test_the_readme_lists_every_exported_name():
