@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"highest level to audit (real capped at {caps['real']}, "
                                f"complex at {caps['complex']})")
     p_verify.add_argument("--samples", type=int, default=1000,
-                          help="samples of the level-2 and level-3 integral gates")
+                          help="samples whose pairs gate the level-2 and level-3 integrals")
     p_verify.add_argument("--seed", type=int, default=0, help=seed_help)
     p_verify.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p_verify.add_argument("--out", default="-")
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--field", choices=FIELDS, required=True)
     p_report.add_argument("--n", type=int, required=True)
     p_report.add_argument("--samples", type=int, default=1000,
-                          help="samples of the integrals' constancy gate")
+                          help="samples whose pairs gate the integrals")
     p_report.add_argument("--seed", type=int, default=0, help=seed_help)
     p_report.add_argument("--metric", choices=["image", "domain"], default="image")
     p_report.add_argument("--format", choices=["table", "json", "csv"], default="table")

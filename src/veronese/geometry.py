@@ -22,8 +22,6 @@ homothety factor, and nothing here silently picks one normalization.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 import numpy as np
 
 from . import constants
@@ -119,8 +117,8 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     projection removes, so it is never formed.
 
     work is None, or a triple of flat float arrays of at least p d M K, p (d+1) (K+M)
-    and p d d K doubles that the kernel computes in (curvature_blocks keeps one for all
-    its blocks): the stack products; the image point (row 0) over [T | B], made
+    and p d d K doubles that the kernel computes in (curvature_field keeps one for all
+    its chunks): the stack products; the image point (row 0) over [T | B], made
     [Q^T | B'] in place, whose first K columns are the normal frame; and alpha.
     """
     bases = map_.real_rows(tangent_bases(map_, points))
@@ -179,43 +177,35 @@ def curvature_point_bytes(map_: QuadMap) -> int:
     d K (M+d) + (d+1) (K+M); the tangent basis, d M; the projection's (d, d, d+1)
     product, the Gram matrix and its Cholesky factor, d d (d+3); the point's real
     row, M; and a few scalars.  The count is K (M+d+1) - M (d+1) above that: it
-    still counts the stack product and the frame outside the work arrays, so that
-    the chunks keep their lengths, as the exact count would lengthen the top-level
-    ones to five (complex n=8) and eight (real n=12) points and raise report's peak RSS."""
+    still counts the stack product and the frame outside the work arrays, slack
+    that only shortens the chunks (report runs the kernel on two points)."""
     d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
-
-
-def curvature_blocks(map_: QuadMap, blocks: Iterable[np.ndarray]) -> Iterator[dict]:
-    """The curvature_field of each block of points in turn.  The kernel computes
-    in one triple of work arrays for all the blocks, so the allocator neither
-    gives that memory back nor faults it in again between blocks."""
-    d = map_.quotient_dim
-    work, room = None, 0
-    for block in blocks:
-        if room < len(block):
-            work, room = _work(map_, len(block)), len(block)
-        a, lam, anis = second_fundamental_form(map_, block, work)
-        # a row reduction, not a BLAS dot, whose split depends on the thread count
-        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1)).sum(1)
-        # the trace of alpha, (p, K), then its norm; no name holds it across the yield
-        hn = row_sum(np.diagonal(a, axis1=1, axis2=2))
-        hn = np.sqrt(row_sum(hn * hn))
-        yield {"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
-               "mean_curvature_norm": hn, "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2}
 
 
 def curvature_field(map_: QuadMap, points) -> dict:
     """Curvature invariants at many points of the level sphere, chunked to bound memory.
 
     Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
-    'mean_curvature_norm' and 'scalar_curvature_gauss'; used for constancy
-    checks and quotient integration.  Each point's values are the same for
-    every chunk length and every batch the point sits in.
+    'mean_curvature_norm' and 'scalar_curvature_gauss'.  Each point's values
+    are the same for every chunk length and every batch the point sits in.
+    The kernel computes in one triple of work arrays for all the chunks: fresh
+    ones for each chunk would be given back by glibc's allocator between chunks
+    and faulted in again.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         tangent_bases(map_, pts)  # raises its shape error
-    parts = list(curvature_blocks(
-        map_, (pts[part] for part in chunks(len(pts), curvature_point_bytes(map_)))))
+    d, work, parts = map_.quotient_dim, None, []
+    for part in chunks(len(pts), curvature_point_bytes(map_)):
+        if work is None:  # the first chunk is the longest
+            work = _work(map_, part.stop)
+        a, lam, anis = second_fundamental_form(map_, pts[part], work)
+        # a row reduction, not a BLAS dot, whose split depends on the thread count
+        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1)).sum(1)
+        hn = row_sum(np.diagonal(a, axis1=1, axis2=2))  # the trace of alpha, (p, K)
+        hn = np.sqrt(row_sum(hn * hn))
+        parts.append({"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
+                      "mean_curvature_norm": hn,
+                      "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2})
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

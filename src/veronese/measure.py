@@ -1,10 +1,9 @@
 """Volumes and the global invariants of the embedded images over the
 projective quotients.
 
-The quotient of the level-n domain sphere is sampled by pushing uniform
-sphere samples through the quotient map (uniform upstairs is uniform
-downstairs for both the antipodal and the phase action).  Integrals are
-taken against the image metric; global_invariants reports both readings:
+Every curvature integrand is a constant of the map, so each integral is a
+closed-form quotient volume times its value at one point, and samples of the
+level-n domain sphere gate that reading; global_invariants reports both readings:
 
   image metric   -- the measured induced metric of the embedded image;
                     the volume element carries the homothety factor.
@@ -21,19 +20,17 @@ import math
 import numpy as np
 
 from . import constants, construct, geometry
-from .quadmap import StructuralError, chunks
+from .quadmap import StructuralError, chunks, evaluate, evaluate_point_bytes, row_sum
 from .sampling import quotient_samples
 
-# An integrand whose spread over the samples is at most this fraction of
-# max(1, |first value|) is a constant: its integral is the closed-form volume
-# times that value.  It is the only gate: a wider spread means the map is not
-# the homothetic embedding the construction guarantees, and global_invariants
-# raises.  The curvature integrands spread at most 8.9e-15 times
-# max(1, |first value|) over 1,000 samples (seeds 0-2, every level of both
-# fields under both metrics; the worst is |alpha|^2 at real n=2 in the domain
-# metric) and 1.1e-14 times over 100,000 samples there, about 90 times inside
-# the bound.
-CONSTANT_SPREAD_TOL = 1e-12
+# Every level is F(x) = sqrt(c) Q (x x* - |x|^2 I/(n+1)) with Q orthogonal and
+# c r^4 = (n+1)/n, so any two points x, y of the level sphere have
+# |F(x) - F(y)|^2 = c (2 r^4 - 2 |<x, y>|^2), and every curvature integrand is a
+# constant.  A pair of samples that misses the identity by more than this raises.
+# Pairs miss it by at most 4.5e-15 (20,000 pairs at every level of both fields up to
+# 6 and 2,000 above, seeds 0-2; 300,000 at real 2 and 3 and 100,000 at complex 2
+# and 4), about 220 times inside the bound.
+PAIR_TOL = 1e-12
 
 
 def sphere_volume(dim: int, r: float) -> float:
@@ -78,51 +75,56 @@ def global_invariants(n: int, field: str, sample_count: int, seed: int) -> dict:
     image-metric invariants at that point and its effective squared radius
     lambda r_n^2.
 
-    The embedding is a homothety, so both integrands are constants of it.  The
-    samples are drawn and put through the curvature field one chunk at a time,
-    and each chunk keeps only the first, least and largest value of the four
-    integrands (scalar curvature and |alpha|^2 under both metrics).  Each
-    integral is the closed-form volume times the first sample's value, which
-    scalar_curvature_mean and alpha_norm_sq_mean hold; a spread wider than
-    CONSTANT_SPREAD_TOL raises StructuralError naming the map, the metric and
-    the integrand.  No figure depends on the chunk length.
+    The integrands are constants of the map, and each integral is the
+    closed-form volume times their value at the first sample, which
+    scalar_curvature_mean and alpha_norm_sq_mean hold; the curvature field runs
+    once, on the canonical point and that sample.  The samples gate that
+    reading: consecutive samples are pairs, drawn and put through evaluate one
+    block at a time, each block's last row and image carried into the next,
+    and a pair deviation from the congruence identity past PAIR_TOL raises
+    StructuralError naming the map.  No figure depends on the block length.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     map_ = construct.build(n, field)
-    d = map_.quotient_dim
+    d, r4 = map_.quotient_dim, float(constants.radius_pow4(n))
+    c = (n + 1) / (n * r4)
 
-    geo = geometry.curvature_field(map_, geometry.canonical_point(map_)[None])
+    points = np.empty((0, n + 1), map_.components.dtype)
+    images, worst = np.empty((0, map_.component_count)), 0.0
+    # a block peaks in evaluate, at 8 (M K + 2 K + 3 M) bytes a row at most (the tracemalloc
+    # peak at every build level of both fields); it counts three times that, as glibc keeps
+    # what a block frees, up to twice its largest array, for the next one.  Counted once,
+    # blocks raised the audit's peak RSS by 1.4 MB
+    for part in chunks(sample_count, 3 * (evaluate_point_bytes(map_) + 16 * map_.stack.shape[0])):
+        rows = quotient_samples(n, field, part.stop - part.start, seed, part.start)
+        if not part.start:  # the kernel, on the canonical point and row 0
+            geo = geometry.curvature_field(
+                map_, np.stack([geometry.canonical_point(map_), rows[0]]))
+        # pair i is rows i and i + 1, the first of a block the last row of the one before
+        points = np.concatenate([points[-1:], rows])
+        images = np.concatenate([images[-1:], evaluate(map_, rows)])
+        dot = np.conj(points[:-1]) * points[1:]  # <x, y>, term by term
+        hermitian_sq = row_sum(dot.real) ** 2 + row_sum(dot.imag) ** 2
+        diff = images[1:] - images[:-1]
+        deviation = np.abs(row_sum(diff * diff) - c * (2.0 * r4 - 2.0 * hermitian_sq))
+        worst = np.max(deviation, initial=worst)  # a NaN stays
+    if not worst <= PAIR_TOL:
+        raise StructuralError(f"{field} level {n}: the map is not a congruence on the samples: "
+                              f"pair deviation {worst:.3e}, bound {PAIR_TOL:.3e}")
+
     canonical = {key: float(value[0]) for key, value in geo.items()}
     lam = canonical.pop("lambda")
     canonical["homothety_factor"] = lam
     canonical["effective_radius_sq"] = lam * constants.radius(n) ** 2
     metrics = {"image": 1.0, "domain": 1.0 / lam}
-    ts = np.array(list(metrics.values()))[:, None]  # t of each metric, as a column
-
-    # per point: the curvature kernel and the point's real row (the draw's
-    # temporaries, about 40 bytes a normal, are gone before the kernel runs)
-    parts = chunks(sample_count, geometry.curvature_point_bytes(map_) + 8 * map_.stack.shape[0])
-    blocks = (quotient_samples(n, field, part.stop - part.start, seed, part.start)
-              for part in parts)
-    first, low, high = None, np.inf, -np.inf
-    for geo in geometry.curvature_blocks(map_, blocks):
-        # rows: the scalar curvature under each metric, then |alpha|^2 under each
-        scalar = geo["scalar_curvature_gauss"] / ts
-        values = np.concatenate([scalar, d * (d - 1) + geo["mean_curvature_norm"] ** 2 - scalar])
-        if first is None:
-            first = values[:, 0].tolist()
-        low, high = np.minimum(low, values.min(axis=1)), np.maximum(high, values.max(axis=1))
-    names = [f"{metric}-metric {integrand}" for integrand in ("scalar curvature", "|alpha|^2")
-             for metric in metrics]
-    for name, value, spread in zip(names, first, (high - low).tolist()):
-        bound = CONSTANT_SPREAD_TOL * max(1.0, abs(value))
-        if not spread <= bound:
-            raise StructuralError(f"{field} level {n}: the {name} is not constant over the "
-                                  f"samples: spread {spread:.3e}, bound {bound:.3e}")
+    # the integrands at the first sample under each metric t
+    scalar = geo["scalar_curvature_gauss"][1] / np.array(list(metrics.values()))
+    alpha = d * (d - 1) + geo["mean_curvature_norm"][1:] ** 2 - scalar
 
     readings = {"canonical": canonical}
-    for (metric, t), scalar_value, alpha_value in zip(metrics.items(), first[:2], first[2:]):
+    for (metric, t), scalar_value, alpha_value in zip(metrics.items(), scalar.tolist(),
+                                                      alpha.tolist()):
         factor = quotient_volume_factor(n, field, lam * t)
         out = {
             "lambda_bar": lam,

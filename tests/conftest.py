@@ -1,31 +1,36 @@
 import pytest
 
-from veronese import geometry
+from veronese import construct, geometry
+from veronese.quadmap import QuadMap
 
 
 @pytest.fixture
 def kernel_blocks(monkeypatch) -> list:
     """The length of every block of points the curvature kernel runs on, in order;
-    curvature_field and global_invariants both run it through curvature_blocks."""
+    curvature_field runs second_fundamental_form once per chunk."""
     lengths = []
 
-    def blocks(map_, points, _blocks=geometry.curvature_blocks):
-        for block in points:
-            lengths.append(len(block))
-            yield from _blocks(map_, [block])
+    def kernel(map_, points, work=None, _kernel=geometry.second_fundamental_form):
+        lengths.append(len(points))
+        return _kernel(map_, points, work)
 
-    monkeypatch.setattr(geometry, "curvature_blocks", blocks)
+    monkeypatch.setattr(geometry, "second_fundamental_form", kernel)
     return lengths
 
 
 @pytest.fixture
-def varying_scalar_curvature(monkeypatch):
-    """x0^2 added to the scalar curvature of the samples: an integrand that is
-    invariant under the antipodal map but genuinely varies."""
-    def blocks(map_, points, _blocks=geometry.curvature_blocks):
-        for block in points:
-            geo = next(_blocks(map_, [block]))
-            geo["scalar_curvature_gauss"] = geo["scalar_curvature_gauss"] + block[:, 0] ** 2
-            yield geo
+def unbalanced_level2_map(monkeypatch):
+    """The real level-2 map with its last (balance) component scaled by 1 + 1e-11:
+    the images stay on the unit sphere within the kernel's tolerance, but the map
+    is no congruence, and its curvature integrands vary."""
+    original = construct.build
 
-    monkeypatch.setattr(geometry, "curvature_blocks", blocks)
+    def unbalanced(n, field):
+        map_ = original(n, field)
+        if (field, n) != ("real", 2):
+            return map_
+        comps = map_.components.copy()
+        comps[-1] *= 1.0 + 1e-11
+        return QuadMap(n, comps)
+
+    monkeypatch.setattr(construct, "build", unbalanced)

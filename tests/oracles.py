@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from veronese import constants, construct
+from veronese import constants, construct, geometry
 from veronese.audit import SEPARATION_FLOOR
 from veronese.constants import radius_pow4, rational_str
 from veronese.geometry import tangent_bases
@@ -304,6 +304,35 @@ def sampled_norm_identity_residual(map_: QuadMap, sample_count: int, seed: int) 
         lhs = np.einsum("pk,pk->p", vals, vals)
         worst = max(worst, float(np.max(np.abs(lhs - sq * sq / r4))))
     return worst
+
+
+def integrand_spread(map_: QuadMap, count: int, key: int) -> dict:
+    """{integrand: (its value at the first sample, its spread)} over count samples of
+    the key, for the four integrands of global_invariants: the scalar curvature and
+    |alpha|^2 under the image metric and under the domain metric, the image metric
+    times t = 1/lambda at the canonical point.
+
+    The curvature field runs on every sample, one kernel chunk at a time, and each
+    chunk keeps only the first, least and largest values; global_invariants once
+    gated its integrals this way, where it now reads the pair identity of a
+    congruence through evaluate.
+    """
+    d = map_.quotient_dim
+    lam = geometry.curvature_field(map_, geometry.canonical_point(map_)[None])["lambda"][0]
+    ts = np.array([1.0, 1.0 / lam])[:, None]  # t of each metric, as a column
+    first, low, high = None, np.inf, -np.inf
+    for part in chunks(count, geometry.curvature_point_bytes(map_)):
+        geo = geometry.curvature_field(map_, quotient_samples(
+            map_.n, map_.field, part.stop - part.start, key, part.start))
+        scalar = geo["scalar_curvature_gauss"] / ts
+        values = np.concatenate([scalar, d * (d - 1) + geo["mean_curvature_norm"] ** 2 - scalar])
+        if first is None:
+            first = values[:, 0].tolist()
+        low, high = np.minimum(low, values.min(axis=1)), np.maximum(high, values.max(axis=1))
+    names = [f"{metric}-metric {integrand}" for integrand in ("scalar curvature", "|alpha|^2")
+             for metric in ("image", "domain")]
+    return {name: (value, spread)
+            for name, value, spread in zip(names, first, (high - low).tolist())}
 
 
 def exact_quartic_residual(map_: QuadMap) -> Fraction:

@@ -95,10 +95,11 @@ def test_report_json():
 
 @pytest.mark.parametrize("field,n", [("real", 2), ("complex", 3)])
 def test_report_takes_one_curvature_pass(field, n, kernel_blocks):
-    # the canonical point alone, then every sample once, block by block
+    # the canonical point and the first sample, in one block; the samples' pair gate
+    # runs no kernel
     code, _ = run_cli(["report", "--field", field, "--n", str(n), "--samples", "40"])
     assert code == 0
-    assert kernel_blocks == [1, 40]
+    assert kernel_blocks == [2]
 
 
 def test_report_domain_metric():
@@ -249,7 +250,7 @@ def test_verify_and_report_do_not_depend_on_chunk_length(argv, monkeypatch):
     ["report", "--field", "complex", "--n", "2"],
 ], ids=["verify-seed-0", "verify-seed-5", "report-real", "report-complex"])
 def test_verify_and_report_do_not_depend_on_the_sample_count(argv):
-    # --samples sizes the integrals' constancy gate; each integral reads its key's first
+    # --samples sizes the integrals' pair gate; each integral reads its key's first
     # row, so a value that grows or averages with the sample count shows here
     outputs = {run_cli(argv + ["--samples", str(samples), "--format", "json"])
                for samples in (1, 2, 300)}
@@ -363,12 +364,13 @@ def test_broken_map_is_a_failure_not_a_usage_error(argv, field_name, scaled_leve
     assert err.startswith(f"error: {field_name} level 2: image points are off the unit sphere")
 
 
-def test_a_nonconstant_integrand_is_a_failure(varying_scalar_curvature, capsys):
+def test_a_nonconstant_integrand_is_a_failure(unbalanced_level2_map, capsys):
     assert main(["report", "--field", "real", "--n", "2", "--samples", "50"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: real level 2: the image-metric scalar curvature is not "
-                          "constant")
+    assert err.startswith("error: real level 2: the map is not a congruence on the samples: "
+                          "pair deviation ")
+    assert err.endswith(", bound 1.000e-12\n")
 
 
 def _reject_constant(name):

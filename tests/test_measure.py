@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from veronese import constants, geometry, measure, quadmap, sampling
+from veronese import constants, construct, geometry, measure, quadmap, sampling
 from veronese.construct import build
 from veronese.geometry import curvature_field
 from veronese.measure import global_invariants, sphere_volume
 from veronese.quadmap import StructuralError
 from veronese.sampling import complex_sphere_points, sphere_points
 
-from oracles import fiber_actions, normalized_rows
+from oracles import fiber_actions, integrand_spread, normalized_rows
 
 
 def test_sphere_volume_values():
@@ -48,7 +49,7 @@ def test_integral_estimate_determinism():
 
 
 def test_curvature_integrands_are_fiber_invariant():
-    # the integrands global_invariants averages are functions on the quotient
+    # the integrands global_invariants reads are functions on the quotient
     for field, n in (("real", 2), ("real", 3), ("complex", 1), ("complex", 2)):
         m = build(n, field)
         pts = sampling.quotient_samples(n, field, 8, seed=30 + n)
@@ -62,12 +63,16 @@ def test_curvature_integrands_are_fiber_invariant():
 
 @pytest.mark.parametrize("chunk_bytes", [1, quadmap.CHUNK_BYTES],
                          ids=["point-chunks", "budget-chunks"])
-def test_nonconstant_integrand_raises(varying_scalar_curvature, chunk_bytes, monkeypatch):
-    # at one point per chunk only the spread across chunks shows the variation
+def test_nonconstant_integrand_raises(unbalanced_level2_map, chunk_bytes, monkeypatch):
+    # the unbalanced map's integrands vary, and its pairs miss the congruence
+    # identity; at one row per block every pair joins the row carried from the last
+    # block to the block's one row, so the worst pair, and the message, are the same
     monkeypatch.setattr(quadmap, "CHUNK_BYTES", chunk_bytes)
-    with pytest.raises(StructuralError, match="the image-metric scalar curvature is not constant"):
+    with pytest.raises(StructuralError) as raised:
         global_invariants(2, "real", 4000, seed=7)
-    # one sample spreads nothing
+    assert str(raised.value) == ("real level 2: the map is not a congruence on the samples: "
+                                 "pair deviation 4.442e-11, bound 1.000e-12")
+    # one sample checks no pair
     assert global_invariants(2, "real", 1, seed=7)["image"]["total_scalar"] > 0
 
 
@@ -221,3 +226,73 @@ def test_curvature_integrands_take_the_constant_branch(field, n):
         assert reading["total_scalar"] == reading["volume"] * reading["scalar_curvature_mean"]
         assert reading["pi_functional"] == reading["volume"] * reading["alpha_norm_sq_mean"]
         assert not any(key.endswith("std_error") for key in reading), metric
+
+
+@pytest.fixture
+def varying_scalar_curvature(monkeypatch):
+    """x0^2 added to the scalar curvature of the curvature field: an integrand that
+    is invariant under the antipodal map but genuinely varies."""
+    def varying(map_, points, _field=geometry.curvature_field):
+        geo = _field(map_, points)
+        geo["scalar_curvature_gauss"] = geo["scalar_curvature_gauss"] + points[:, 0] ** 2
+        return geo
+
+    monkeypatch.setattr(geometry, "curvature_field", varying)
+
+
+@pytest.mark.parametrize("field,n", LEVELS)
+def test_the_curvature_integrands_are_constant(field, n):
+    # the oracle runs the kernel on every sample; global_invariants reads the first
+    # sample of the same key and gates it on the pair identity alone
+    readings = global_invariants(n, field, 1, seed=80 + n)
+    spreads = integrand_spread(build(n, field), 1000, 80 + n)
+    for name, (first, spread) in spreads.items():
+        assert spread <= 1e-12 * max(1.0, abs(first)), (name, first, spread)
+    for metric in ("image", "domain"):
+        assert spreads[f"{metric}-metric scalar curvature"][0] == readings[metric][
+            "scalar_curvature_mean"]
+        assert spreads[f"{metric}-metric |alpha|^2"][0] == readings[metric]["alpha_norm_sq_mean"]
+
+
+def test_the_spread_oracle_catches_a_varying_integrand(request):
+    spreads = integrand_spread(build(2, "real"), 4000, 7)
+    assert max(spread for _, spread in spreads.values()) < 1e-13
+    request.getfixturevalue("varying_scalar_curvature")
+    spreads = integrand_spread(build(2, "real"), 4000, 7)
+    assert spreads["image-metric scalar curvature"][1] > 1.0  # x0^2 spans most of [0, r^2]
+    assert spreads["image-metric |alpha|^2"][1] > 1.0
+
+
+def test_the_unbalanced_map_has_a_varying_integrand(unbalanced_level2_map):
+    # the map stands for a nonconstant integrand in the tests that raise on it
+    spreads = integrand_spread(construct.build(2, "real"), 4000, 7)
+    assert spreads["image-metric scalar curvature"][1] > 1e-12
+
+
+@pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
+def test_a_budget_sized_gate_block_stays_within_chunk_bytes(field, cap, monkeypatch):
+    # the tracemalloc peak of global_invariants on as many samples as one block of
+    # its pair gate holds (the rows of its first draw), after a warm-up call
+    class Drawn(Exception):
+        pass
+
+    def first_draw(dim, count, *args, **kwargs):
+        raise Drawn(count)
+
+    for n in range(1, cap + 1):
+        with monkeypatch.context() as patch, pytest.raises(Drawn) as drawn:
+            patch.setattr(sampling, "sphere_points", first_draw)
+            global_invariants(n, field, 10**9, seed=170 + n)
+        length = drawn.value.args[0]
+        global_invariants(n, field, 2, seed=170 + n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            global_invariants(n, field, length, seed=170 + n)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= quadmap.CHUNK_BYTES, (n, length, peak)
+        # a block counts three times its peak, for what glibc keeps of it: measured
+        # 0.26-0.39 of the budget, so blocks do not run much shorter than that
+        assert peak >= quadmap.CHUNK_BYTES // 4, (n, length, peak)
