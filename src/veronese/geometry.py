@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import constants
-from .quadmap import QuadMap, StructuralError, chunks, row_sum
+from .quadmap import QuadMap, StructuralError, chunks
 
 FRAME_TOL = 1e-12        # relative on-sphere tolerance for domain points
 # Smallest acceptable pivot of the Cholesky factor of the pullback Gram matrix,
@@ -64,7 +64,7 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     r = constants.radius(map_.n)
     u = map_.domain_points(pts)
     # np.linalg.norm's operations for rows of floats, real or complex
-    worst = float(np.max(np.abs(np.sqrt(row_sum((u.conj() * u).real)) - r)))
+    worst = float(np.max(np.abs(np.sqrt((u.conj() * u).real.sum(-1)) - r)))
     if not worst <= FRAME_TOL * max(1.0, r):  # NaN coordinates fail too
         raise ValueError(f"points are off the level-{map_.n} sphere of radius {r!r} "
                          f"(worst norm deviation {worst:.3e})")
@@ -87,7 +87,7 @@ def tangent_bases(map_: QuadMap, points) -> np.ndarray:
     return np.stack([basis, 1j * basis], axis=2).reshape(p, 2 * (m - 1), m)
 
 
-def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarray, ...]:
+def second_fundamental_form(map_: QuadMap, points) -> tuple[np.ndarray, ...]:
     """Second fundamental form at points of the level sphere, with the pullback
     factor (the mean diagonal of the pullback Gram matrix) and its anisotropy
     (its worst deviation from that multiple of I), as (alpha, lambda,
@@ -115,16 +115,11 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     constant on the sphere) is the second fundamental form of the image inside
     the unit sphere; the map(x) term lies along the image point, which that
     projection removes, so it is never formed.
-
-    work is None, or a triple of flat float arrays of at least p d M K, p (d+1) (K+M)
-    and p d d K doubles that the kernel computes in (curvature_field keeps one for all
-    its chunks): the stack products; the image point (row 0) over [T | B], made
-    [Q^T | B'] in place, whose first K columns are the normal frame; and alpha.
     """
     bases = map_.real_rows(tangent_bases(map_, points))
     x = map_.real_rows(map_.domain_points(points))
     (p, d, m), k = bases.shape, map_.component_count
-    spare, rows, acc = work if work is not None else _work(map_, p)
+    spare, rows, acc = _work(map_, p)
     dx = np.matmul(x, map_.stack, out=spare[:p * m * k].reshape(p, m * k)).reshape(p, m, k)
     rows = rows[:p * (d + 1) * (k + m)].reshape(p, d + 1, k + m)
     images = np.matmul(x[:, None], dx, out=rows[:, :1, :k])[:, 0]   # x^T S_k x, as evaluate
@@ -132,9 +127,9 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
     tangent = np.matmul(bases, dx, out=rows[:, 1:, :k])
     rows[:, 1:, k:] = bases
     gram = tangent @ tangent.transpose(0, 2, 1)
-    lam = row_sum(np.diagonal(gram, axis1=1, axis2=2)) / d
+    lam = np.diagonal(gram, axis1=1, axis2=2).sum(-1) / d
     anis = np.max(np.abs(gram - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    worst = float(np.max(np.abs(np.sqrt(row_sum(images * images)) - 1.0)))
+    worst = float(np.max(np.abs(np.sqrt((images * images).sum(-1)) - 1.0)))
     if not worst <= IMAGE_NORM_TOL:
         raise StructuralError(f"{map_.field} level {map_.n}: image points are off the unit "
                               f"sphere (worst deviation {worst:.3e})")
@@ -165,20 +160,22 @@ def second_fundamental_form(map_: QuadMap, points, work=None) -> tuple[np.ndarra
 
 
 def _work(map_: QuadMap, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The work of second_fundamental_form for count points: room for the (d, M*K)
-    products, the (d+1, K+M) rows and the (d, d, K) accelerations."""
+    """The flat arrays second_fundamental_form computes in for count points: the
+    (d, M*K) stack products; the (d+1, K+M) rows, the image point over [T | B] made
+    [Q^T | B'] in place (the normal frame in the first K columns); and alpha."""
     d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return tuple(np.empty(count * size) for size in (d * m * k, (d + 1) * (k + m), d * d * k))
 
 
 def curvature_point_bytes(map_: QuadMap) -> int:
     """Working memory per point of a curvature_field chunk, in bytes, eight per
-    double.  The kernel's peak (the normal projection) holds the work arrays,
-    d K (M+d) + (d+1) (K+M); the tangent basis, d M; the projection's (d, d, d+1)
-    product, the Gram matrix and its Cholesky factor, d d (d+3); the point's real
-    row, M; and a few scalars.  The count is K (M+d+1) - M (d+1) above that: it
-    still counts the stack product and the frame outside the work arrays, slack
-    that only shortens the chunks (report runs the kernel on two points)."""
+    double.  The kernel's peak (the normal projection) holds the arrays that
+    _work allocates on each call, d K (M+d) + (d+1) (K+M); the tangent basis,
+    d M; the projection's (d, d, d+1) product, the Gram matrix and its Cholesky
+    factor, d d (d+3); the point's real row, M; and a few scalars.  The count is
+    K (M+d+1) - M (d+1) above that: it still counts the stack product and the
+    frame outside those arrays, slack that only shortens the chunks (report
+    runs the kernel on two points)."""
     d, m, k = map_.quotient_dim, map_.stack.shape[0], map_.component_count
     return 8 * (d * k * (m + d) + k * (m + 2 * d + 2) + d * (d * (d + 3) + m) + m + 32)
 
@@ -189,22 +186,18 @@ def curvature_field(map_: QuadMap, points) -> dict:
     Returns (p,) arrays 'lambda', 'anisotropy', 'alpha_norm_sq',
     'mean_curvature_norm' and 'scalar_curvature_gauss'.  Each point's values
     are the same for every chunk length and every batch the point sits in.
-    The kernel computes in one triple of work arrays for all the chunks: fresh
-    ones for each chunk would be given back by glibc's allocator between chunks
-    and faulted in again.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         tangent_bases(map_, pts)  # raises its shape error
-    d, work, parts = map_.quotient_dim, None, []
+    d, parts = map_.quotient_dim, []
     for part in chunks(len(pts), curvature_point_bytes(map_)):
-        if work is None:  # the first chunk is the longest
-            work = _work(map_, part.stop)
-        a, lam, anis = second_fundamental_form(map_, pts[part], work)
-        # a row reduction, not a BLAS dot, whose split depends on the thread count
-        a2 = np.square(a.reshape(len(a), -1), out=work[0][:a.size].reshape(len(a), -1)).sum(1)
-        hn = row_sum(np.diagonal(a, axis1=1, axis2=2))  # the trace of alpha, (p, K)
-        hn = np.sqrt(row_sum(hn * hn))
+        a, lam, anis = second_fundamental_form(map_, pts[part])
+        hn = np.diagonal(a, axis1=1, axis2=2).sum(-1)  # the trace of alpha, (p, K)
+        hn = np.sqrt((hn * hn).sum(-1))
+        # alpha squared in place, once |H| is read; a row reduction, not a BLAS
+        # dot, whose split depends on the thread count
+        a2 = np.square(a, out=a).reshape(len(a), -1).sum(1)
         parts.append({"lambda": lam, "anisotropy": anis, "alpha_norm_sq": a2,
                       "mean_curvature_norm": hn,
                       "scalar_curvature_gauss": d * (d - 1) + hn * hn - a2})

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .constants import radius_pow4, rational_str
+from .constants import check_level, radius_pow4, rational_str
 
 HERMITIAN_TOL = 1e-14  # relative; real matrices must be exactly symmetric
 # Working memory one batched kernel (evaluate, a curvature chunk, a block of
@@ -47,6 +47,7 @@ class QuadMap:
     stack: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_level(self.n)
         comps = np.asarray(self.components)
         comps = np.ascontiguousarray(comps, dtype=complex if np.iscomplexobj(comps) else float)
         if comps.ndim != 3 or comps.shape[1] != comps.shape[2]:
@@ -112,22 +113,6 @@ def chunks(count: int, point_bytes: int) -> Iterator[slice]:
     made one at a time, so that no list of them grows with count."""
     step = max(1, CHUNK_BYTES // point_bytes)
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
-
-
-def row_sum(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=-1) of a float array, bit for bit.
-
-    numpy adds a row of fewer than 8 terms in order, from +0.0 (so that a row
-    of -0.0 sums to +0.0), in one inner-loop call per row, and sums 8 terms or
-    more in pairwise blocks.  Under 8 columns this adds the columns in that
-    order, one call per column; from 8 up it calls numpy's reduction.
-    """
-    if not 0 < a.shape[-1] < 8:
-        return np.add.reduce(a, axis=-1)
-    out = a[..., 0] + 0.0
-    for j in range(1, a.shape[-1]):
-        out += a[..., j]
-    return out
 
 
 def evaluate_point_bytes(map_: QuadMap) -> int:

@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from . import constants
-from .quadmap import row_sum
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -96,7 +95,7 @@ def sphere_points(dim: int, count: int, seed: int, radius: float = 1.0,
         raise ValueError("start must be non-negative")
     x = _normals(seed, start * dim, count * dim).reshape(count, dim)
     # np.linalg.norm's reduction for real rows, then its division in place
-    nrm = np.sqrt(row_sum(x * x))[:, None]
+    nrm = np.sqrt((x * x).sum(-1))[:, None]
     nrm[nrm == 0.0] = 1.0
     np.multiply(radius, x, out=x)
     x /= nrm

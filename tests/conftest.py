@@ -10,9 +10,9 @@ def kernel_blocks(monkeypatch) -> list:
     curvature_field runs second_fundamental_form once per chunk."""
     lengths = []
 
-    def kernel(map_, points, work=None, _kernel=geometry.second_fundamental_form):
+    def kernel(map_, points, _kernel=geometry.second_fundamental_form):
         lengths.append(len(points))
-        return _kernel(map_, points, work)
+        return _kernel(map_, points)
 
     monkeypatch.setattr(geometry, "second_fundamental_form", kernel)
     return lengths

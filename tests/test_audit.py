@@ -694,10 +694,13 @@ def test_non_finite_numbers_serialize_as_null():
 
 
 def test_level2_curvature_field_computed_once(kernel_blocks):
-    run_claim_audit(6, seed=0, samples=300)
     # one 20-point sweep per audited level, then level 2 and level 3 once each:
-    # the canonical point and the first sample; the samples' pair gate runs no kernel
-    assert kernel_blocks == [20] * 10 + [2] * 2
+    # the canonical point and the first sample, at any sample count; the samples'
+    # pair gate runs no kernel
+    for samples in (300, 20_000):
+        kernel_blocks.clear()
+        run_claim_audit(6, seed=0, samples=samples)
+        assert kernel_blocks == [20] * 10 + [2] * 2, samples
 
 
 def test_norm_identity_entries_do_not_depend_on_samples_or_seed():

@@ -93,11 +93,13 @@ def test_report_json():
     assert payload["radius_pow4"] == "9/4"
 
 
-@pytest.mark.parametrize("field,n", [("real", 2), ("complex", 3)])
-def test_report_takes_one_curvature_pass(field, n, kernel_blocks):
-    # the canonical point and the first sample, in one block; the samples' pair gate
-    # runs no kernel
-    code, _ = run_cli(["report", "--field", field, "--n", str(n), "--samples", "40"])
+@pytest.mark.parametrize("field,n,samples", [("real", 2, 40), ("complex", 3, 40),
+                                             ("real", 12, 5000), ("complex", 8, 5000)],
+                         ids=["real-2", "complex-3", "real-12", "complex-8"])
+def test_report_takes_one_curvature_pass(field, n, samples, kernel_blocks):
+    # the canonical point and the first sample, in one block, at any sample count;
+    # the samples' pair gate runs no kernel
+    code, _ = run_cli(["report", "--field", field, "--n", str(n), "--samples", str(samples)])
     assert code == 0
     assert kernel_blocks == [2]
 

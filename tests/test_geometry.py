@@ -326,8 +326,8 @@ def test_a_budget_sized_chunk_stays_within_chunk_bytes(field, cap):
 
 
 @pytest.mark.parametrize("field,cap", [("real", 12), ("complex", 8)])
-def test_the_kernel_reads_no_work_entry_it_did_not_write(field, cap):
-    # work filled with NaN, one triple sized for the call and one for more points:
+def test_the_kernel_reads_no_work_entry_it_did_not_write(field, cap, monkeypatch):
+    # the kernel's arrays filled with NaN, sized for the call and for more points:
     # any entry read before it is written would turn a result into NaN
     for n in range(1, cap + 1):
         m = build(n, field)
@@ -337,7 +337,9 @@ def test_the_kernel_reads_no_work_entry_it_did_not_write(field, cap):
             work = geometry._work(m, room)
             for array in work:
                 array.fill(np.nan)
-            got = second_fundamental_form(m, pts, work)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_work", lambda map_, count: work)
+                got = second_fundamental_form(m, pts)
             for key, a, b in zip(("alpha", "lambda", "anisotropy"), got, expected):
                 assert np.array_equal(a, b), (n, room, key)
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import tracemalloc
@@ -12,7 +11,7 @@ from numpy.testing import assert_allclose
 from veronese import constants, quadmap
 from veronese.construct import build
 from veronese.quadmap import (QuadMap, evaluate, harmonicity_traces, norm_identity_residual,
-                              row_sum, to_json)
+                              to_json)
 from veronese.sampling import complex_sphere_points, quotient_samples, sphere_points
 
 from oracles import (dense_evaluate, exact_norm_identity_deviation, exact_quartic_residual,
@@ -264,6 +263,13 @@ def test_antipodal_values_identical(xs):
     assert np.array_equal(evaluate(m, x), evaluate(m, -x))
 
 
+@pytest.mark.parametrize("level", [2.0, np.int64(2), True, 0, 13])
+def test_level_checked_on_construction(level):
+    # rejected where the map takes it in, not later in evaluate or to_json
+    with pytest.raises(ValueError, match="level must be"):
+        QuadMap(level, build(2, "real").components)
+
+
 def test_symmetry_enforced_on_construction():
     with pytest.raises(ValueError):
         QuadMap(n=1, components=np.array([[[0.0, 1.0], [0.0, 0.0]]]))
@@ -359,46 +365,3 @@ def hermitian_stacks(draw, field):
 @settings(max_examples=60, deadline=None)
 def test_to_json_matches_json_dumps_on_drawn_stacks(map_):
     _assert_json_is_exact(map_)
-
-
-SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, 1e308]
-
-
-def _bits(a):
-    """The bit pattern of every value, each NaN as one pattern, so that signed
-    zeros count as different and NaNs as equal."""
-    return np.where(np.isnan(a), math.nan, a).view(np.int64)
-
-
-def _rows_of_width(width, rng):
-    """Rows of every kind a sum meets: all combinations of the special
-    values up to width 3, random rows, random rows salted with the specials,
-    and rows of -0.0 alone."""
-    if width <= 3:
-        special = np.array(list(itertools.product(SPECIALS, repeat=width)))
-    else:
-        special = rng.choice(SPECIALS, size=(2000, width))
-    normal = rng.standard_normal((2000, width)) * 10.0 ** rng.integers(-6, 7, (2000, width))
-    salted = np.where(rng.random(normal.shape) < 0.2, rng.choice(SPECIALS, normal.shape), normal)
-    return np.concatenate([special, normal, salted, np.full((3, width), -0.0)])
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13])
-def test_row_sum_matches_numpy_bit_for_bit(width):
-    rng = np.random.default_rng(width)
-    rows = _rows_of_width(width, rng)
-    # a C-contiguous array, a strided one (reversed columns, every other row),
-    # and the diagonal views of (p, w, w) and (p, w, w, 3) stacks
-    cube = rng.choice(SPECIALS + [2.5, -0.75], size=(300, width, width, 3))
-    for a in (rows, rows[::2, ::-1], np.diagonal(cube[..., 0], axis1=1, axis2=2),
-              np.diagonal(cube, axis1=1, axis2=2)):
-        got, expected = row_sum(a), np.add.reduce(a, axis=-1)
-        assert got.shape == expected.shape and got.dtype == expected.dtype
-        assert np.array_equal(_bits(got), _bits(expected)), a.strides
-
-
-def test_row_sum_of_a_diagonal_view_is_the_trace():
-    stack = np.random.default_rng(4).standard_normal((50, 3, 3, 5))
-    assert np.array_equal(row_sum(np.diagonal(stack, axis1=1, axis2=2)),
-                          np.trace(stack, axis1=1, axis2=2))
